@@ -26,10 +26,9 @@ guards the model against regressions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..units import Gbps
 
@@ -120,6 +119,10 @@ def integrate_numerically(
     Cross-checks the closed forms; returned arrays have shapes
     ``(n,)``, ``(n, 2)``, ``(n, 2)`` with columns ``[flow1, flow0]``.
     """
+    # The only scipy user in the package: imported here so that every run
+    # that never cross-checks the closed forms does not pay for loading it.
+    from scipy.integrate import solve_ivp
+
     t_eval = np.linspace(0.0, t_end_ns, n_points)
 
     def rhs(_t: float, y: np.ndarray) -> np.ndarray:
@@ -192,69 +195,117 @@ def max_min_allocation(
         water level reaches it; its unused share is redistributed.
 
     Returns flow id -> allocated rate.  The algorithm raises all unfrozen
-    flows' rates in lockstep; each iteration freezes at least one flow
-    (either a saturated link's users or a flow at its cap), so it
-    terminates in at most ``len(flow_links)`` rounds.  Iteration order is
-    sorted by ``repr`` of the ids, making ties deterministic.
+    flows' rates in lockstep; each round freezes at least one flow (either
+    a saturated link's users or a flow at its cap), so it terminates in at
+    most ``len(flow_links)`` rounds.  The result does not depend on the
+    iteration order of the inputs: the binding increment is an exact
+    ``min`` and every other update touches one link or one flow.
+
+    Cost is linear in the number of (flow, link) incidences plus one pass
+    over the still-shared links per round (and a sort of the caps): each
+    link keeps a count of its unfrozen users that freezing decrements, and
+    only the users of links that saturate in a round are visited.
     """
-    order = sorted(flow_links, key=repr)
-    links_of: Dict[Hashable, Tuple[Hashable, ...]] = {}
-    for fid in order:
-        links = tuple(flow_links[fid])
-        for link in links:
-            if link not in capacities:
-                raise KeyError(f"flow {fid!r} crosses unknown link {link!r}")
-            if capacities[link] < 0:
-                raise ValueError(f"link {link!r} has negative capacity")
+    # Links and flows are renumbered 0..n-1 in first-seen order so that the
+    # rounds below index lists instead of hashing the callers' ids.
+    fids = list(flow_links)
+    index_of: Dict[Hashable, int] = {}
+    capacity: List[float] = []  # by link number
+    users_of: List[List[int]] = []  # link number -> numbers of the flows crossing it
+    links_of: List[List[int]] = []  # flow number -> link numbers (repeats kept)
+    # Capped flows, by flow number: the cap, and the level at which it counts
+    # as reached (the tolerance scales with the largest capacity on the path).
+    cap_of: Dict[int, float] = {}
+    reached_at: Dict[int, float] = {}
+    for number, fid in enumerate(fids):
+        links: List[int] = []
+        scale = None  # largest capacity on the path so far
+        for link in flow_links[fid]:
+            i = index_of.get(link)
+            if i is None:
+                if link not in capacities:
+                    raise KeyError(f"flow {fid!r} crosses unknown link {link!r}")
+                if capacities[link] < 0:
+                    raise ValueError(f"link {link!r} has negative capacity")
+                i = index_of[link] = len(capacity)
+                capacity.append(capacities[link])
+                users_of.append([number])
+            else:
+                users_of[i].append(number)
+            links.append(i)
+            if scale is None or capacity[i] > scale:
+                scale = capacity[i]
         if not links and (caps is None or fid not in caps):
             raise ValueError(
                 f"flow {fid!r} crosses no links and has no cap; its max-min "
                 "rate is unbounded"
             )
-        links_of[fid] = links
+        links_of.append(links)
+        cap = None if caps is None else caps.get(fid)
+        if cap is not None:
+            cap_of[number] = cap
+            reached_at[number] = cap - _WF_EPS * max(
+                cap, 1.0 if scale is None else scale, 1.0
+            )
 
-    rates: Dict[Hashable, float] = {fid: 0.0 for fid in order}
-    remaining: Dict[Hashable, float] = dict(capacities)
-    unfrozen = list(order)
-    while unfrozen:
-        users: Dict[Hashable, int] = {}
-        for fid in unfrozen:
-            for link in links_of[fid]:
-                users[link] = users.get(link, 0) + 1
+    # Unfrozen users per link (a link listed twice by a flow counts twice),
+    # what is left of each link, and the level at which it counts as full.
+    n_users = [len(users) for users in users_of]
+    remaining = list(capacity)
+    full_at = [_WF_EPS * max(c, 1.0) for c in capacity]
+    live = list(range(len(capacity)))
+
+    # Capped flows in the order their caps bind: ``by_cap`` yields the
+    # smallest headroom among unfrozen flows, ``by_reached`` the flows whose
+    # cap (less the tolerance) the common level has reached.
+    by_cap = sorted(cap_of, key=cap_of.__getitem__)
+    by_reached = sorted(reached_at, key=reached_at.__getitem__)
+    next_cap = next_reached = 0
+
+    rate: List[Optional[float]] = [None] * len(fids)  # None: not frozen yet
+    level = 0.0  # the rate every unfrozen flow has been raised to
+    n_unfrozen = len(fids)
+    infinity = float("inf")
+    while n_unfrozen:
         # The uniform increment at which the first constraint binds.
-        increment = float("inf")
-        for link in sorted(users, key=repr):
-            increment = min(increment, remaining[link] / users[link])
-        if caps is not None:
-            for fid in unfrozen:
-                cap = caps.get(fid)
-                if cap is not None:
-                    increment = min(increment, cap - rates[fid])
-        if increment == float("inf"):  # only capless, linkless flows remain
+        increment = infinity
+        for i in live:
+            share = remaining[i] / n_users[i]
+            if share < increment:
+                increment = share
+        while next_cap < len(by_cap) and rate[by_cap[next_cap]] is not None:
+            next_cap += 1
+        if next_cap < len(by_cap):
+            headroom = cap_of[by_cap[next_cap]] - level
+            if headroom < increment:
+                increment = headroom
+        if increment == infinity:  # only capless, linkless flows remain
             raise ValueError("unbounded allocation: no binding constraint")
-        increment = max(increment, 0.0)
-        for fid in unfrozen:
-            rates[fid] += increment
-        for link, n in users.items():
-            remaining[link] -= increment * n
-        still: list = []
-        for fid in unfrozen:
-            scale = max(
-                (capacities[link] for link in links_of[fid]), default=1.0
-            )
-            saturated = any(
-                remaining[link] <= _WF_EPS * max(capacities[link], 1.0)
-                for link in links_of[fid]
-            )
-            capped = (
-                caps is not None
-                and caps.get(fid) is not None
-                and rates[fid] >= caps[fid] - _WF_EPS * max(caps[fid], scale, 1.0)
-            )
-            if saturated or capped:
-                continue
-            still.append(fid)
-        if len(still) == len(unfrozen):  # pragma: no cover - defensive
+        if increment < 0.0:
+            increment = 0.0
+        level += increment
+        freezing = []
+        for i in live:
+            left = remaining[i] - increment * n_users[i]
+            remaining[i] = left
+            if left <= full_at[i]:
+                for number in users_of[i]:
+                    if rate[number] is None:
+                        rate[number] = level
+                        freezing.append(number)
+        while next_reached < len(by_reached):
+            number = by_reached[next_reached]
+            if rate[number] is None:
+                if level < reached_at[number]:
+                    break
+                rate[number] = level
+                freezing.append(number)
+            next_reached += 1
+        if not freezing:  # pragma: no cover - defensive
             raise RuntimeError("water-filling failed to make progress")
-        unfrozen = still
-    return rates
+        n_unfrozen -= len(freezing)
+        for number in freezing:
+            for i in links_of[number]:
+                n_users[i] -= 1
+        live = [i for i in live if n_users[i]]
+    return dict(zip(fids, rate))

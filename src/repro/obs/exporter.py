@@ -26,11 +26,13 @@ from __future__ import annotations
 import json
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from . import registry as obs_registry
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 #: Content type OpenMetrics scrapers negotiate.
 CONTENT_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
@@ -219,6 +221,10 @@ class MetricsServer:
         self.port: Optional[int] = None
 
     def start(self) -> int:
+        # Only ``--metrics-port`` runs start a server; nothing else should
+        # pay for loading http.server (and the email/socketserver it pulls).
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         producer = self._producer
 
         class Handler(BaseHTTPRequestHandler):

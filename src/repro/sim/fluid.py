@@ -5,8 +5,9 @@ The packet engine executes one event per packet per hop — exact, but
 models each flow as a *rate process* instead: between events every active
 flow transfers bytes at a piecewise-constant rate, and events fire only
 when the rate picture changes (a flow arrives, departs, a link flaps, a
-relaxation tick) or a monitor samples.  A 16-flow incast that costs the
-packet engine ~200k events costs this engine a few hundred.
+relaxation tick) or a monitor samples.  The 16-flow fig-8 incast that costs
+the packet engine ~110k events costs this engine ~900, of which 720 are
+queue samples (see *Integration step* below).
 
 Rate model
 ----------
@@ -23,9 +24,7 @@ Rate model
   ``r(t + dt) = T + (r(t) - T) * exp(-dt / tau)``, with ``tau`` the
   variant's convergence time constant (fast for VAI+SF variants, slow
   for default HPCC/Swift — see :mod:`repro.experiments.flowsim`).
-  ``tau = 0`` snaps instantly (ideal fair sharing).  Periodic relaxation
-  ticks (every ``min(tau)/4``) bound the staleness of the
-  piecewise-constant approximation.
+  ``tau = 0`` snaps instantly (ideal fair sharing).
 * **Feasibility**: intrinsic rates may transiently oversubscribe a link
   (a newly arrived flow starts at line rate, exactly like a fresh CC
   window).  Served rates are intrinsic rates scaled down per link so no
@@ -45,14 +44,44 @@ the links its packet twin would.  Link flaps reuse
 :meth:`repro.sim.network.Network.set_link_state`, so reroutes see the
 same post-flap tables.
 
-Everything is deterministic: no RNG, sorted iteration everywhere.
+Integration step
+----------------
+
+Rates are piecewise constant between events, so the relaxation above is
+integrated with a step equal to the gap between events.  A relaxation tick
+is armed ``max(min(tau)/4, 500 ns)`` after *every* event (from ``now``, not
+from the previous tick) while some flow is off its target, so it only
+fires when nothing else happens for that long.  On runs without samplers
+(the fat-tree traces) it does fire and bounds the step.  On the incast
+configs it never does: their 2 us queue sampler is shorter than every
+tick, 4132 of the 4184 event steps in the fig-8 pair at 16 and 32 senders
+are queue samples, and the integration step *is* ``sample_interval_ns``.
+FCTs therefore move with the sampling interval
+(``test_fct_independent_of_queue_sample_interval`` is an expected failure),
+and ``TAU_RTTS`` is calibrated at the default interval.  ROADMAP item 4(c)
+carries the fix (passive samplers, analytic byte integral between
+rate-changing events, then re-calibration).
+
+Cost
+----
+
+One event is two passes over the table of active flows
+(:meth:`FluidEngine._drain_and_relax`: drain, relax, collect departures;
+:meth:`FluidEngine._rescale`: per-link loads and scale factors, served
+rates, next departure, relax-tick test), each O(active flows x path
+length).  Arrivals, departures and flaps add one water-filling of the
+touched component, linear in its (flow, link) incidences plus
+O(rounds x links).
+
+Everything is deterministic: no RNG, and every sum runs over
+insertion-ordered tables (never a set, never ``id()`` order).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.fluid_model import max_min_allocation
 from ..metrics.fct import ideal_fct_ns
@@ -111,13 +140,32 @@ class FluidFlowParams:
 DLink = Tuple[int, int]
 
 
-@dataclass
+@dataclass(eq=False)
+class _Link:
+    """Per-link accumulators the event step reads and writes in place."""
+
+    index: int  # position in creation order; the link's id in water-filling
+    cap: float  # goodput capacity in bytes/ns, 0 while the link is down
+    #: Active flows crossing the link, by flow id, in occupation order.
+    users: Dict[int, "_FlowState"] = field(default_factory=dict)
+    load: float = 0.0  # sum of the users' intrinsic rates after the last event
+    served: float = 0.0  # sum of their served rates (current only while tracking utilization)
+    factor: float = 1.0  # cap / load when oversubscribed, else 1
+    queue: float = 0.0  # modelled backlog in bytes (monitored links only)
+    bytes: float = 0.0  # served bytes so far (utilization tracking only)
+
+
+@dataclass(eq=False)
 class _FlowState:
     flow: Flow
     params: FluidFlowParams
     remaining: float
     latency_ns: float
-    path: Optional[Tuple[DLink, ...]] = None
+    fid: int
+    tau: float  # params.tau_ns, read once per flow per event
+    active: bool = False
+    links: Tuple[_Link, ...] = ()  # empty while inactive or unroutable
+    link_ids: Tuple[int, ...] = ()  # the links' indexes: water-filling input
     r_int: float = 0.0  # intrinsic (demanded) rate, bytes/ns
     r_srv: float = 0.0  # served rate after per-link feasibility scaling
     target: float = 0.0
@@ -163,23 +211,21 @@ class FluidEngine:
         self.now = 0.0
         self.events_executed = 0
         self._flows: Dict[int, _FlowState] = {}
-        self._order: List[int] = []  # registration order (sampling columns)
-        self._active: Set[int] = set()
+        self._order: List[_FlowState] = []  # registration order (sampling columns)
+        #: The active flows in arrival order.  Every per-link sum runs over
+        #: this table, so results never depend on hash or ``id()`` order.
+        self._active: List[_FlowState] = []
         self._arrivals: List[Tuple[float, int]] = []
         self._arrival_idx = 0
-        self._link_users: Dict[DLink, Set[int]] = {}
-        self._monitored: Tuple[DLink, ...] = tuple(
-            (p.owner.node_id, p.peer_node.node_id) for p in monitored_ports
+        self._links: Dict[DLink, _Link] = {}
+        self._busy: List[_Link] = []  # links with at least one user
+        self._monitored: Tuple[_Link, ...] = tuple(
+            self._link((p.owner.node_id, p.peer_node.node_id)) for p in monitored_ports
         )
-        self._queues: Dict[DLink, float] = {d: 0.0 for d in self._monitored}
-        #: Served bytes per directed link (hybrid-mode derating input).
-        #: Only accumulated when requested — it costs a full link scan per
-        #: event and only :meth:`link_utilization` reads it.
+        #: Served bytes per directed link feed hybrid-mode derating.  Only
+        #: accumulated when requested: it costs a pass over every flow's
+        #: path per event and only :meth:`link_utilization` reads it.
         self._track_utilization = track_link_utilization
-        self._link_bytes: Dict[DLink, float] = {}
-        #: Goodput capacity per directed link; invalidated on link flaps
-        #: (port lookups are far too slow for the per-event hot loops).
-        self._cap_cache: Dict[DLink, float] = {}
         self._rate_interval = rate_sample_interval_ns
         self._queue_interval = queue_sample_interval_ns
         self._rate_samples = _Samples()
@@ -191,6 +237,7 @@ class FluidEngine:
             queue_sample_interval_ns if queue_sample_interval_ns else math.inf
         )
         self._next_relax = math.inf
+        self._next_departure = math.inf
         #: (time, a, b, up) link state toggles, sorted by time.
         self._flaps: List[Tuple[float, int, int, bool]] = []
         self._flap_idx = 0
@@ -203,16 +250,19 @@ class FluidEngine:
         latency = ideal_fct_ns(self.net, flow.src, flow.dst, flow.size)
         path = self._path_links(flow.src, flow.dst, flow.ecmp_hash)
         if path:
-            bottleneck = min(self._capacity(d) for d in path)
+            bottleneck = min(self._link(d).cap for d in path)
             if bottleneck > 0:
                 latency -= flow.size / bottleneck
-        self._flows[flow.flow_id] = _FlowState(
+        st = _FlowState(
             flow=flow,
             params=params,
             remaining=float(flow.size),
             latency_ns=max(latency, 0.0),
+            fid=flow.flow_id,
+            tau=params.tau_ns,
         )
-        self._order.append(flow.flow_id)
+        self._flows[flow.flow_id] = st
+        self._order.append(st)
         self._arrivals.append((flow.start_time, flow.flow_id))
 
     def schedule_link_flap(
@@ -233,18 +283,23 @@ class FluidEngine:
 
     # -- topology helpers --------------------------------------------------
 
-    def _capacity(self, dlink: DLink) -> float:
+    def _port_capacity(self, dlink: DLink) -> float:
         """Goodput capacity of a directed link in bytes/ns (0 when down)."""
-        cached = self._cap_cache.get(dlink)
-        if cached is not None:
-            return cached
         u, v = dlink
         port = self.net.nodes[u].port_to[v]
-        cap = (
-            port.spec.rate_bps / 8e9 * GOODPUT_FRACTION if port.link_up else 0.0
-        )
-        self._cap_cache[dlink] = cap
-        return cap
+        return port.spec.rate_bps / 8e9 * GOODPUT_FRACTION if port.link_up else 0.0
+
+    def _link(self, dlink: DLink) -> _Link:
+        """The accumulator record of a directed link, created on first use.
+
+        Capacities are read from the ports here and again after a link flap
+        (port lookups are far too slow for the per-event loops).
+        """
+        link = self._links.get(dlink)
+        if link is None:
+            link = _Link(len(self._links), self._port_capacity(dlink))
+            self._links[dlink] = link
+        return link
 
     def _path_links(
         self, src: int, dst: int, ecmp_hash: int
@@ -279,238 +334,235 @@ class FluidEngine:
 
     # -- rate bookkeeping --------------------------------------------------
 
-    def _occupy(self, fid: int) -> None:
-        st = self._flows[fid]
-        st.path = self._path_links(st.flow.src, st.flow.dst, st.flow.ecmp_hash)
-        for dlink in st.path or ():
-            self._link_users.setdefault(dlink, set()).add(fid)
+    def _occupy(self, st: _FlowState) -> None:
+        path = self._path_links(st.flow.src, st.flow.dst, st.flow.ecmp_hash)
+        st.links = tuple(self._link(d) for d in path or ())
+        st.link_ids = tuple(link.index for link in st.links)
+        for link in st.links:
+            link.users[st.fid] = st
 
-    def _vacate(self, fid: int) -> None:
-        st = self._flows[fid]
-        for dlink in st.path or ():
-            users = self._link_users.get(dlink)
-            if users is not None:
-                users.discard(fid)
-                if not users:
-                    del self._link_users[dlink]
-        st.path = None
+    def _vacate(self, st: _FlowState) -> None:
+        for link in st.links:
+            link.users.pop(st.fid, None)
+        st.links = st.link_ids = ()
 
-    def _component_of(self, seeds: Set[int]) -> Set[int]:
-        """Active flows sharing links (transitively) with ``seeds``."""
-        component: Set[int] = set()
-        frontier = [fid for fid in sorted(seeds) if fid in self._active]
-        while frontier:
-            fid = frontier.pop()
-            if fid in component:
-                continue
-            component.add(fid)
-            for dlink in self._flows[fid].path or ():
-                for other in self._link_users.get(dlink, ()):
-                    if other not in component:
-                        frontier.append(other)
-        return component
+    def _refresh_busy(self) -> None:
+        """Re-list the links in use after flows occupied or vacated some."""
+        busy = []
+        for link in self._links.values():
+            if link.users:
+                busy.append(link)
+            else:  # nothing crosses it: what the monitored-queue integral reads
+                link.load = link.served = 0.0
+        self._busy = busy
 
-    def _recompute_targets(self, changed: Set[int]) -> None:
-        """Water-fill the bottleneck component(s) touched by ``changed``."""
-        component = self._component_of(changed)
+    def _recompute_targets(self, seeds: Iterable[_FlowState]) -> None:
+        """Water-fill the bottleneck component(s) touched by ``seeds``.
+
+        The component is every active flow sharing links (transitively)
+        with a seed; each link's users are expanded once.
+        """
+        component = {st.fid: st for st in seeds if st.active}
         if not component:
             return
-        flow_links: Dict[int, Tuple[DLink, ...]] = {}
+        capacities: Dict[int, float] = {}
+        frontier = list(component.values())
+        while frontier:
+            for link in frontier.pop().links:
+                if link.index not in capacities:
+                    capacities[link.index] = link.cap
+                    for fid, st in link.users.items():
+                        if fid not in component:
+                            component[fid] = st
+                            frontier.append(st)
+        flow_links: Dict[int, Tuple[int, ...]] = {}
         caps: Dict[int, float] = {}
-        capacities: Dict[DLink, float] = {}
-        for fid in sorted(component):
-            st = self._flows[fid]
-            path = st.path or ()
-            flow_links[fid] = path
-            for dlink in path:
-                if dlink not in capacities:
-                    capacities[dlink] = self._capacity(dlink)
-            if not path:
+        for fid, st in component.items():
+            flow_links[fid] = st.link_ids
+            if not st.links:
                 caps[fid] = 0.0  # unroutable: park at zero
             elif st.params.cap_bytes_per_ns is not None:
                 caps[fid] = st.params.cap_bytes_per_ns
         targets = max_min_allocation(capacities, flow_links, caps or None)
         for fid, target in targets.items():
-            self._flows[fid].target = target
+            component[fid].target = target
 
-    def _relax_decay(self, dt: float) -> None:
-        """First-order relaxation toward the *current* targets over ``dt``.
-
-        Called before an event's state change is applied, so the elapsed
-        interval decays toward the targets that were in force during it.
-        """
-        if dt <= 0.0:
-            return
-        flows = self._flows
-        exp = math.exp
-        for fid in self._active:
-            st = flows[fid]
-            tau = st.params.tau_ns
-            if tau > 0.0:
-                target = st.target
-                delta = st.r_int - target
-                if delta == 0.0:
-                    continue
-                decayed = delta * exp(-dt / tau)
-                # Land exactly on the target once the residual is far below
-                # any physical meaning; converged flows then cost nothing.
-                if -1e-12 * target < decayed < 1e-12 * target:
-                    st.r_int = target
-                else:
-                    st.r_int = target + decayed
-
-    def _snap_zero_tau(self) -> None:
-        for fid in self._active:
-            st = self._flows[fid]
-            if st.params.tau_ns == 0.0:
-                st.r_int = st.target
-
-    def _commit_feasibility(self) -> None:
-        """Multiplicative decrease: make the scaled-down rates *intrinsic*.
-
-        Called when congestion appears (an arrival oversubscribes a link, a
-        flap reroutes flows onto fewer links).  Real CC cuts rates within
-        an RTT of congestion onset — much faster than it converges to
-        fairness — so the squeeze is immediate while the squeezed vector
-        relaxes toward the fair targets with lag ``tau``.  This is what
-        makes late arrivals (fresh window, full rate) hold more than their
-        fair share while incumbents sit below it: the paper's unfairness
-        signature, persisting for O(tau).
-
-        The burst of excess demand between congestion onset and the cut —
-        roughly one base RTT of (load - capacity) — is what a real switch
-        buffers, so it is credited to the monitored queues here
-        (``md_delay_ns``); the queues then drain via :meth:`_advance`
-        whenever departures leave the links under-loaded.
-        """
-        if self.md_delay_ns > 0.0:
-            for dlink in self._monitored:
-                users = self._link_users.get(dlink, ())
-                load = sum(self._flows[fid].r_int for fid in users)
-                excess = load - self._capacity(dlink)
-                if excess > 0.0:
-                    self._queues[dlink] += excess * self.md_delay_ns
-        for fid in self._active:
-            st = self._flows[fid]
-            st.r_int = st.r_srv
-
-    def _snap_new_flows(self, fresh: Set[int]) -> None:
+    def _snap_new_flows(self, fresh: List[_FlowState]) -> None:
         """Arrivals start at line rate (or instantly at target for tau=0)."""
-        for fid in sorted(fresh):
-            st = self._flows[fid]
-            if st.params.tau_ns == 0.0 or not st.path:
+        for st in fresh:
+            if st.tau == 0.0 or not st.links:
                 st.r_int = st.target
                 continue
-            path_cap = min(self._capacity(d) for d in st.path)
+            path_cap = min(link.cap for link in st.links)
             if st.params.cap_bytes_per_ns is not None:
                 path_cap = min(path_cap, st.params.cap_bytes_per_ns)
             st.r_int = st.params.start_fraction * path_cap
 
-    def _scale_served(self) -> None:
-        """Served = intrinsic scaled so no link exceeds its capacity."""
-        flows = self._flows
-        caps = self._cap_cache
-        factors: Dict[DLink, float] = {}
-        for dlink, users in self._link_users.items():
-            load = 0.0
-            for fid in users:
-                load += flows[fid].r_int
-            if load <= 0.0:
-                continue
-            cap = caps.get(dlink)
-            if cap is None:
-                cap = self._capacity(dlink)
-            if load > cap:
-                factors[dlink] = cap / load
-        for fid in self._active:
-            st = flows[fid]
-            if not st.path:
-                st.r_srv = 0.0
-                continue
-            factor = 1.0
-            if factors:
-                for d in st.path:
-                    f = factors.get(d)
-                    if f is not None and f < factor:
-                        factor = f
-            st.r_srv = st.r_int * factor
+    # -- the event step ----------------------------------------------------
 
-    def _schedule_relax_tick(self) -> None:
-        flows = self._flows
-        min_tau = math.inf
-        for fid in self._active:
-            st = flows[fid]
-            tau = st.params.tau_ns
-            if tau <= 0.0 or tau >= min_tau:
-                continue
-            target, r_int = st.target, st.r_int
-            scale = target if target > r_int else r_int
-            if scale < 1e-9:
-                scale = 1e-9
-            delta = r_int - target
-            if (delta if delta >= 0.0 else -delta) > _RELAX_TOL * scale:
-                min_tau = tau
+    def _integrate_links(self, dt: float) -> None:
+        """Queue depth and served bytes over ``dt`` at the cached link loads."""
+        for link in self._monitored:
+            depth = link.queue + (link.load - link.cap) * dt
+            link.queue = depth if depth > 0.0 else 0.0
+        if self._track_utilization:
+            for link in self._busy:
+                if link.served > 0.0:
+                    link.bytes += link.served * dt
+
+    def _drain_and_relax(self, dt: float) -> List[_FlowState]:
+        """Pass A: move every active flow across ``dt``; return the drained.
+
+        Bytes leave at the served rates in force during the interval, and
+        intrinsic rates relax first-order toward the targets that were in
+        force during it (the event's own state change is applied later).
+        """
+        self._integrate_links(dt)
+        exp = math.exp
+        drained = []
+        for st in self._active:
+            remaining = st.remaining
+            r_srv = st.r_srv
+            if r_srv > 0.0:
+                remaining -= r_srv * dt
+                st.remaining = remaining = remaining if remaining > 0.0 else 0.0
+            if remaining <= _EPS_BYTES:
+                drained.append(st)
+            tau = st.tau
+            if tau > 0.0:
+                target = st.target
+                delta = st.r_int - target
+                if delta != 0.0:
+                    decayed = delta * exp(-dt / tau)
+                    # Land exactly on the target once the residual is far
+                    # below any physical meaning.
+                    if -1e-12 * target < decayed < 1e-12 * target:
+                        st.r_int = target
+                    else:
+                        st.r_int = target + decayed
+        return drained
+
+    def _drain_to_timeout(self, timeout_ns: float) -> None:
+        """Stop the clock at ``timeout_ns``: drain, but change no rate."""
+        dt = timeout_ns - self.now
+        self.now = timeout_ns
+        if dt <= 0.0:
+            return
+        self._integrate_links(dt)
+        eta = math.inf
+        for st in self._active:
+            if st.r_srv > 0.0:
+                remaining = st.remaining - st.r_srv * dt
+                st.remaining = remaining = remaining if remaining > 0.0 else 0.0
+                eta = min(eta, timeout_ns + remaining / st.r_srv)
+        self._next_departure = eta  # what a resumed run waits for
+
+    def _rescale(self, commit: bool) -> None:
+        """Pass B: link loads, served rates, next departure and relax tick.
+
+        Served = intrinsic scaled so no link exceeds its capacity.
+
+        ``commit`` is the multiplicative decrease, applied when congestion
+        appears (an arrival oversubscribes a link, a flap reroutes flows
+        onto fewer links): the scaled-down rates become *intrinsic*.  Real
+        CC cuts rates within an RTT of congestion onset — much faster than
+        it converges to fairness — so the squeeze is immediate while the
+        squeezed vector relaxes toward the fair targets with lag ``tau``.
+        This is what makes late arrivals (fresh window, full rate) hold
+        more than their fair share while incumbents sit below it: the
+        paper's unfairness signature, persisting for O(tau).
+
+        The burst of excess demand between congestion onset and the cut —
+        roughly one base RTT of (load - capacity) — is what a real switch
+        buffers, so it is credited to the monitored queues
+        (``md_delay_ns``); the queues then drain in
+        :meth:`_integrate_links` whenever departures leave the links
+        under-loaded.
+        """
+        active, busy = self._active, self._busy
+        for link in busy:
+            link.load = 0.0
+        for st in active:
+            if st.tau == 0.0:
+                st.r_int = st.target  # no lag: track the target exactly
+            r_int = st.r_int
+            for link in st.links:
+                link.load += r_int
+        squeezed = False
+        for link in busy:
+            if link.load > link.cap:
+                link.factor = link.cap / link.load
+                squeezed = True
+            else:
+                link.factor = 1.0
+        if commit and self.md_delay_ns > 0.0:
+            for link in self._monitored:
+                excess = link.load - link.cap
+                if excess > 0.0:
+                    link.queue += excess * self.md_delay_ns
+
+        now = self.now
+        eta = min_tau = math.inf
+        for st in active:
+            r_srv = r_int = st.r_int
+            links = st.links
+            if not links:
+                r_srv = 0.0
+            elif squeezed:
+                factor = 1.0
+                for link in links:
+                    if link.factor < factor:
+                        factor = link.factor
+                r_srv = r_int * factor
+            st.r_srv = r_srv
+            if commit:
+                st.r_int = r_int = r_srv
+            if r_srv > 0.0:
+                t = now + st.remaining / r_srv
+                if t < eta:
+                    eta = t
+            # The relax tick follows the fastest flow still off its target.
+            tau = st.tau
+            if 0.0 < tau < min_tau:
+                target = st.target
+                scale = target if target > r_int else r_int
+                if scale < 1e-9:
+                    scale = 1e-9
+                delta = r_int - target
+                if (delta if delta >= 0.0 else -delta) > _RELAX_TOL * scale:
+                    min_tau = tau
+        self._next_departure = eta
         if min_tau < math.inf:
             tick = min_tau / 4.0
             if tick < _MIN_RELAX_TICK_NS:
                 tick = _MIN_RELAX_TICK_NS
-            self._next_relax = self.now + tick
+            self._next_relax = now + tick
         else:
             self._next_relax = math.inf
 
-    # -- time advancement --------------------------------------------------
-
-    def _advance(self, dt: float) -> None:
-        if dt <= 0.0:
-            return
-        flows = self._flows
-        for fid in self._active:
-            st = flows[fid]
-            if st.r_srv > 0.0:
-                remaining = st.remaining - st.r_srv * dt
-                st.remaining = remaining if remaining > 0.0 else 0.0
-        if self._track_utilization:
-            link_bytes = self._link_bytes
-            for dlink, users in self._link_users.items():
-                served = 0.0
-                for fid in users:
-                    served += flows[fid].r_srv
-                if served > 0.0:
-                    link_bytes[dlink] = link_bytes.get(dlink, 0.0) + served * dt
-        queues = self._queues
-        for dlink in self._monitored:
-            load = 0.0
-            for fid in self._link_users.get(dlink, ()):
-                load += flows[fid].r_int
-            depth = queues[dlink] + (load - self._capacity(dlink)) * dt
-            queues[dlink] = depth if depth > 0.0 else 0.0
-
-    def _next_departure(self) -> float:
-        flows = self._flows
-        t = math.inf
-        for fid in self._active:
-            st = flows[fid]
-            if st.r_srv > 0.0:
-                eta = self.now + st.remaining / st.r_srv
-                if eta < t:
-                    t = eta
-        return t
+        # What the next event's link integration reads.  After a commit
+        # intrinsic and served rates coincide, so one sum gives both loads.
+        if commit or self._track_utilization:
+            for link in busy:
+                link.served = 0.0
+            for st in active:
+                r_srv = st.r_srv
+                for link in st.links:
+                    link.served += r_srv
+            if commit:
+                for link in busy:
+                    link.load = link.served
 
     # -- sampling ----------------------------------------------------------
 
     def _take_rate_sample(self) -> None:
-        row = []
-        for fid in self._order:
-            st = self._flows[fid]
-            row.append(st.r_srv * 8e9 if fid in self._active else 0.0)
+        # Served rates are zero before arrival and after departure.
         self._rate_samples.times.append(self.now)
-        self._rate_samples.values.append(row)
+        self._rate_samples.values.append([st.r_srv * 8e9 for st in self._order])
 
     def _take_queue_sample(self) -> None:
         self._queue_samples.times.append(self.now)
-        self._queue_samples.values.append(
-            sum(self._queues[d] for d in self._monitored)
-        )
+        self._queue_samples.values.append(sum(link.queue for link in self._monitored))
 
     def rate_series(self) -> Tuple[List[float], List[List[float]]]:
         """(times, rates_bps rows) in flow registration order."""
@@ -537,12 +589,14 @@ class FluidEngine:
         if elapsed <= 0.0:
             return {}
         out: Dict[DLink, float] = {}
-        for dlink, served in sorted(self._link_bytes.items()):
+        for dlink, link in sorted(self._links.items()):
+            if link.bytes <= 0.0:
+                continue
             u, v = dlink
             spec = self.net.nodes[u].port_to[v].spec
             cap = spec.rate_bps / 8e9 * GOODPUT_FRACTION
             if cap > 0.0:
-                out[dlink] = min(1.0, served / (cap * elapsed))
+                out[dlink] = min(1.0, link.bytes / (cap * elapsed))
         return out
 
     def _emit_series_trace(self) -> None:
@@ -564,9 +618,9 @@ class FluidEngine:
         shown = self._order[: obs_flightrec.TIMELINE_FLOWS_CAP]
         for row_idx, ts in enumerate(self._rate_samples.times):
             row = self._rate_samples.values[row_idx]
-            for col, fid in enumerate(shown):
+            for col, st in enumerate(shown):
                 tr.counter(
-                    f"rate flow {fid}", ts, {"bps": row[col]}, cat="flightrec"
+                    f"rate flow {st.fid}", ts, {"bps": row[col]}, cat="flightrec"
                 )
         if self._track_utilization and self.now > 0.0:
             for (u, v), util in sorted(self.link_utilization().items()):
@@ -578,10 +632,17 @@ class FluidEngine:
     # -- main loop ---------------------------------------------------------
 
     def run(self, timeout_ns: float) -> CompletionStatus:
-        """Advance the fluid simulation until done or ``timeout_ns``."""
+        """Advance the fluid simulation until done or ``timeout_ns``.
+
+        One event costs two passes over the table of active flows
+        (:meth:`_drain_and_relax` before the state change,
+        :meth:`_rescale` after it) plus, when flows arrive, depart or are
+        re-pathed, one water-filling of the component they touch.
+        """
         events_start = self.events_executed
         self._arrivals.sort()
         self._flaps.sort()
+        arrivals, flaps = self._arrivals, self._flaps
         stop_reason = "completed"
         # Hoisted once per run, same idiom as the packet engine's registry
         # hook: off costs one local None test per loop iteration.
@@ -589,112 +650,105 @@ class FluidEngine:
         if prof is not None:
             prof.push("fluid.run")
         while True:
-            have_arrival = self._arrival_idx < len(self._arrivals)
-            have_flap = self._flap_idx < len(self._flaps)
+            have_arrival = self._arrival_idx < len(arrivals)
             if not self._active and not have_arrival:
                 break
-            candidates = [
-                self._arrivals[self._arrival_idx][0] if have_arrival else math.inf,
-                self._next_departure(),
-                self._flaps[self._flap_idx][0] if have_flap else math.inf,
+            t_next = min(
+                arrivals[self._arrival_idx][0] if have_arrival else math.inf,
+                self._next_departure,
+                flaps[self._flap_idx][0] if self._flap_idx < len(flaps) else math.inf,
                 self._next_relax,
                 self._next_rate_sample,
                 self._next_queue_sample,
-            ]
-            t_next = min(candidates)
+            )
             if math.isinf(t_next):
                 stop_reason = "stalled"
                 break
             if t_next > timeout_ns:
-                self._advance(timeout_ns - self.now)
-                self.now = timeout_ns
+                self._drain_to_timeout(timeout_ns)
                 stop_reason = "timeout"
                 break
             dt = t_next - self.now
-            self._advance(dt)
-            if prof is None:
-                self._relax_decay(dt)
+            if dt <= 0.0:
+                drained = [st for st in self._active if st.remaining <= _EPS_BYTES]
+            elif prof is None:
+                drained = self._drain_and_relax(dt)
             else:
                 prof.push("fluid.relax")
-                self._relax_decay(dt)
+                drained = self._drain_and_relax(dt)
                 prof.pop()
-            self.now = t_next
-            changed: Set[int] = set()
-            fresh: Set[int] = set()
+            self.now = now = t_next
+            # Flows whose bottleneck component must be water-filled again,
+            # and the arrivals among them.
+            changed: Dict[int, _FlowState] = {}
+            fresh: List[_FlowState] = []
 
             # Departures: flows fully drained as of t_next.
-            for fid in sorted(self._active):
-                st = self._flows[fid]
-                if st.remaining <= _EPS_BYTES:
-                    st.remaining = 0.0
-                    st.flow.finish_time = self.now + st.latency_ns
-                    self._active.discard(fid)
-                    # Seed the water-fill with the survivors that shared a
-                    # link with the departing flow (it is inactive now, so it
-                    # cannot seed the component itself).
-                    for dlink in st.path or ():
-                        changed |= self._link_users.get(dlink, set())
-                    changed.add(fid)
-                    self._vacate(fid)
-                    st.r_int = st.r_srv = 0.0
-                    self.events_executed += 1
+            for st in drained:
+                st.remaining = 0.0
+                st.flow.finish_time = now + st.latency_ns
+                st.active = False
+                # Seed the water-fill with the survivors that shared a link
+                # with the departing flow.
+                for link in st.links:
+                    changed.update(link.users)
+                self._vacate(st)
+                st.r_int = st.r_srv = 0.0
+                self.events_executed += 1
+            if drained:
+                self._active = [st for st in self._active if st.active]
 
             # Arrivals due now.
             while (
-                self._arrival_idx < len(self._arrivals)
-                and self._arrivals[self._arrival_idx][0] <= self.now
+                self._arrival_idx < len(arrivals)
+                and arrivals[self._arrival_idx][0] <= now
             ):
-                _, fid = self._arrivals[self._arrival_idx]
+                st = self._flows[arrivals[self._arrival_idx][1]]
                 self._arrival_idx += 1
-                st = self._flows[fid]
                 st.flow.started = True
-                self._active.add(fid)
-                self._occupy(fid)
-                changed.add(fid)
-                fresh.add(fid)
+                st.active = True
+                self._active.append(st)
+                self._occupy(st)
+                changed[st.fid] = st
+                fresh.append(st)
                 self.events_executed += 1
 
             # Link flaps due now: toggle state and re-path every active flow
             # (routing tables changed globally; flaps are rare).
             flapped = False
-            while (
-                self._flap_idx < len(self._flaps)
-                and self._flaps[self._flap_idx][0] <= self.now
-            ):
-                _, a, b, up = self._flaps[self._flap_idx]
+            while self._flap_idx < len(flaps) and flaps[self._flap_idx][0] <= now:
+                _, a, b, up = flaps[self._flap_idx]
                 self._flap_idx += 1
                 self.net.set_link_state(a, b, up)
-                self._cap_cache.clear()
                 flapped = True
                 self.events_executed += 1
             if flapped:
-                for fid in sorted(self._active):
-                    self._vacate(fid)
-                for fid in sorted(self._active):
-                    self._occupy(fid)
-                changed |= self._active
+                for dlink, link in self._links.items():
+                    link.cap = self._port_capacity(dlink)
+                for st in self._active:
+                    self._vacate(st)
+                for st in self._active:
+                    self._occupy(st)
+                    changed[st.fid] = st
 
             if changed:
+                self._refresh_busy()
                 if prof is None:
-                    self._recompute_targets(changed)
+                    self._recompute_targets(changed.values())
                 else:
                     prof.push("fluid.relax")
-                    self._recompute_targets(changed)
+                    self._recompute_targets(changed.values())
                     prof.pop()
                 self._snap_new_flows(fresh)
-            if self.now >= self._next_relax:
+            if now >= self._next_relax:
                 self.events_executed += 1
-            self._snap_zero_tau()
-            self._scale_served()
-            if fresh or flapped:
-                self._commit_feasibility()
-            self._schedule_relax_tick()
+            self._rescale(commit=bool(fresh) or flapped)
 
-            if self.now >= self._next_rate_sample:
+            if now >= self._next_rate_sample:
                 self._take_rate_sample()
                 self._next_rate_sample += self._rate_interval
                 self.events_executed += 1
-            if self.now >= self._next_queue_sample:
+            if now >= self._next_queue_sample:
                 self._take_queue_sample()
                 self._next_queue_sample += self._queue_interval
                 self.events_executed += 1

@@ -8,18 +8,23 @@ its own.  This yields exactly the up/down multipath structure of a fat-tree
 
 ``networkx`` is used for graph bookkeeping and for independent verification
 in tests (``nx.shortest_path_length`` must agree with the BFS distances).
+Building tables needs none of it, so it is imported where it is used and
+simulation runs never load it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def build_device_graph(adjacency: Dict[int, Iterable[int]]) -> nx.Graph:
     """Build an undirected networkx graph from a node -> neighbours map."""
+    import networkx as nx
+
     g = nx.Graph()
     for node, neighbours in adjacency.items():
         g.add_node(node)
@@ -71,4 +76,6 @@ def path_hop_count(adjacency: Dict[int, List[int]], src: int, dst: int) -> int:
     try:
         return dist[src]
     except KeyError:
+        import networkx as nx
+
         raise nx.NetworkXNoPath(f"no path {src} -> {dst}") from None
