@@ -24,7 +24,7 @@ from typing import Optional
 from ..sim.packet import AckContext
 
 
-@dataclass
+@dataclass(frozen=True)
 class CCEnv:
     """Per-flow environment facts used to parameterize protocols.
 
@@ -45,6 +45,16 @@ class CCEnv:
         for HPCC.
     rng:
         Seeded RNG (probabilistic feedback variants).
+
+    An env is frozen (envs are shared between flows of one host pair; use
+    :func:`dataclasses.replace` for a variant), which is what lets
+    ``__post_init__`` derive the two window clamp bounds every per-ACK path
+    reads:
+
+    line_rate_window_bytes:
+        Line-rate BDP: the window that fills the path at line rate.
+    min_window_bytes:
+        One packet, ``float(mtu_bytes)``.
     """
 
     line_rate_bps: float
@@ -53,6 +63,8 @@ class CCEnv:
     hops: int = 2
     min_bdp_bytes: float = 0.0
     rng: random.Random = field(default_factory=lambda: random.Random(0))
+    line_rate_window_bytes: float = field(init=False, repr=False, compare=False)
+    min_window_bytes: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.line_rate_bps <= 0:
@@ -61,11 +73,12 @@ class CCEnv:
             raise ValueError("base_rtt_ns must be positive")
         if self.mtu_bytes <= 0:
             raise ValueError("mtu_bytes must be positive")
-
-    @property
-    def line_rate_window_bytes(self) -> float:
-        """Line-rate BDP: the window that fills the path at line rate."""
-        return self.line_rate_bps / 8.0 * self.base_rtt_ns / 1e9
+        object.__setattr__(
+            self,
+            "line_rate_window_bytes",
+            self.line_rate_bps / 8.0 * self.base_rtt_ns / 1e9,
+        )
+        object.__setattr__(self, "min_window_bytes", float(self.mtu_bytes))
 
 
 class CongestionControl(ABC):
@@ -121,8 +134,11 @@ class CongestionControl(ABC):
     # -- shared helpers ---------------------------------------------------------
 
     def _clamp_window(self, w: float) -> float:
-        """Clamp a window to [one packet, line-rate BDP]."""
-        lo = float(self.env.mtu_bytes)
+        """Clamp a window to [one packet, line-rate BDP].
+
+        HPCC and Swift repeat these two compares inline in ``on_ack``.
+        """
+        lo = self.env.min_window_bytes
         hi = self.env.line_rate_window_bytes
         if w < lo:
             return lo

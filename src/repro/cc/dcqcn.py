@@ -68,6 +68,7 @@ class DcqcnCC(CongestionControl):
         self._cnp_since_alpha_timer = False
         self._alpha_event = None
         self._increase_event = None
+        self._sim = None  # the host's Simulator, set by bind()
         self.cnps_received = 0
 
     # -- lifecycle ---------------------------------------------------------------
@@ -75,13 +76,14 @@ class DcqcnCC(CongestionControl):
     def on_flow_start(self, now: float) -> None:
         self._arm_timers()
 
-    def _sim(self):
-        if self._host is None:
-            raise RuntimeError("DCQCN needs bind() before timers can run")
-        return self._host.sim
+    def bind(self, sender_state, host) -> None:
+        super().bind(sender_state, host)
+        self._sim = host.sim if host is not None else None
 
     def _arm_timers(self) -> None:
-        sim = self._sim()
+        sim = self._sim
+        if sim is None:
+            raise RuntimeError("DCQCN needs bind() before timers can run")
         cfg = self.config
         self._cancel(self._alpha_event)
         self._cancel(self._increase_event)
@@ -117,11 +119,11 @@ class DcqcnCC(CongestionControl):
         if not self._cnp_since_alpha_timer:
             self.alpha = (1.0 - cfg.g) * self.alpha
         self._cnp_since_alpha_timer = False
-        self._alpha_event = self._sim().schedule(cfg.alpha_timer_ns, self._alpha_timer)
+        self._alpha_event = self._sim.schedule(cfg.alpha_timer_ns, self._alpha_timer)
 
     def _increase_timer(self) -> None:
         self.timer_stage += 1
-        self._increase_event = self._sim().schedule(
+        self._increase_event = self._sim.schedule(
             self.config.increase_timer_ns, self._increase_timer
         )
         self._apply_increase()
@@ -136,7 +138,9 @@ class DcqcnCC(CongestionControl):
     def _apply_increase(self) -> None:
         cfg = self.config
         line = self.env.line_rate_bps
-        lo, hi = sorted((self.timer_stage, self.byte_stage))
+        lo, hi = self.timer_stage, self.byte_stage
+        if hi < lo:
+            lo, hi = hi, lo
         if lo > cfg.fast_recovery_stages:
             self.target_rate_bps = min(self.target_rate_bps + cfg.hai_rate_bps, line)
         elif hi > cfg.fast_recovery_stages:

@@ -133,9 +133,16 @@ class HpccCC(CongestionControl):
     # -- main reaction ------------------------------------------------------------
 
     def on_ack(self, ctx: AckContext) -> None:
+        # The per-ACK path calls only what carries a hook (``sf.on_ack``, a
+        # spending ``ai_multiplier``) or real work (``_measure_inflight``):
+        # ``_clamp_window``, ``VariableAI.observe`` and the non-spending
+        # ``ai_multiplier`` peek are written out in place.
         cfg = self.config
+        env = self.env
+        sf = self.sf
+        vai = self.vai
         rtt_boundary = ctx.ack_seq > self.last_update_seq
-        if self.sf is not None and self.sf.on_ack():
+        if sf is not None and sf.on_ack():
             self._sf_credit = True
 
         u = self._measure_inflight(ctx)
@@ -144,41 +151,51 @@ class HpccCC(CongestionControl):
                 self._end_rtt(ctx)
             return
 
-        if self.vai is not None and ctx.int_records:
-            self.vai.observe(max(rec.qlen for rec in ctx.int_records))
+        if vai is not None and ctx.int_records:
+            # vai.observe(max queue depth over the hops).
+            measured = vai._measured
+            for rec in ctx.int_records:
+                if rec.qlen > measured:
+                    measured = rec.qlen
+            vai._measured = measured
 
         norm = u / cfg.eta  # the paper's C: > 1 means decrease
         if norm > self._max_c_in_rtt:
             self._max_c_in_rtt = norm
 
-        if u >= cfg.eta or self.inc_stage >= cfg.max_stage:
-            is_decrease = norm > 1.0
-            if is_decrease:
-                update_ref = self._sf_credit if self.sf is not None else rtt_boundary
-            else:
-                update_ref = rtt_boundary
-            if (
-                is_decrease
-                and update_ref
-                and self.gate is not None
-                and not self.gate.allow(
-                    self.reference_window, self.env.line_rate_window_bytes
-                )
-            ):
-                # Feedback disregarded: no reaction at all this update slot.
-                if is_decrease and self.sf is not None:
-                    self._sf_credit = False
-                if rtt_boundary:
-                    self._end_rtt(ctx)
-                return
-            w_ai = self._current_ai_bytes(spend=update_ref)
+        lo = env.min_window_bytes
+        hi = env.line_rate_window_bytes
+        base_ai = self.base_ai_bytes
+        multiplicative = u >= cfg.eta or self.inc_stage >= cfg.max_stage
+        is_decrease = multiplicative and norm > 1.0
+        # SF moves only the decrease slot; increases stay on the RTT boundary.
+        update_ref = self._sf_credit if is_decrease and sf is not None else rtt_boundary
+        if (
+            is_decrease
+            and update_ref
+            and self.gate is not None
+            and not self.gate.allow(self.reference_window, hi)
+        ):
+            # Feedback disregarded: no reaction at all this update slot.
+            if sf is not None:
+                self._sf_credit = False
+            if rtt_boundary:
+                self._end_rtt(ctx)
+            return
+        if vai is None:
+            w_ai = base_ai
+        elif update_ref:
+            w_ai = vai.ai_multiplier(spend=True) * base_ai
+        else:  # ai_multiplier(spend=False): the last spent multiplier
+            w_ai = vai._spent_multiplier * base_ai
+        if multiplicative:
             w = self.reference_window / norm + w_ai
             if update_ref:
                 self.inc_stage = 0
-                self.reference_window = self._clamp_window(w)
+                self.reference_window = lo if w < lo else hi if w > hi else w
                 if is_decrease:
                     self.reference_decreases += 1
-                    if self.sf is not None:
+                    if sf is not None:
                         self._sf_credit = False
                     reg = obs_registry.STATS
                     if reg is not None:
@@ -198,19 +215,17 @@ class HpccCC(CongestionControl):
                     if reg is not None:
                         reg.counter("cc.hpcc.reference_increases").inc()
         else:
-            update_ref = rtt_boundary
-            w_ai = self._current_ai_bytes(spend=update_ref)
             w = self.reference_window + w_ai
             if update_ref:
                 self.inc_stage += 1
-                self.reference_window = self._clamp_window(w)
+                self.reference_window = lo if w < lo else hi if w > hi else w
                 self.reference_increases += 1
                 reg = obs_registry.STATS
                 if reg is not None:
                     reg.counter("cc.hpcc.reference_increases").inc()
 
-        self.window_bytes = self._clamp_window(w)
-        self.pacing_rate_bps = self.window_bytes * 8.0 / self.env.base_rtt_ns * 1e9
+        self.window_bytes = w = lo if w < lo else hi if w > hi else w
+        self.pacing_rate_bps = w * 8.0 / env.base_rtt_ns * 1e9
         if rtt_boundary:
             self._end_rtt(ctx)
 
@@ -220,8 +235,3 @@ class HpccCC(CongestionControl):
         if self.vai is not None:
             self.vai.on_rtt_end(no_congestion=self._max_c_in_rtt <= 1.0)
         self._max_c_in_rtt = 0.0
-
-    def _current_ai_bytes(self, spend: bool) -> float:
-        if self.vai is None:
-            return self.base_ai_bytes
-        return self.vai.ai_multiplier(spend=spend) * self.base_ai_bytes

@@ -112,6 +112,8 @@ class SwiftCC(CongestionControl):
             1.0 / math.sqrt(cfg.fs_min_cwnd_pkts) - 1.0 / math.sqrt(cfg.fs_max_cwnd_pkts)
         )
         self._fs_beta = -self._fs_alpha / math.sqrt(cfg.fs_max_cwnd_pkts)
+        # base_target_total_ns(), constant per flow; on_ack reads it per ACK.
+        self._base_target_ns = cfg.base_target_ns + cfg.per_hop_ns * env.hops
         # Introspection counters.
         self.decreases = 0
         self.increase_bytes = 0.0
@@ -143,18 +145,30 @@ class SwiftCC(CongestionControl):
     # -- main reaction ------------------------------------------------------------
 
     def on_ack(self, ctx: AckContext) -> None:
+        # ``target_delay_ns`` (with its FBS term), ``VariableAI.observe``,
+        # the additive increase and ``_clamp_window`` are written out in
+        # place, operand for operand; what is still called carries a hook
+        # (``sf.on_ack``) or runs at most once per RTT.
         cfg = self.config
+        env = self.env
         delay = ctx.rtt
-        target = self.target_delay_ns()
+        base_target = self._base_target_ns
+        if cfg.use_fbs:
+            cwnd_pkts = max(self.cwnd / env.mtu_bytes, 1e-9)
+            term = self._fs_alpha / math.sqrt(cwnd_pkts) + self._fs_beta
+            target = base_target + min(max(term, 0.0), self._fs_range)
+        else:
+            target = base_target
         congested = delay > target
 
         rtt_boundary = ctx.ack_seq > self.last_rtt_seq
         sf_grant = self.sf is not None and self.sf.on_ack()
         if sf_grant:
             self._sf_credit = True
-        if self.vai is not None:
-            self.vai.observe(delay)
-        if delay > self.base_target_total_ns():
+        vai = self.vai
+        if vai is not None and delay > vai._measured:
+            vai._measured = delay  # vai.observe(delay)
+        if delay > base_target:
             self._saw_congestion_in_rtt = True
         if rtt_boundary:
             self._end_rtt(ctx)
@@ -165,23 +179,20 @@ class SwiftCC(CongestionControl):
             # faster — the anti-fairness schedule the paper warns about.
             if sf_grant and (not congested or cfg.always_ai):
                 self.cwnd += self._ai_multiplier * self.base_ai_bytes
-        elif not congested or cfg.always_ai:
-            self._additive_increase(ctx.newly_acked)
+        elif (not congested or cfg.always_ai) and ctx.newly_acked > 0:
+            # Per-ACK scaled increase: a full window of ACKs adds `ai` per RTT.
+            ai = self._ai_multiplier * self.base_ai_bytes
+            denom = max(self.cwnd, env.min_window_bytes)
+            delta = ai * ctx.newly_acked / denom
+            self.cwnd += delta
+            self.increase_bytes += delta
         if congested:
             self._multiplicative_decrease(ctx, delay, target)
 
-        self.window_bytes = self._clamp_window(self.cwnd)
-        self.cwnd = self.window_bytes
-
-    def _additive_increase(self, newly_acked: int) -> None:
-        if newly_acked <= 0:
-            return
-        ai = self._ai_multiplier * self.base_ai_bytes
-        # Per-ACK scaled increase: a full window of ACKs adds `ai` per RTT.
-        denom = max(self.cwnd, float(self.env.mtu_bytes))
-        delta = ai * newly_acked / denom
-        self.cwnd += delta
-        self.increase_bytes += delta
+        w = self.cwnd
+        lo = env.min_window_bytes
+        hi = env.line_rate_window_bytes
+        self.window_bytes = self.cwnd = lo if w < lo else hi if w > hi else w
 
     def _multiplicative_decrease(self, ctx: AckContext, delay: float, target: float) -> None:
         cfg = self.config

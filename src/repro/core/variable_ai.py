@@ -96,7 +96,13 @@ class VariableAI:
     # -- Algorithm 1: token generation & dampener ----------------------------
 
     def observe(self, congestion: float) -> None:
-        """Record one congestion measurement (tracks the max over the RTT)."""
+        """Record one congestion measurement (tracks the max over the RTT).
+
+        ``HpccCC.on_ack`` and ``SwiftCC.on_ack`` write this max out in place
+        (it carries no hook), as they do the ``spend=False`` peek of
+        :meth:`ai_multiplier`; ``tests/cc/test_on_ack_reference.py`` holds
+        them to these methods.
+        """
         if congestion > self._measured:
             self._measured = congestion
 

@@ -38,7 +38,7 @@ from ..obs import tracer as obs_tracer
 from .engine import Simulator
 from .flow import Flow, ReceiverState, SenderState
 from .node import Node
-from .packet import ACK, CNP, DATA, AckContext, Packet
+from .packet import ACK, CNP, DATA, PAUSE, AckContext, Packet
 from .port import Port
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -150,7 +150,7 @@ class Host(Node):
         fr = obs_flightrec.RECORDER
         if fr is not None:
             state.fr = fr.open_flow(state)
-        state.cc.on_flow_start(self.sim.now())
+        state.cc.on_flow_start(self.sim._now)
         self._try_send(state)
         if self.loss_recovery:
             self._arm_rto(state)
@@ -163,24 +163,18 @@ class Host(Node):
         nic = self.nic
         while state.next_seq < flow.size:
             cc = state.cc
-            if state.inflight >= cc.window_bytes:
+            if state.next_seq - state.acked >= cc.window_bytes:
                 return  # window-blocked; ACK arrival re-triggers
             if state.probe_mode and state.next_seq > state.acked:
                 return  # stop-and-wait probe: one unacked packet at a time
-            now = sim.now()
+            now = sim._now
             if now < state.next_allowed:
                 self._arm_timer(state, state.next_allowed)
                 return
             payload = min(mtu, flow.size - state.next_seq)
             pkt = Packet.data(
-                flow.flow_id,
-                self.node_id,
-                flow.dst,
-                state.next_seq,
-                payload,
-                send_ts=now,
-                ecmp_hash=flow.ecmp_hash,
-                priority=flow.priority,
+                flow.flow_id, self.node_id, flow.dst, state.next_seq, payload,
+                now, flow.ecmp_hash, flow.priority,
             )
             state.next_seq += payload
             state.packets_sent += 1
@@ -256,7 +250,7 @@ class Host(Node):
         if tr is not None:
             tr.instant(
                 f"rto flow {flow.flow_id}",
-                self.sim.now(),
+                self.sim._now,
                 cat="loss",
                 tid=flow.flow_id,
                 args={"rewind_to": state.acked, "backoff": state.rto_backoff},
@@ -267,10 +261,10 @@ class Host(Node):
             if track is not None:
                 # The stall this timeout ends is retransmission recovery; the
                 # benign re-arm branch above deliberately has no hook.
-                fr.on_retx(track, self.sim.now())
+                fr.on_retx(track, self.sim._now)
         state.next_seq = state.acked
         state.rto_backoff = min(state.rto_backoff * 2.0, self.max_rto_backoff)
-        state.cc.on_timeout(self.sim.now())
+        state.cc.on_timeout(self.sim._now)
         self._arm_rto(state)
         self._try_send(state)
 
@@ -286,7 +280,8 @@ class Host(Node):
     # -- datapath ------------------------------------------------------------------
 
     def receive(self, pkt: Packet, in_port: Optional[Port]) -> None:
-        if pkt.is_control:
+        kind = pkt.kind
+        if kind >= PAUSE:
             if in_port is not None:
                 in_port.apply_pause(pkt)
             return
@@ -298,7 +293,6 @@ class Host(Node):
             if reg is not None:
                 reg.counter("host.corrupt_discards").inc()
             return
-        kind = pkt.kind
         if kind == DATA:
             self._receive_data(pkt)
         elif kind == ACK:
@@ -317,25 +311,26 @@ class Host(Node):
         # prefix advance ``received``.  A packet beyond a loss-induced gap
         # must NOT be credited (go-back-N will resend the gap); a duplicate
         # or overlapping retransmission advances by its novel suffix only.
-        end = pkt.end_seq()
+        end = pkt.seq + pkt.payload
         if pkt.seq <= state.received and end > state.received:
             state.received = end
         chk = check_invariants.CHECKER
         if chk is not None:
             chk.on_data(state, pkt)
-        now = self.sim.now()
+        now = self.sim._now
+        nic = self.ports[0]
         if state.flow.use_cnp and pkt.ece:
             if now - state.last_cnp_time >= self.cnp_interval_ns:
                 state.last_cnp_time = now
-                self.nic.enqueue(Packet.cnp(pkt.flow_id, self.node_id, pkt.src))
-        self.nic.enqueue(Packet.ack(pkt, state.received, now))
+                nic.enqueue(Packet.cnp(pkt.flow_id, self.node_id, pkt.src))
+        nic.enqueue(Packet.ack(pkt, state.received, now))
 
     def _receive_ack(self, pkt: Packet) -> None:
         state = self.senders.get(pkt.flow_id)
         if state is None:
             raise RuntimeError(f"{self.name}: ACK for unknown flow {pkt.flow_id}")
         flow = state.flow
-        now = self.sim.now()
+        now = self.sim._now
         newly = pkt.seq - state.acked
         if newly < 0:
             newly = 0
@@ -408,5 +403,5 @@ class Host(Node):
         state = self.senders.get(pkt.flow_id)
         if state is None:
             raise RuntimeError(f"{self.name}: CNP for unknown flow {pkt.flow_id}")
-        state.cc.on_cnp(self.sim.now())
+        state.cc.on_cnp(self.sim._now)
         # Rate may have dropped; pacing timer handles future sends. No-op here.

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-# Packet kinds (ints, not an Enum, to keep hot-path comparisons cheap).
+# Packet kinds (ints, not an Enum, to keep hot-path comparisons cheap).  The
+# two PFC kinds sort last on purpose: the datapath tests ``kind >= PAUSE``
+# where it means :attr:`Packet.is_control`.
 DATA = 0
 ACK = 1
 CNP = 2
@@ -156,16 +158,8 @@ class Packet:
         if payload <= 0:
             raise ValueError(f"data packet needs positive payload, got {payload}")
         pkt = cls(
-            DATA,
-            flow_id,
-            src,
-            dst,
-            seq,
-            payload,
-            payload + HEADER_BYTES,
-            send_ts=send_ts,
-            ecmp_hash=ecmp_hash,
-            priority=priority,
+            DATA, flow_id, src, dst, seq, payload, payload + HEADER_BYTES,
+            send_ts, ecmp_hash, priority,
         )
         pkt.int_records = []
         return pkt
@@ -174,16 +168,8 @@ class Packet:
     def ack(cls, data_pkt: "Packet", cumulative_seq: int, recv_ts: float) -> "Packet":
         """Build the acknowledgement for ``data_pkt`` (reverse direction)."""
         ackp = cls(
-            ACK,
-            data_pkt.flow_id,
-            data_pkt.dst,
-            data_pkt.src,
-            cumulative_seq,
-            0,
-            ACK_BYTES,
-            send_ts=data_pkt.send_ts,
-            ecmp_hash=data_pkt.ecmp_hash,
-            priority=data_pkt.priority,
+            ACK, data_pkt.flow_id, data_pkt.dst, data_pkt.src, cumulative_seq, 0, ACK_BYTES,
+            data_pkt.send_ts, data_pkt.ecmp_hash, data_pkt.priority,
         )
         ackp.ece = data_pkt.ece
         ackp.int_records = data_pkt.int_records

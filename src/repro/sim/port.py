@@ -193,7 +193,7 @@ class Port:
 
         Control (PFC) frames jump the queue and are never dropped or marked.
         """
-        if pkt.is_control:
+        if pkt.kind >= PAUSE:
             self.queue.appendleft((pkt, ingress))
             self.queue_bytes += pkt.size
         else:
@@ -246,7 +246,8 @@ class Port:
                     {"bytes": self.max_qlen_seen},
                     cat="queue",
                 )
-        self.try_drain()
+        if not self._tx_pending:  # else that packet's _tx_done drains
+            self.try_drain()
         return True
 
     def _release_dropped(self, pkt: Packet, ingress: Optional["Port"]) -> None:
@@ -278,8 +279,9 @@ class Port:
             # so arm a wake at the exact instant the transmitter frees up.
             self._schedule_wake(self.busy_until)
             return
-        if self.pfc_egress.is_paused(now):
-            self._schedule_wake(self.pfc_egress.paused_until)
+        paused_until = self.pfc_egress.paused_until
+        if now < paused_until:
+            self._schedule_wake(paused_until)
             return
         # Past the early-outs a transmission definitely starts; everything
         # below is serializer work.  Single fall-through exit, so one
@@ -293,17 +295,16 @@ class Port:
         chk = check_invariants.CHECKER
         if chk is not None:
             chk.on_dequeue(self, pkt)
+        spec = self.spec
         if self.stamp_int and pkt.kind == DATA and pkt.int_records is not None:
             pkt.int_records.append(
-                HopRecord(
-                    qlen=self.queue_bytes,
-                    tx_bytes=self.tx_bytes + size,
-                    ts=now,
-                    rate_bps=self.spec.rate_bps,
-                )
+                # qlen, tx_bytes, ts, rate_bps
+                HopRecord(self.queue_bytes, self.tx_bytes + size, now, spec.rate_bps)
             )
             pkt.hops += 1
-        ser = self.spec.serialization_ns(size)
+        # spec.serialization_ns(size): units.serialization_time_ns's own
+        # expression, operand for operand (LinkSpec guarantees rate > 0).
+        ser = size * 8.0 / spec.rate_bps * 1e9
         fr = obs_flightrec.RECORDER
         if fr is not None:
             # One hook covers both delivery paths below: the per-hop wait /
@@ -333,7 +334,7 @@ class Port:
             if reg is not None:
                 reg.counter("port.fused_deliveries").inc()
             sim.schedule_delivery(
-                self.spec.prop_delay_ns, self.busy_until, None,
+                spec.prop_delay_ns, self.busy_until, None,
                 peer.receive, pkt, self.peer_port,
             )
         else:
@@ -366,7 +367,8 @@ class Port:
                 chk = check_invariants.CHECKER
                 if chk is not None:
                     chk.on_drop(self, pkt, ingress, "link-down")
-        self.try_drain()
+        if self.queue:
+            self.try_drain()
 
     def _schedule_wake(self, at: float) -> None:
         ev = self._wake_event

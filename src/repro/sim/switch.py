@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 from ..check import invariants as check_invariants
 from .engine import Simulator
 from .node import Node
-from .packet import Packet
+from .packet import PAUSE, Packet
 from .port import Port
 
 
@@ -68,15 +68,25 @@ class Switch(Node):
     # -- datapath --------------------------------------------------------------
 
     def receive(self, pkt: Packet, in_port: Optional[Port]) -> None:
-        if pkt.is_control:
+        if pkt.kind >= PAUSE:
             # A PFC frame from the neighbour: pause/resume our egress toward it.
             if in_port is not None:
                 in_port.apply_pause(pkt)
             return
         if in_port is not None:
-            if in_port.pfc_ingress.on_enqueue(pkt.size):
+            pfc_in = in_port.pfc_ingress
+            if pfc_in.config is None:
+                # No watermarks to cross: on_enqueue's accounting, no call.
+                pfc_in.occupancy += pkt.size
+            elif pfc_in.on_enqueue(pkt.size):
                 self.send_pfc(in_port, resume=False)
-        out = self.route(pkt)
+        group = self.routes.get(pkt.dst)
+        if group is None:
+            out = self.route(pkt)  # raises, or None under drop_unroutable
+        elif len(group) == 1:
+            out = group[0]
+        else:
+            out = group[pkt.ecmp_hash % len(group)]
         if out is None:
             # Destination unreachable (failed links): drop, and release the
             # ingress PFC accounting charged above so the pause cannot latch.
@@ -89,7 +99,7 @@ class Switch(Node):
         chk = check_invariants.CHECKER
         if chk is not None:
             chk.on_switch_forward(self, pkt, out)
-        out.enqueue(pkt, ingress=in_port)
+        out.enqueue(pkt, in_port)
 
     def on_forwarded(self, pkt: Packet, ingress: Port) -> None:
         if ingress.pfc_ingress.on_release(pkt.size):

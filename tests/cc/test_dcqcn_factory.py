@@ -1,5 +1,6 @@
 """Tests for DCQCN, the probabilistic gate, and the variant factory."""
 
+import dataclasses
 import random
 
 import pytest
@@ -206,8 +207,7 @@ class TestFactory:
 
     def test_hpcc_vai_config_paper_values(self):
         """At paper scale (50 KB min BDP): thresh 50 KB, 1 token/KB."""
-        e = env()
-        e.min_bdp_bytes = 50_000.0
+        e = dataclasses.replace(env(), min_bdp_bytes=50_000.0)
         cfg = hpcc_vai_config(e)
         assert cfg.token_thresh == 50_000.0
         assert cfg.ai_div == pytest.approx(1_000.0)
@@ -215,8 +215,7 @@ class TestFactory:
 
     def test_swift_vai_config_paper_values(self):
         """At paper scale (4 us BDP delay): thresh target+4 us, 30 ns/token."""
-        e = env()
-        e.min_bdp_bytes = 50_000.0  # 4 us at 100 Gbps
+        e = dataclasses.replace(env(), min_bdp_bytes=50_000.0)  # 4 us at 100 Gbps
         scfg = SwiftConfig(use_fbs=False)
         cfg = swift_vai_config(e, scfg)
         target = us(5) + us(2) * 2

@@ -8,6 +8,7 @@ from repro.sim.packet import (
     CNP,
     CNP_BYTES,
     HEADER_BYTES,
+    KIND_NAMES,
     PAUSE,
     PAUSE_BYTES,
     RESUME,
@@ -98,6 +99,12 @@ class TestControlPackets:
         p = Packet.pause(src=1, dst=2, duration_ns=0.0)
         assert p.kind == RESUME
         assert p.is_control
+
+    @pytest.mark.parametrize("kind", sorted(KIND_NAMES))
+    def test_datapath_kind_test_is_is_control(self, kind):
+        # Port.enqueue, Switch.receive and Host.receive test ``kind >= PAUSE``.
+        pkt = Packet(kind, 1, 0, 2, 0, 0, 64)
+        assert (kind >= PAUSE) == pkt.is_control
 
 
 class TestHopRecord:

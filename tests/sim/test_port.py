@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.link import LinkSpec
 from repro.sim.node import Node
-from repro.sim.packet import Packet
+from repro.sim.packet import HEADER_BYTES, Packet
 from repro.sim.pfc import PfcConfig
 from repro.sim.port import Port, RedConfig
 
@@ -88,6 +90,28 @@ class TestTransmission:
         sim.run()
         port.reset_counters()
         assert port.max_qlen_seen == 0
+
+
+class TestInlinedSerialization:
+    """``try_drain`` writes ``LinkSpec.serialization_ns`` out in place."""
+
+    @given(
+        rate_bps=st.floats(min_value=1e6, max_value=4e11),
+        sizes=st.lists(st.integers(min_value=1, max_value=9000), min_size=1, max_size=8),
+    )
+    def test_packet_spacing_is_serialization_ns(self, rate_bps, sizes):
+        sim = Simulator()
+        port, sink = make_port(sim, rate_bps=rate_bps, prop=0.0)
+        for size in sizes:
+            port.enqueue(data_pkt(payload=size))
+        sim.run()
+        # Arrival times are the running sum of the function's own values,
+        # bit for bit (``==``, not ``approx``).
+        t, expected = 0.0, []
+        for size in sizes:
+            t = t + port.spec.serialization_ns(size + HEADER_BYTES)
+            expected.append(t + port.spec.prop_delay_ns)
+        assert [when for when, _ in sink.received] == expected
 
 
 class TestBufferLimit:

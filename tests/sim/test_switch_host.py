@@ -3,9 +3,11 @@
 import pytest
 
 from repro.cc.base import CCEnv, CongestionControl
+from repro.check import invariants
+from repro.check.invariants import InvariantViolation
 from repro.sim import Flow, Network
 from repro.sim.packet import CNP, Packet
-from repro.sim.pfc import PfcConfig
+from repro.sim.pfc import PfcConfig, PfcIngress
 from repro.sim.switch import RoutingError
 from repro.units import gbps, kb, us
 
@@ -72,6 +74,57 @@ class TestSwitchRouting:
             for f in range(32)
         }
         assert len(chosen) == 2  # both paths get used across many flows
+
+
+class TestSwitchInlinedHelpers:
+    """``Switch.receive`` writes out ``route`` and, with PFC off,
+    ``PfcIngress.on_enqueue``; same results."""
+
+    def test_forwarding_picks_the_port_route_picks(self):
+        net = Network()
+        h0, h1 = net.add_host(), net.add_host()
+        s_in, s_a, s_b, s_out = (net.add_switch() for _ in range(4))
+        net.connect(h0, s_in, gbps(8), 0.0)
+        net.connect(s_in, s_a, gbps(8), 0.0)
+        net.connect(s_in, s_b, gbps(8), 0.0)
+        net.connect(s_a, s_out, gbps(8), 0.0)
+        net.connect(s_b, s_out, gbps(8), 0.0)
+        net.connect(s_out, h1, gbps(8), 0.0)
+        net.build_routing()
+        for switch, dst in ((s_in, h1), (s_in, h0)):  # ECMP pair, single port
+            for fid in range(16):
+                pkt = Packet.data(fid, 0, dst.node_id, 0, 100, 0.0,
+                                  ecmp_hash=Flow(fid, 0, 1, 1, 0).ecmp_hash)
+                out = switch.route(pkt)
+                before = out.tx_bytes + out.queue_bytes
+                switch.receive(pkt, None)
+                assert out.tx_bytes + out.queue_bytes == before + pkt.size
+
+    def test_pfc_off_accounting_is_pfc_ingress(self):
+        net = Network()
+        h0, h1 = net.add_host(), net.add_host()
+        sw = net.add_switch()
+        net.connect(h0, sw, gbps(8), 0.0)
+        net.connect(sw, h1, gbps(8), 0.0)
+        net.build_routing()
+        in_port = sw.port_to[h0.node_id]
+        shadow = PfcIngress(None)
+        pkts = [Packet.data(0, h0.node_id, h1.node_id, 0, n, 0.0) for n in (1000, 1, 737)]
+        for pkt in pkts:
+            sw.receive(pkt, in_port)
+            assert not shadow.on_enqueue(pkt.size)
+            assert in_port.pfc_ingress.occupancy == shadow.occupancy
+        for pkt in pkts:
+            sw.on_forwarded(pkt, in_port)
+            assert not shadow.on_release(pkt.size)
+            assert in_port.pfc_ingress.occupancy == shadow.occupancy
+        # One release too many goes through PfcIngress.on_release: clamped
+        # to zero, and the sanitizer sees the pre-clamp value.
+        sw.on_forwarded(pkts[0], in_port)
+        assert in_port.pfc_ingress.occupancy == 0.0
+        with invariants.capture(), pytest.raises(InvariantViolation) as err:
+            sw.on_forwarded(pkts[0], in_port)
+        assert "-1048" in str(err.value)
 
 
 class TestHostReceiver:
