@@ -22,11 +22,19 @@ Hot-path notes (this loop executes millions of times per experiment):
 * :meth:`Simulator.schedule` pushes directly onto the heap — no delegation to
   :meth:`schedule_at` and no scheduling-into-the-past check, which a
   non-negative delay makes impossible by construction.
-* :meth:`Simulator.schedule_detached` is the fire-and-forget variant used by
-  the packet datapath: it returns no handle, and the engine recycles the
-  :class:`Event` object through a free list once it has fired.  Only call
-  sites that never keep a reference may use it — that is what makes the
-  reuse safe.
+* Heap entries are ``(fire_time, schedule_time, seq, ev, fn, args)`` and the
+  run loops call ``entry[4](*entry[5])``.  A fire-and-forget event *is* its
+  entry: :meth:`Simulator.schedule_detached` and
+  :meth:`Simulator.schedule_delivery` push ``ev = None`` and allocate
+  nothing else.  Only the handle-returning :meth:`Simulator.schedule` /
+  :meth:`Simulator.schedule_at` put an :class:`Event` in slot 3, which is
+  all cancellation needs (``ev is not None and ev.cancelled``).
+* Who may push an entry: this module, and :mod:`repro.sim.port` at its three
+  per-packet sites (fused delivery, unfused tx-done, delivery from tx-done),
+  which write the tuple out instead of paying a call per packet.  The two
+  detached methods stay the single written definition of the key those
+  sites must reproduce (``tests/sim/test_port.py`` compares the tuples), and
+  nothing else in ``src/`` writes ``_heap`` or ``_seq``.
 * :meth:`Simulator.schedule_delivery` is the ordering-preserving primitive
   behind fused transmission (see :mod:`repro.sim.port`).  A packet delivery
   historically got its tie-break sequence number at serialization *end*
@@ -34,7 +42,7 @@ Hot-path notes (this loop executes millions of times per experiment):
   serialization *start* and flip the execution order of same-timestamp
   events — observably, via INT queue-length stamps.  Heap entries therefore
   carry an explicit *schedule time* as the first tie-break:
-  ``(fire_time, schedule_time, seq, ev)``.  For ordinary events the pair
+  ``(fire_time, schedule_time, seq, ...)``.  For ordinary events the pair
   ``(schedule_time, seq)`` sorts identically to ``seq`` alone (sequence
   numbers are drawn monotonically in virtual time), so their semantics are
   untouched; a fused delivery is entered with ``schedule_time`` set to the
@@ -51,9 +59,6 @@ from ..check import invariants as check_invariants
 from ..obs import flightrec as obs_flightrec
 from ..obs import profiler as obs_profiler
 from ..obs import registry as obs_registry
-
-#: Cap on the Event free list used by :meth:`Simulator.schedule_detached`.
-_POOL_MAX = 4096
 
 #: Compaction trigger: sweep the heap once at least this many cancelled
 #: entries exist *and* they outnumber the live ones.
@@ -75,11 +80,11 @@ class Event:
     Users obtain instances from :meth:`Simulator.schedule` and may keep them
     only to call :meth:`cancel`.  All other attributes are engine-internal.
     An event reference is dead once the event has fired; cancelling a dead
-    reference is a harmless no-op for events obtained from ``schedule``
-    (detached events are never handed out, so they cannot be cancelled).
+    reference is a harmless no-op (detached schedules have no ``Event`` at
+    all, so there is nothing to hand out or cancel).
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "sim", "detached")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "sim")
 
     def __init__(self, time: float, seq: int, fn: Callable[..., None], args: tuple):
         self.time = time
@@ -88,7 +93,6 @@ class Event:
         self.args = args
         self.cancelled = False
         self.sim: Optional["Simulator"] = None
-        self.detached = False
 
     def cancel(self) -> None:
         """Mark the event so the engine drops it instead of firing it."""
@@ -134,16 +138,15 @@ class Simulator:
         "_running",
         "_stopped",
         "_cancelled",
-        "_pool",
         "cancellations",
         "compactions",
     )
 
     def __init__(self) -> None:
-        # Heap entries are (fire_time, schedule_time, seq, Event) — see the
-        # module docstring for why schedule_time participates in ordering.
-        # The numeric prefix is unique (seq never repeats among coexisting
-        # entries), so ordering never falls through to the Event object and
+        # Heap entries are (fire_time, schedule_time, seq, Event | None, fn,
+        # args) — see the module docstring for why schedule_time participates
+        # in ordering.  The numeric prefix is unique (seq never repeats among
+        # coexisting entries), so ordering never falls through to slot 3 and
         # comparisons stay in C (a measured ~25% of total runtime otherwise).
         self._heap: list = []
         self._now: float = 0.0
@@ -157,8 +160,6 @@ class Simulator:
         # Live count of cancelled-but-still-heaped entries; maintained exactly
         # by Event.cancel / the pop paths, consumed by _maybe_compact.
         self._cancelled: int = 0
-        # Free list of detached Event objects (see schedule_detached).
-        self._pool: list[Event] = []
         # Lifetime introspection totals (never decremented, unlike _cancelled).
         self.cancellations: int = 0
         self.compactions: int = 0
@@ -201,38 +202,24 @@ class Simulator:
         seq = self._seq
         ev = Event(time, seq, fn, args)
         ev.sim = self
-        heapq.heappush(self._heap, (time, now, seq, ev))
+        heapq.heappush(self._heap, (time, now, seq, ev, fn, args))
         self._seq = seq + 1
         return ev
 
     def schedule_detached(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget scheduling: no handle, Event object recycled.
+        """Fire-and-forget scheduling: no handle, no :class:`Event`.
 
-        The returned-nothing contract is what makes the recycling safe: the
-        caller cannot retain or cancel the event, so once it has fired the
-        engine is free to reuse the object for a later detached schedule
-        without any risk of a stale reference cancelling the wrong event.
-        The packet datapath (serialization, propagation, monitor resampling)
-        schedules millions of such events per run.
+        Nothing is returned, so nothing can be retained or cancelled, and
+        the calendar entry is all there is to the event.  The serializer
+        (:meth:`repro.sim.port.Port.try_drain`) pushes this same entry
+        itself; periodic samplers and everything off the per-packet path
+        call here.
         """
         if delay < 0.0:
             raise SimulationError(f"cannot schedule with negative delay {delay}")
         now = self._now
-        time = now + delay
         seq = self._seq
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-        else:
-            ev = Event(time, seq, fn, args)
-            ev.sim = self
-            ev.detached = True
-        heapq.heappush(self._heap, (time, now, seq, ev))
+        heapq.heappush(self._heap, (now + delay, now, seq, None, fn, args))
         self._seq = seq + 1
 
     def schedule_delivery(
@@ -254,25 +241,13 @@ class Simulator:
         The fire time is deliberately computed as ``t_end + delay`` — NOT
         ``now + (ser + delay)`` — because float addition is not associative
         and a one-ULP difference reorders the calendar observably.
-        Detached semantics: no handle, Event recycled after firing.
+        Detached semantics: no handle, no :class:`Event`.  The port pushes
+        this same entry itself at its two delivery sites.
         """
-        time = t_end + delay
         if tx_seq is None:
             tx_seq = self._seq
             self._seq = tx_seq + 1
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev.time = time
-            ev.seq = tx_seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-        else:
-            ev = Event(time, tx_seq, fn, args)
-            ev.sim = self
-            ev.detached = True
-        heapq.heappush(self._heap, (time, t_end, tx_seq, ev))
+        heapq.heappush(self._heap, (t_end + delay, t_end, tx_seq, None, fn, args))
 
     def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute virtual time."""
@@ -282,7 +257,7 @@ class Simulator:
             )
         ev = Event(time, self._seq, fn, args)
         ev.sim = self
-        heapq.heappush(self._heap, (time, self._now, self._seq, ev))
+        heapq.heappush(self._heap, (time, self._now, self._seq, ev, fn, args))
         self._seq += 1
         return ev
 
@@ -306,14 +281,9 @@ class Simulator:
 
     def _compact(self) -> None:
         self.compactions += 1
-        live = [entry for entry in self._heap if not entry[-1].cancelled]
-        recycled = self._pool
-        if len(recycled) < _POOL_MAX:
-            for entry in self._heap:
-                ev = entry[-1]
-                if ev.cancelled and ev.detached and len(recycled) < _POOL_MAX:
-                    ev.fn = ev.args = None  # drop refs while parked
-                    recycled.append(ev)
+        live = [
+            entry for entry in self._heap if entry[3] is None or not entry[3].cancelled
+        ]
         heapq.heapify(live)
         self._heap = live
         self._cancelled = 0
@@ -339,8 +309,13 @@ class Simulator:
             ``until`` are executed.
         max_events:
             If given, stop after executing this many events (safety valve for
-            runaway feedback loops in tests).
+            runaway feedback loops in tests).  Zero or less executes nothing.
         """
+        # The loops test the limit after a callback, so an exhausted budget
+        # is turned away here: once per run(), for both loops and the turbo
+        # twins that inherit this method.
+        if max_events is not None and max_events <= 0:
+            return
         # Dispatch, not inline hooks: the fast loop below must carry zero
         # profiler or flight-recorder instructions (benchmark guards assert
         # its bytecode is clean of both), so the profiled variant is a
@@ -370,7 +345,6 @@ class Simulator:
         executed = 0
         heap = self._heap
         heappop = heapq.heappop
-        pool = self._pool
         # Instrumentation is flushed as per-run deltas at run() exit — the
         # per-event hot loop below stays untouched whether obs is on or off.
         reg = obs_registry.STATS
@@ -384,13 +358,10 @@ class Simulator:
         try:
             while heap and not self._stopped:
                 entry = heap[0]
-                ev = entry[-1]
-                if ev.cancelled:
+                ev = entry[3]
+                if ev is not None and ev.cancelled:
                     heappop(heap)
                     self._cancelled -= 1
-                    if ev.detached and len(pool) < _POOL_MAX:
-                        ev.fn = ev.args = None
-                        pool.append(ev)
                     continue
                 t = entry[0]
                 if until is not None and t > until:
@@ -400,12 +371,8 @@ class Simulator:
                     chk.on_event(t, self._now)
                 self._now = t
                 self._cur_seq = entry[2]
-                ev.fn(*ev.args)
-                self._events_executed += 1
+                entry[4](*entry[5])
                 executed += 1
-                if ev.detached and len(pool) < _POOL_MAX:
-                    ev.fn = ev.args = None
-                    pool.append(ev)
                 if max_events is not None and executed >= max_events:
                     break
             if until is not None and not self._stopped and self._now < until:
@@ -416,6 +383,7 @@ class Simulator:
             self._maybe_compact()
         finally:
             self._running = False
+            self._events_executed += executed
             _TOTAL_EVENTS_EXECUTED += executed
             if reg is not None:
                 reg.counter("engine.events_executed").inc(executed)
@@ -450,7 +418,6 @@ class Simulator:
         executed = 0
         heap = self._heap
         heappop = heapq.heappop
-        pool = self._pool
         reg = obs_registry.STATS
         chk = check_invariants.CHECKER
         prof = obs_profiler.PHASE_HOOKS
@@ -465,13 +432,10 @@ class Simulator:
         try:
             while heap and not self._stopped:
                 entry = heap[0]
-                ev = entry[-1]
-                if ev.cancelled:
+                ev = entry[3]
+                if ev is not None and ev.cancelled:
                     heappop(heap)
                     self._cancelled -= 1
-                    if ev.detached and len(pool) < _POOL_MAX:
-                        ev.fn = ev.args = None
-                        pool.append(ev)
                     continue
                 t = entry[0]
                 if until is not None and t > until:
@@ -481,16 +445,13 @@ class Simulator:
                     chk.on_event(t, self._now)
                 self._now = t
                 self._cur_seq = entry[2]
-                prof_push(classify(ev.fn))
+                fn = entry[4]
+                prof_push(classify(fn))
                 try:
-                    ev.fn(*ev.args)
+                    fn(*entry[5])
                 finally:
                     prof_pop()
-                self._events_executed += 1
                 executed += 1
-                if ev.detached and len(pool) < _POOL_MAX:
-                    ev.fn = ev.args = None
-                    pool.append(ev)
                 if max_events is not None and executed >= max_events:
                     break
             if until is not None and not self._stopped and self._now < until:
@@ -500,6 +461,7 @@ class Simulator:
         finally:
             prof_pop()
             self._running = False
+            self._events_executed += executed
             _TOTAL_EVENTS_EXECUTED += executed
             if reg is not None:
                 reg.counter("engine.events_executed").inc(executed)
@@ -519,11 +481,7 @@ class Simulator:
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None`` if the heap is empty."""
         heap = self._heap
-        pool = self._pool
-        while heap and heap[0][-1].cancelled:
-            ev = heapq.heappop(heap)[-1]
+        while heap and heap[0][3] is not None and heap[0][3].cancelled:
+            heapq.heappop(heap)
             self._cancelled -= 1
-            if ev.detached and len(pool) < _POOL_MAX:
-                ev.fn = ev.args = None
-                pool.append(ev)
         return heap[0][0] if heap else None

@@ -187,8 +187,8 @@ class Network:
             stamp_int=isinstance(b, Switch),
             pfc=pfc,
         )
-        port_ab.peer_node, port_ab.peer_port = b, port_ba
-        port_ba.peer_node, port_ba.peer_port = a, port_ab
+        port_ab.attach_peer(b, port_ba)
+        port_ba.attach_peer(a, port_ab)
         a.attach_port(port_ab, b.node_id)
         b.attach_port(port_ba, a.node_id)
         if self.core is not None:

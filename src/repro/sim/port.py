@@ -37,6 +37,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
 from ..check import invariants as check_invariants
@@ -92,9 +93,14 @@ class RedConfig:
 class Port:
     """One egress interface of a node.
 
-    Wiring (done by :class:`repro.sim.network.Network`) sets ``peer_node`` and
-    ``peer_port`` so that packet arrival is delivered as
-    ``peer_node.receive(pkt, in_port=peer_port)``.
+    Wiring (:meth:`attach_peer`, called by :class:`repro.sim.network.Network`)
+    sets ``peer_node`` and ``peer_port`` so that packet arrival is delivered
+    as ``peer_node.receive(pkt, in_port=peer_port)``.
+
+    The three per-packet schedules push their calendar entry themselves (see
+    :mod:`repro.sim.engine` for the layout and for who else may), so this
+    class needs the heap-backed :class:`Simulator`; the turbo core pairs its
+    wheel with :class:`repro.sim.turbo.TurboPort`, which calls ``schedule_*``.
     """
 
     __slots__ = (
@@ -122,6 +128,8 @@ class Port:
         "link_up",
         "fault_drops",
         "allow_fusion",
+        "_deliver",
+        "_on_tx_done",
     )
 
     def __init__(
@@ -143,6 +151,10 @@ class Port:
         self.index = index
         self.peer_node: Optional["Node"] = None
         self.peer_port: Optional["Port"] = None
+        # The two per-packet callbacks, bound once: the peer's ``receive``
+        # (None until attach_peer) and this port's own ``_tx_done``.
+        self._deliver = None
+        self._on_tx_done = self._tx_done
         self.queue: deque = deque()  # entries: (Packet, ingress Port | None)
         self.queue_bytes = 0.0
         self.tx_bytes = 0.0
@@ -170,6 +182,12 @@ class Port:
         self.link_up = True
         self.fault_drops = 0
         self.allow_fusion = True
+
+    def attach_peer(self, node: "Node", port: Optional["Port"]) -> None:
+        """Wire the far end: arrivals run ``node.receive(pkt, port)``."""
+        self.peer_node = node
+        self.peer_port = port
+        self._deliver = node.receive
 
     # -- identity -----------------------------------------------------------
 
@@ -311,13 +329,13 @@ class Port:
             # serialization / propagation / pause breakdown accumulates on
             # the packet's stamp here, at serialization start.
             fr.on_dequeue(self, pkt, now, ser)
-        peer = self.peer_node
+        deliver = self._deliver
         if (
             ingress is None
             and not self.queue
             and self.allow_fusion
             and self.link_up
-            and peer is not None
+            and deliver is not None
         ):
             # Fused path: single delivery event, occupancy via busy_until.
             # Only taken for locally-originated packets (no forwarding or
@@ -326,23 +344,28 @@ class Port:
             # draining; a later enqueue arms a wake at busy_until instead).
             # tx accounting moves to serialization start — the counter is
             # cumulative, only intra-packet sampling can see the shift.
-            # schedule_delivery keys the event to serialization end so its
-            # execution order matches the legacy two-event schedule exactly.
-            self.busy_until = now + ser
+            # The entry is schedule_delivery(prop_delay, t_end, None, ...)
+            # written out: keyed to serialization end so its execution order
+            # matches the legacy two-event schedule exactly.
+            t_end = now + ser
+            self.busy_until = t_end
             self.tx_bytes += size
             reg = obs_registry.STATS
             if reg is not None:
                 reg.counter("port.fused_deliveries").inc()
-            sim.schedule_delivery(
-                spec.prop_delay_ns, self.busy_until, None,
-                peer.receive, pkt, self.peer_port,
-            )
+            seq = sim._seq
+            sim._seq = seq + 1
+            entry = (t_end + spec.prop_delay_ns, t_end, seq, None, deliver, (pkt, self.peer_port))
+            heappush(sim._heap, entry)
         else:
             self._tx_pending = True
             reg = obs_registry.STATS
             if reg is not None:
                 reg.counter("port.unfused_deliveries").inc()
-            sim.schedule_detached(ser, self._tx_done, pkt, ingress)
+            # schedule_detached(ser, self._tx_done, pkt, ingress) written out.
+            seq = sim._seq
+            sim._seq = seq + 1
+            heappush(sim._heap, (now + ser, now, seq, None, self._on_tx_done, (pkt, ingress)))
         if prof is not None:
             prof.pop()
 
@@ -351,15 +374,17 @@ class Port:
         self.tx_bytes += pkt.size
         if ingress is not None:
             self.owner.on_forwarded(pkt, ingress)
-        if self.peer_node is not None:
+        deliver = self._deliver
+        if deliver is not None:
             if self.link_up:
-                # Keyed by this event's own (time, seq) so fused and legacy
-                # deliveries interleave identically (see schedule_delivery).
+                # schedule_delivery(prop_delay, now, sim._cur_seq, ...) written
+                # out: keyed by this event's own (time, seq) so fused and
+                # legacy deliveries interleave identically.
                 sim = self.sim
-                sim.schedule_delivery(
-                    self.spec.prop_delay_ns, sim._now, sim._cur_seq,
-                    self.peer_node.receive, pkt, self.peer_port,
-                )
+                now = sim._now
+                fire = now + self.spec.prop_delay_ns
+                entry = (fire, now, sim._cur_seq, None, deliver, (pkt, self.peer_port))
+                heappush(sim._heap, entry)
             else:
                 # Link is down: the queue keeps draining (carrier loss), every
                 # serialized packet is lost on the wire.

@@ -65,7 +65,7 @@ from ..obs import profiler as obs_profiler
 from ..obs import registry as obs_registry
 from ..obs import tracer as obs_tracer
 from . import engine as _engine
-from .engine import _COMPACT_MIN_CANCELLED, _POOL_MAX, Event, SimulationError, Simulator
+from .engine import _COMPACT_MIN_CANCELLED, Event, SimulationError, Simulator
 from .host import Host
 from .monitor import GoodputMonitor
 from .packet import ACK, CNP, DATA, HopRecord, Packet
@@ -174,6 +174,31 @@ class TurboCore:
 # Engine
 # ---------------------------------------------------------------------------
 
+#: Cap on the free list of detached events.
+_POOL_MAX = 4096
+
+
+class TurboEvent(Event):
+    """The wheel's event: every entry carries one, detached ones are pooled.
+
+    Wheel entries are ``(fire_time, schedule_time, seq, TurboEvent)``.  The
+    reference engine's detached entries carry the callback instead of an
+    event object, so the ``detached`` flag and the free list it feeds
+    (``TurboSimulator._pool``) exist only here.
+    """
+
+    __slots__ = ("detached",)
+
+    def __init__(self, time: float, seq: int, fn: Callable[..., None], args: tuple):
+        # Event.__init__'s stores written out: one frame per event, not two.
+        self.time = time
+        self.seq = seq
+        self.fn = fn
+        self.args = args
+        self.cancelled = False
+        self.sim = None
+        self.detached = False
+
 
 class TurboSimulator(Simulator):
     """Drop-in :class:`~repro.sim.engine.Simulator` on a timing wheel.
@@ -189,7 +214,7 @@ class TurboSimulator(Simulator):
     (always heap-ordered) current bucket.
     """
 
-    __slots__ = ("wheel", "_bucket_ns", "_n_buckets")
+    __slots__ = ("wheel", "_bucket_ns", "_n_buckets", "_pool")
 
     def __init__(
         self,
@@ -207,6 +232,9 @@ class TurboSimulator(Simulator):
         # Immutable wheel geometry, cached for the inlined push fast paths.
         self._bucket_ns = self.wheel.bucket_ns
         self._n_buckets = self.wheel.n_buckets
+        # Free list of detached events: nothing hands them out, so one that
+        # has fired (or was swept) can serve a later detached schedule.
+        self._pool: List[TurboEvent] = []
 
     # -- scheduling (wheel-backed twins of the reference methods) ------------
 
@@ -216,7 +244,7 @@ class TurboSimulator(Simulator):
         now = self._now
         time = now + delay
         seq = self._seq
-        ev = Event(time, seq, fn, args)
+        ev = TurboEvent(time, seq, fn, args)
         ev.sim = self
         wheel = self.wheel
         idx = int(time // self._bucket_ns)
@@ -247,7 +275,7 @@ class TurboSimulator(Simulator):
             ev.args = args
             ev.cancelled = False
         else:
-            ev = Event(time, seq, fn, args)
+            ev = TurboEvent(time, seq, fn, args)
             ev.sim = self
             ev.detached = True
         wheel = self.wheel
@@ -284,7 +312,7 @@ class TurboSimulator(Simulator):
             ev.args = args
             ev.cancelled = False
         else:
-            ev = Event(time, tx_seq, fn, args)
+            ev = TurboEvent(time, tx_seq, fn, args)
             ev.sim = self
             ev.detached = True
         wheel = self.wheel
@@ -305,7 +333,7 @@ class TurboSimulator(Simulator):
                 f"cannot schedule into the past: t={time} < now={self._now}"
             )
         seq = self._seq
-        ev = Event(time, seq, fn, args)
+        ev = TurboEvent(time, seq, fn, args)
         ev.sim = self
         now = self._now
         wheel = self.wheel

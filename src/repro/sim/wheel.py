@@ -17,9 +17,11 @@ bounded horizon:
   becomes current (deferred sort), and spills overflow entries into the wheel
   as the horizon slides past them.
 
-Ordering is **exactly** the reference heap's total order.  Entries are the
-same 4-tuples ``(fire_time, schedule_time, seq, Event)`` the reference engine
-uses.  Bucketing partitions entries by ``fire_time`` range, so any two
+Ordering is **exactly** the reference heap's total order.  Entries are
+4-tuples ``(fire_time, schedule_time, seq, TurboEvent)``: the reference
+engine's ordering key, then the event object every wheel entry carries (see
+:class:`repro.sim.turbo.TurboEvent`; the reference's own entries end in the
+callback).  Bucketing partitions entries by ``fire_time`` range, so any two
 entries in different buckets are already correctly ordered by the bucket
 index; entries in the same bucket are ordered by the full tuple via the
 per-bucket heap.  Overflow entries always fire later than every in-wheel

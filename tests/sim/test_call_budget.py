@@ -3,12 +3,16 @@
 The packet datapath and the per-ACK CC path keep their one-expression
 helpers (``is_control``, ``serialization_ns``, ``inflight``, ``route``,
 ``_clamp_window``, ``is_paused``, ...) as API but do not call them per
-packet.  A helper call creeping back costs a few percent of the engine's
-speed and changes no output, so nothing else would notice; this counts
-calls the way the ledger's ``sim.py_calls_per_event`` does and fails instead.
+packet, and the port pushes its three per-packet calendar entries itself
+instead of calling ``schedule_delivery`` / ``schedule_detached``.  A call
+creeping back costs a few percent of the engine's speed and changes no
+output, so nothing else would notice; this counts calls the way the
+ledger's ``sim.py_calls_per_event`` does and fails instead.
 
-Budgets sit 12-13% above what the code measures today (6.17 / 5.80 / 5.32)
-and far below the chains they replaced (12.16 / 12.05 / 9.78).
+Budgets sit 11-12% above what the code measures today (5.31 / 4.83 / 4.37),
+below what it measured with the ``schedule_*`` calls in place
+(6.17 / 5.80 / 5.32) and far below the chains before that
+(12.16 / 12.05 / 9.78).
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ from repro.units import ms
 
 #: name -> (config factory taking a size, counted size, warm-up size, budget).
 CASES = {
-    "incast16/hpcc-vai-sf": (lambda n: scaled_incast("hpcc-vai-sf", n), 16, 2, 7.0),
-    "incast16/swift": (lambda n: scaled_incast("swift", n), 16, 2, 6.5),
+    "incast16/hpcc-vai-sf": (lambda n: scaled_incast("hpcc-vai-sf", n), 16, 2, 5.9),
+    "incast16/swift": (lambda n: scaled_incast("swift", n), 16, 2, 5.4),
     "fattree1ms/hpcc": (
         lambda t: scaled_datacenter("hpcc", "hadoop", duration_ns=t),
         ms(1.0),
         ms(0.1),
-        6.0,
+        4.9,
     ),
 }
 

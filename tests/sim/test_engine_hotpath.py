@@ -1,5 +1,7 @@
-"""Engine hot-path tests: lazy-cancel accounting, compaction, pooling,
-and the ordering contract of ``schedule_delivery``."""
+"""Engine hot-path tests: lazy-cancel accounting, compaction, Event-free
+detached entries, and the ordering contract of ``schedule_delivery``."""
+
+import pytest
 
 from repro.sim.engine import Simulator
 
@@ -58,33 +60,89 @@ class TestCancelledAccounting:
         assert sim.pending_events == 1
 
 
-class TestDetachedPooling:
-    def test_detached_events_are_recycled(self):
+class TestDetachedEntries:
+    """A fire-and-forget event is its calendar tuple: no ``Event``, no pool."""
+
+    def test_detached_entries_carry_no_event(self):
         sim = Simulator()
-        for i in range(50):
-            sim.schedule_detached(float(i), _noop)
-        sim.run()
-        assert len(sim._pool) == 50
         sim.schedule_detached(1.0, _noop)
-        assert len(sim._pool) == 49  # reused, not reallocated
+        sim.schedule_delivery(1.0, 2.0, None, _noop)
+        handle = sim.schedule(5.0, _noop)
+        by_seq = sorted(sim._heap, key=lambda entry: entry[2])
+        assert [entry[3] for entry in by_seq] == [None, None, handle]
+        assert by_seq[0] == (1.0, 0.0, 0, None, _noop, ())
+        assert by_seq[1] == (3.0, 2.0, 1, None, _noop, ())
+        # Not even the name: an allocation cannot creep back unnoticed.
+        assert "Event" not in Simulator.schedule_detached.__code__.co_names
+        assert "Event" not in Simulator.schedule_delivery.__code__.co_names
 
-    def test_recycled_events_fire_with_fresh_payload(self):
-        sim = Simulator()
-        out = []
-        sim.schedule_detached(1.0, out.append, "a")
-        sim.run()
-        sim.schedule_detached(1.0, out.append, "b")
-        sim.run()
-        assert out == ["a", "b"]
+    def test_compaction_keeps_exactly_the_live_set_in_pop_order(self):
+        def build():
+            sim = Simulator()
+            fired = []
+            doomed = []
+            for i in range(200):
+                t = 10.0 + (i * 37) % 101  # repeated fire times, shuffled
+                if i % 5 == 0:
+                    sim.schedule_detached(t, fired.append, i)
+                elif i % 5 == 1:
+                    sim.schedule_delivery(t, 0.5, None, fired.append, i)
+                else:
+                    doomed.append(sim.schedule(t, fired.append, i))
+            for ev in doomed[:-2]:
+                ev.cancel()
+            return sim, fired, doomed
 
-    def test_cancelled_detached_events_return_to_the_pool(self):
+        swept, swept_fired, doomed = build()
+        swept.run(until=1.0)  # fires nothing; cancelled entries dominate -> sweep
+        assert swept.compactions == 1
+        assert swept.heap_size == swept.pending_events == 200 - len(doomed) + 2
+        assert all(e[3] is None or not e[3].cancelled for e in swept._heap)
+        swept.run()
+
+        lazy, lazy_fired, _ = build()
+        lazy.run()  # same calendar, corpses discarded one by one as popped
+        assert lazy.compactions == 0
+        assert swept_fired == lazy_fired
+        assert len(swept_fired) == 200 - len(doomed) + 2
+
+
+class TestEventsExecutedIsSettledPerRun:
+    """The loops count locally and add once when ``run()`` exits — any exit."""
+
+    def test_exact_after_run_until(self):
         sim = Simulator()
-        sim.schedule_detached(5.0, _noop)
-        sim.run()  # event fires and parks in the pool
-        sim.schedule_detached(1.0, _noop)  # reuses the parked object
+        for i in range(10):
+            sim.schedule_detached(float(i), _noop)
+        sim.run(until=4.0)
+        assert sim.events_executed == 5
+        sim.run()
+        assert sim.events_executed == 10
+
+    def test_exact_after_stop_from_a_callback(self):
+        sim = Simulator()
+        sim.schedule_detached(1.0, _noop)
+        sim.schedule_detached(2.0, sim.stop)
+        sim.schedule_detached(3.0, _noop)
+        sim.run()
+        assert sim.events_executed == 2
+        assert sim.pending_events == 1
+
+    def test_exact_after_an_exception_escapes_a_callback(self):
+        def boom():
+            raise RuntimeError("boom")
+
+        sim = Simulator()
+        sim.schedule_detached(1.0, _noop)
         sim.schedule(2.0, _noop)
+        sim.schedule_detached(3.0, boom)
+        sim.schedule_detached(4.0, _noop)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        # The raising callback did not complete, so it is not counted.
+        assert sim.events_executed == 2
         sim.run()
-        assert len(sim._pool) == 1
+        assert sim.events_executed == 3
 
 
 class TestScheduleDelivery:

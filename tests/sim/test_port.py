@@ -30,8 +30,7 @@ def make_port(sim, rate_bps=8e9, prop=100.0, **kwargs):
     owner = Sink(sim, 1, "owner")
     port = Port(sim, owner, LinkSpec(rate_bps, prop), index=0, **kwargs)
     sink = Sink(sim)
-    port.peer_node = sink
-    port.peer_port = None
+    port.attach_peer(sink, None)
     owner.ports.append(port)
     return port, sink
 
@@ -112,6 +111,81 @@ class TestInlinedSerialization:
             t = t + port.spec.serialization_ns(size + HEADER_BYTES)
             expected.append(t + port.spec.prop_delay_ns)
         assert [when for when, _ in sink.received] == expected
+
+
+class TestPushEquivalence:
+    """``Port`` writes its three calendar entries out instead of calling
+    ``schedule_delivery`` / ``schedule_detached``; each must equal, slot for
+    slot, what the method pushes on a twin simulator in the same state."""
+
+    #: (rate_bps, prop_delay_ns, now).  The second row is the one-ULP case
+    #: of ``TestScheduleDelivery``: ser = prop = 83.84 ns at t = 1000.
+    STATES = [(8e9, 100.0, 0.0), (100e9, 83.84, 1000.0), (25e9, 1000.0, 12345.678)]
+
+    @staticmethod
+    def _at(now):
+        sim = Simulator()
+        sim.run(until=now)  # empty calendar: the clock just moves
+        return sim
+
+    @pytest.mark.parametrize("rate_bps,prop,now", STATES)
+    def test_fused_delivery(self, rate_bps, prop, now):
+        sim, twin = self._at(now), self._at(now)
+        port, sink = make_port(sim, rate_bps=rate_bps, prop=prop)
+        pkt = data_pkt()
+        port.enqueue(pkt)
+        t_end = now + port.spec.serialization_ns(pkt.size)
+        twin.schedule_delivery(prop, t_end, None, sink.receive, pkt, None)
+        assert sim._heap == twin._heap
+        assert sim._seq == twin._seq == 1
+        assert port.busy_until == t_end
+
+    def test_fused_fire_time_is_the_one_ulp_case(self):
+        sim = self._at(1000.0)
+        port, _ = make_port(sim, rate_bps=100e9, prop=83.84)
+        port.enqueue(data_pkt())
+        assert sim.peek_time() == (1000.0 + 83.84) + 83.84 != 1000.0 + (83.84 + 83.84)
+
+    @pytest.mark.parametrize("rate_bps,prop,now", STATES)
+    def test_unfused_tx_done_then_its_delivery(self, rate_bps, prop, now):
+        sim, twin = self._at(now), self._at(now)
+        port, sink = make_port(sim, rate_bps=rate_bps, prop=prop)
+        port.allow_fusion = False
+        pkt = data_pkt()
+        port.enqueue(pkt)
+        ser = port.spec.serialization_ns(pkt.size)
+
+        def tx_done_on_twin(*_):
+            twin.schedule_delivery(prop, twin._now, twin._cur_seq, sink.receive, pkt, None)
+
+        twin.schedule_detached(ser, tx_done_on_twin, pkt, None)
+        (entry,), (twin_entry,) = sim._heap, twin._heap
+        assert entry[:4] == twin_entry[:4] and entry[5] == twin_entry[5]
+        assert entry[4] == port._tx_done
+        assert sim._seq == twin._seq == 1
+
+        sim.run(max_events=1)  # _tx_done fires and pushes the delivery
+        twin.run(max_events=1)
+        assert sim._heap == twin._heap
+        assert sim._heap[0][:3] == (now + ser + prop, now + ser, 0)
+        assert sim._seq == twin._seq == 1  # the delivery reuses tx-done's seq
+
+    def test_the_three_sites_call_no_schedule_method(self):
+        for fn in (Port.try_drain, Port._tx_done):
+            names = set(fn.__code__.co_names)
+            assert not names & {"schedule_delivery", "schedule_detached"}, fn.__qualname__
+
+    def test_fig8_run_draws_the_same_sequence_numbers(self):
+        # engine.events_scheduled is the run's _seq delta; the values are the
+        # parent commit's, where every one of these pushes was a method call.
+        from repro.experiments.config import scaled_incast
+        from repro.experiments.runner import run_incast
+        from repro.obs import registry
+
+        for variant, scheduled in (("hpcc", 81_272), ("hpcc-vai-sf", 80_159)):
+            with registry.capture() as reg:
+                run_incast(scaled_incast(variant, 16))
+            assert reg.snapshot()["counters"]["engine.events_scheduled"] == scheduled
 
 
 class TestBufferLimit:

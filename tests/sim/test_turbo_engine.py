@@ -124,6 +124,22 @@ class TestDropInScheduler:
         assert ("pending", 3) in log
         assert now == 50.0  # the final unbounded run stops at the last event
 
+    def test_zero_max_events_executes_nothing(self):
+        """The loops test the limit after a callback; a budget that is
+        already spent must not buy one more event (or move the clock)."""
+
+        def script(sim, log):
+            sim.schedule(10.0, log.append, "a")
+            sim.schedule_detached(20.0, log.append, "b")
+            sim.run(max_events=0)
+            sim.run(until=50.0, max_events=-3)
+            log.append(("now", sim.now(), sim.events_executed, sim.pending_events))
+            sim.run(max_events=1)
+            log.append(("now", sim.now(), sim.events_executed, sim.pending_events))
+
+        log, _, _ = _parity(script)
+        assert log == [("now", 0.0, 0, 2), "a", ("now", 10.0, 1, 1)]
+
     def test_peek_time_skips_cancelled(self):
         def script(sim, log):
             a = sim.schedule(10.0, log.append, "a")
