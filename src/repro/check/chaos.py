@@ -29,13 +29,14 @@ from __future__ import annotations
 import dataclasses
 import os
 import signal
-import threading
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..experiments import runner as exp_runner
 from ..experiments.config import scaled_incast, with_backend
 from ..experiments.parallel import AnyConfig, run_config
 from ..experiments.store import ResultStore, config_key
@@ -67,13 +68,32 @@ class ChaosTransientError(RuntimeError):
 #: One fault per config; ``none`` keeps a control config fault-free.
 ACTIONS = ("kill", "hang", "transient", "none")
 
-#: Fired this long into a run so the SIGKILL lands mid-simulation (the
-#: smallest reference config takes ~10x this to run).
-KILL_DELAY_S = 0.05
-
 #: An injected hang sleeps this long; the supervisor must kill it far
 #: sooner (the harness runs with a sub-second stall deadline).
 HANG_S = 600.0
+
+
+def _kill_before_collect() -> None:
+    """SIGKILL this process when the run now starting has finished simulating.
+
+    The kill rides the struck run's own thread as a profile hook and fires
+    on its call into the ``collect`` phase: the whole simulation has run,
+    heartbeats included, and nothing has been replied.  It therefore cannot
+    land after that run's reply however fast the engine or slow the host,
+    and the hook comes off when ``run_config`` returns, so a run that never
+    reaches ``collect`` cannot pass the kill on to the worker's next config.
+    """
+    phase_code = exp_runner._phase.__code__
+    run_code = run_config.__code__
+
+    def hook(frame: Any, event: str, _arg: Any) -> None:
+        if event == "call" and frame.f_code is phase_code:
+            if frame.f_locals["name"] == "collect":
+                os.kill(os.getpid(), signal.SIGKILL)
+        elif event == "return" and frame.f_code is run_code:
+            sys.setprofile(None)
+
+    sys.setprofile(hook)
 
 
 @dataclass(frozen=True)
@@ -89,11 +109,6 @@ class ChaosSpec:
 
     plan: Tuple[Tuple[str, str], ...]  # (config key, action) pairs
     first_attempt_only: bool = True
-    #: Seconds into a run before the injected SIGKILL fires.  Backends
-    #: faster than packet (flow mode finishes a reference config in
-    #: single-digit milliseconds) need a much shorter fuse so the kill
-    #: still lands mid-simulation.
-    kill_delay_s: float = KILL_DELAY_S
 
     def action_for(self, key: str) -> str:
         for plan_key, action in self.plan:
@@ -106,20 +121,14 @@ class ChaosSpec:
             return
         action = self.action_for(key)
         if action == "kill":
-            timer = threading.Timer(
-                self.kill_delay_s, os.kill, (os.getpid(), signal.SIGKILL)
-            )
-            timer.daemon = True
-            timer.start()
+            _kill_before_collect()
         elif action == "hang":
             time.sleep(HANG_S)
         elif action == "transient":
             raise ChaosTransientError(f"injected transient fault for {key[:8]}")
 
 
-def plan_chaos(
-    keys: Sequence[str], seed: int, *, kill_delay_s: float = KILL_DELAY_S
-) -> ChaosSpec:
+def plan_chaos(keys: Sequence[str], seed: int) -> ChaosSpec:
     """Assign every action to some key, deterministically from ``seed``.
 
     With at least ``len(ACTIONS)`` keys each action fires at least once
@@ -133,7 +142,7 @@ def plan_chaos(
     plan = tuple(
         (key, ACTIONS[i % len(ACTIONS)]) for i, key in enumerate(order)
     )
-    return ChaosSpec(plan=plan, kill_delay_s=kill_delay_s)
+    return ChaosSpec(plan=plan)
 
 
 @dataclass(frozen=True)
@@ -219,8 +228,7 @@ def run_chaos(
 
     ``backend`` reruns the whole ladder on another simulation backend —
     the supervisor's journaling/salvage/quarantine machinery must be
-    backend-agnostic, so ``backend="flow"`` gets the same ladder with a
-    kill fuse short enough to land inside millisecond-scale fluid runs.
+    backend-agnostic, so ``backend="flow"`` gets the same ladder.
     """
     if n_configs < len(ACTIONS):
         raise ValueError(
@@ -230,8 +238,7 @@ def run_chaos(
     say = progress if progress is not None else (lambda _msg: None)
     configs = reference_chaos_configs(n_configs, backend)
     keys = [cfg.cache_key() for cfg in configs]
-    kill_delay_s = KILL_DELAY_S if backend == "packet" else 0.002
-    spec = plan_chaos(keys, seed, kill_delay_s=kill_delay_s)
+    spec = plan_chaos(keys, seed)
     by_action = {action: key for key, action in spec.plan}
 
     # -- pass 1: fault-free baseline ---------------------------------------

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Iterator, List, Optional
 
 from ..experiments import runner as exp_runner
 from ..experiments.config import (
@@ -38,12 +38,9 @@ from ..experiments.config import (
 )
 from ..experiments.parallel import AnyConfig, run_campaign, run_config
 from ..experiments.store import ResultStore, get_store, set_store
-from ..obs import flightrec as obs_flightrec
-from ..obs import profiler as obs_profiler
 from ..sim.port import Port
 from ..units import ms
 from .. import obs
-from . import invariants as check_invariants
 
 
 class DifferentialMismatch(RuntimeError):
@@ -439,185 +436,6 @@ def assert_backend_matrix(
     if bad:
         raise DifferentialMismatch(
             f"{len(bad)} backend divergence(s) out of tolerance:\n"
-            + "\n".join(c.render() for c in bad)
-        )
-    return cells
-
-
-# ---------------------------------------------------------------------------
-# Reference-vs-turbo engine identity matrix
-# ---------------------------------------------------------------------------
-#
-# Unlike the flow backend, the turbo engine is *not* an approximation: it is
-# the same packet-level semantics on a different scheduler (timing wheel vs
-# global heap) and a flattened struct-of-arrays datapath.  The bar is
-# therefore byte-identity — the canonical flow-completion digest AND the
-# executed-event count must match on every workload.  Each observability
-# plane gets its own matrix column: a hook the turbo datapath forgot to call
-# would leave *plain* digests equal while silently perturbing instrumented
-# runs, so identity is asserted with the sanitizer on, with the obs stack
-# (registry + tracer + telemetry + flight recorder + phase profiler) on, and
-# under packet faults (which disable fusion and exercise loss recovery, RTO
-# cancel/reschedule on the wheel, and the link-down paths).
-
-#: Matrix modes: instrumentation/fault environment both engines run under.
-ENGINE_MODES = ("plain", "sanitize", "obs", "faults")
-
-
-def engine_reference_workloads() -> Dict[str, AnyConfig]:
-    """The fixed workloads behind ``check differential --engines``.
-
-    The three reference figures' incast variants (figs 1/8/9 are all 16-1
-    star incasts — HPCC, HPCC VAI SF, Swift VAI SF cover the INT, ECN and
-    delay CC paths) plus one scaled fat-tree run for ECMP/PFC/trace-driven
-    coverage.  Small enough for CI; every cell is two full simulations.
-    """
-    return {
-        "fig1/hpcc": scaled_incast("hpcc", 16),
-        "fig8/hpcc-vai-sf": scaled_incast("hpcc-vai-sf", 16),
-        "fig9/swift-vai-sf": scaled_incast("swift-vai-sf", 16),
-        "dc/hpcc-vai-sf": scaled_datacenter(
-            "hpcc-vai-sf", "hadoop", duration_ns=ms(1.0)
-        ),
-    }
-
-
-@dataclass(frozen=True)
-class EngineEquivalence:
-    """One (workload, mode) cell of the engine identity matrix."""
-
-    workload: str
-    mode: str
-    digest_reference: str
-    digest_turbo: str
-    events_reference: int
-    events_turbo: int
-
-    @property
-    def matched(self) -> bool:
-        return (
-            self.digest_reference == self.digest_turbo
-            and self.events_reference == self.events_turbo
-        )
-
-    def render(self) -> str:
-        status = "ok " if self.matched else "FAIL"
-        line = (
-            f"[{status}] {self.workload} [{self.mode}]: "
-            f"{self.digest_reference[:16]}"
-        )
-        if self.digest_reference != self.digest_turbo:
-            line += f" != {self.digest_turbo[:16]}"
-        line += f" (events {self.events_reference} vs {self.events_turbo})"
-        return line
-
-    def to_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "mode": self.mode,
-            "digest_reference": self.digest_reference,
-            "digest_turbo": self.digest_turbo,
-            "events_reference": self.events_reference,
-            "events_turbo": self.events_turbo,
-            "matched": self.matched,
-        }
-
-
-@contextmanager
-def _engine_mode(mode: str) -> Iterator[None]:
-    """Install one matrix column's instrumentation for both engines."""
-    if mode == "sanitize":
-        check_invariants.enable()
-        try:
-            yield
-        finally:
-            check_invariants.disable()
-    elif mode == "obs":
-        obs.enable_all()
-        obs_flightrec.enable()
-        obs_profiler.enable()
-        try:
-            yield
-        finally:
-            obs_profiler.disable()
-            obs_flightrec.disable()
-            obs.disable_all()
-    else:  # plain / faults need no process-wide switches
-        yield
-
-
-def engine_equivalence_matrix(
-    workloads: Optional[List[str]] = None,
-    modes: Optional[List[str]] = None,
-) -> List[EngineEquivalence]:
-    """Run each workload on both engines under each mode; compare digests.
-
-    Raises ImportError up front when numpy (the turbo engine's ``[perf]``
-    dependency) is missing — the matrix must refuse loudly, never
-    silently compare the reference engine against itself.
-    """
-    from ..sim.turbo import require_numpy
-
-    require_numpy()
-    from ..experiments.config import FaultConfig, with_engine
-
-    available = engine_reference_workloads()
-    if workloads:
-        unknown = sorted(set(workloads) - set(available))
-        if unknown:
-            raise ValueError(
-                f"unknown engine workload(s) {unknown} "
-                f"(have {sorted(available)})"
-            )
-        available = {name: available[name] for name in workloads}
-    for mode in modes or ENGINE_MODES:
-        if mode not in ENGINE_MODES:
-            raise ValueError(f"unknown mode {mode!r} (have {ENGINE_MODES})")
-
-    cells: List[EngineEquivalence] = []
-    for name, cfg in available.items():
-        for mode in modes or ENGINE_MODES:
-            mcfg = cfg
-            if mode == "faults":
-                # Deterministic periodic dropper on the monitored bottleneck:
-                # disables fusion on those ports, turns on go-back-N loss
-                # recovery, and drives RTO arm/cancel/reschedule through the
-                # wheel — in both engines identically.
-                mcfg = replace(
-                    cfg, faults=FaultConfig(drop_every_nth=401, target="bottleneck")
-                )
-            with _engine_mode(mode):
-                with _isolated_caches():
-                    ref = run_config(mcfg)
-                    digest_ref = fct_digest(ref)
-                    events_ref = ref.events_executed
-                with _isolated_caches():
-                    tur = run_config(with_engine(mcfg, "turbo"))
-                    digest_tur = fct_digest(tur)
-                    events_tur = tur.events_executed
-            cells.append(
-                EngineEquivalence(
-                    workload=name,
-                    mode=mode,
-                    digest_reference=digest_ref,
-                    digest_turbo=digest_tur,
-                    events_reference=events_ref,
-                    events_turbo=events_tur,
-                )
-            )
-    return cells
-
-
-def assert_engine_matrix(
-    workloads: Optional[List[str]] = None,
-    modes: Optional[List[str]] = None,
-) -> List[EngineEquivalence]:
-    """Like :func:`engine_equivalence_matrix` but raising on any mismatch."""
-    cells = engine_equivalence_matrix(workloads, modes)
-    bad = [c for c in cells if not c.matched]
-    if bad:
-        raise DifferentialMismatch(
-            f"{len(bad)} engine identity cell(s) diverged:\n"
             + "\n".join(c.render() for c in bad)
         )
     return cells

@@ -39,7 +39,7 @@ from ..sim import engine
 from ..sim.network import RunBudget
 from .extensions import ALL_EXTENSIONS
 from .figures import ALL_FIGURES
-from .config import BACKENDS, ENGINES, set_default_backend, set_default_engine
+from .config import BACKENDS, set_default_backend
 from .parallel import campaign_for_figures, run_campaign, run_config
 from .reporting import render
 from .runner import drain_incomplete_runs, run_with_retry, set_default_budget
@@ -97,18 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
             "simulator, 'flow' the fluid fast path (~20x+ faster, "
             "approximate — see DESIGN.md), 'hybrid' packetizes short "
             "flows over a fluid background (default: packet)"
-        ),
-    )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="reference",
-        help=(
-            "simulator core for packet-backend runs: 'reference' is the "
-            "pure-Python global-heap engine, 'turbo' the struct-of-arrays "
-            "timing-wheel core (byte-identical outputs, CI-enforced; "
-            "requires numpy — see 'pip install repro[perf]') "
-            "(default: reference)"
         ),
     )
     parser.add_argument(
@@ -880,29 +868,6 @@ def check_main(argv: List[str]) -> int:
         ),
     )
     di.add_argument(
-        "--engines",
-        nargs="*",
-        metavar="WORKLOAD",
-        default=None,
-        help=(
-            "run the reference-vs-turbo engine identity matrix instead: "
-            "each workload (default: all — figs 1/8/9 incasts plus a "
-            "fat-tree run) runs on both engine cores under each mode "
-            "(plain/sanitize/obs/faults), and FCT digests plus executed "
-            "event counts must be byte-identical"
-        ),
-    )
-    di.add_argument(
-        "--modes",
-        nargs="*",
-        metavar="MODE",
-        default=None,
-        help=(
-            "with --engines: restrict matrix modes "
-            "(subset of plain/sanitize/obs/faults; default: all)"
-        ),
-    )
-    di.add_argument(
         "--report-out",
         default=None,
         metavar="PATH",
@@ -1036,34 +1001,6 @@ def check_main(argv: List[str]) -> int:
     # args.verb == "differential"
     import tempfile
 
-    if args.engines is not None:
-        workloads = args.engines or None  # empty list = all workloads
-        try:
-            cells = differential.engine_equivalence_matrix(workloads, args.modes)
-        except ImportError as exc:
-            # numpy missing: the matrix refuses loudly rather than comparing
-            # the reference engine against itself.
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for cell in cells:
-            print(cell.render())
-        if args.report_out is not None:
-            Path(args.report_out).write_text(
-                json.dumps([c.to_dict() for c in cells], indent=2) + "\n"
-            )
-            print(f"[report] engine identity matrix -> {args.report_out}")
-        bad = [c for c in cells if not c.matched]
-        if bad:
-            print(
-                f"engine identity matrix: FAIL ({len(bad)} cell(s) diverged)",
-                file=sys.stderr,
-            )
-            return 1
-        print("engine identity matrix: ok")
-        return 0
     if args.backends is not None:
         figures = args.backends or None  # empty list = all reference figures
         try:
@@ -1132,12 +1069,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the same default via the initializer).
         set_default_backend(args.backend)
         print(f"[backend] running simulations on the [{args.backend}] backend")
-    if args.engine != "reference":
-        # Same mechanism as --backend: figure functions spell reference-engine
-        # configs, the cache boundary rewrites them, pool workers inherit the
-        # default via the initializer.
-        set_default_engine(args.engine)
-        print(f"[engine] running packet simulations on the [{args.engine}] engine")
     wall_start = time.perf_counter()
     events_start = engine.total_events_executed()
     figs = list(args.figs or [])
@@ -1247,9 +1178,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Run the figures' simulations as one deduplicated campaign up front;
     # the figure functions then replay them from the warm caches.
     exit_code = 0
-    campaign = campaign_for_figures(
-        figs, scale=args.scale, backend=args.backend, engine=args.engine
-    )
+    campaign = campaign_for_figures(figs, scale=args.scale, backend=args.backend)
     if campaign:
         campaign_events = engine.total_events_executed()
         try:

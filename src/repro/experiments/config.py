@@ -66,19 +66,6 @@ def _validate_backend(backend: str) -> None:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
 
 
-#: Valid packet-engine implementations.  ``reference`` is the pure-Python
-#: heap-based engine (ground truth); ``turbo`` is the struct-of-arrays /
-#: timing-wheel core (:mod:`repro.sim.turbo`, needs numpy), proven
-#: byte-identical by ``check differential --engines``.  Only meaningful for
-#: ``backend="packet"`` runs; the fluid backend has its own integrator.
-ENGINES = ("reference", "turbo")
-
-
-def _validate_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-
-
 @dataclass(frozen=True)
 class FaultConfig(_CacheKeyMixin):
     """Declarative fault specification attached to an experiment config.
@@ -147,19 +134,12 @@ class IncastConfig(_CacheKeyMixin):
     #: Simulation backend (defaulted, so packet-run cache keys are
     #: unchanged from before the field existed — see store.config_key).
     backend: str = "packet"
-    #: Packet-engine implementation (defaulted for the same cache-key
-    #: stability reason; byte-identical results either way, so turbo runs
-    #: key separately only to keep provenance honest).
-    engine: str = "reference"
 
     def __post_init__(self) -> None:
         _validate_backend(self.backend)
-        _validate_engine(self.engine)
 
     def describe(self) -> str:
         tag = "" if self.backend == "packet" else f" [{self.backend}]"
-        if self.engine != "reference":
-            tag += f" [{self.engine}]"
         return (
             f"{self.n_senders}-1 incast, {self.variant}, "
             f"{self.flow_size_bytes / 1e6:g} MB flows, "
@@ -187,21 +167,14 @@ class DatacenterConfig(_CacheKeyMixin):
     #: ``backend="hybrid"`` packetizes flows at or below this size (the
     #: latency-sensitive short flows); larger flows stay fluid background.
     hybrid_packet_max_bytes: int = 100_000
-    #: Packet-engine implementation (defaulted for the same cache-key
-    #: stability reason; byte-identical results either way, so turbo runs
-    #: key separately only to keep provenance honest).
-    engine: str = "reference"
 
     def __post_init__(self) -> None:
         _validate_backend(self.backend)
-        _validate_engine(self.engine)
         if self.hybrid_packet_max_bytes <= 0:
             raise ValueError("hybrid_packet_max_bytes must be positive")
 
     def describe(self) -> str:
         tag = "" if self.backend == "packet" else f" [{self.backend}]"
-        if self.engine != "reference":
-            tag += f" [{self.engine}]"
         return (
             f"{self.workload} @ {self.load:.0%} load on "
             f"{self.fattree.n_hosts}-host fat-tree, {self.variant}, "
@@ -279,12 +252,6 @@ def with_backend(cfg, backend: str):
     return replace(cfg, backend=backend)
 
 
-def with_engine(cfg, engine: str):
-    """A copy of any config running on a different packet-engine core."""
-    _validate_engine(engine)
-    return replace(cfg, engine=engine)
-
-
 # ---------------------------------------------------------------------------
 # Process-default backend (CLI --backend)
 # ---------------------------------------------------------------------------
@@ -319,37 +286,6 @@ def apply_default_backend(cfg):
     """
     if _DEFAULT_BACKEND != "packet" and getattr(cfg, "backend", None) == "packet":
         return replace(cfg, backend=_DEFAULT_BACKEND)
-    return cfg
-
-
-# ---------------------------------------------------------------------------
-# Process-default engine (CLI --engine)
-# ---------------------------------------------------------------------------
-
-_DEFAULT_ENGINE = "reference"
-
-
-def set_default_engine(engine: str) -> None:
-    """Set the engine applied to configs left at the default ``"reference"``.
-
-    The CLI's ``--engine`` installs this so that figure functions — which
-    construct their own configs without an engine argument — transparently
-    run on the selected core.  Configs that carry an explicit non-default
-    engine are never rewritten.
-    """
-    _validate_engine(engine)
-    global _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = engine
-
-
-def get_default_engine() -> str:
-    return _DEFAULT_ENGINE
-
-
-def apply_default_engine(cfg):
-    """Normalize a config to the process-default engine (see backend twin)."""
-    if _DEFAULT_ENGINE != "reference" and getattr(cfg, "engine", None) == "reference":
-        return replace(cfg, engine=_DEFAULT_ENGINE)
     return cfg
 
 

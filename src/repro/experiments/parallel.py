@@ -44,17 +44,13 @@ from .config import (
     DatacenterConfig,
     IncastConfig,
     apply_default_backend,
-    apply_default_engine,
     get_default_backend,
-    get_default_engine,
     paper_datacenter,
     paper_incast,
     scaled_datacenter,
     scaled_incast,
     set_default_backend,
-    set_default_engine,
     with_backend,
-    with_engine,
 )
 from .runner import (
     peek_cached,
@@ -77,7 +73,7 @@ def run_config(cfg: AnyConfig) -> Any:
     by exposing a ``run_self()`` method — the chaos harness's poison configs
     and test doubles (slow runs, self-killing workers) use this hook.
     """
-    cfg = apply_default_engine(apply_default_backend(cfg))
+    cfg = apply_default_backend(cfg)
     if isinstance(cfg, IncastConfig):
         return run_incast(cfg)
     if isinstance(cfg, DatacenterConfig):
@@ -94,7 +90,6 @@ def _worker_init(
     sanitize: bool = False,
     default_backend: str = "packet",
     flightrec: bool = False,
-    default_engine: str = "reference",
 ) -> None:
     """Pool initializer: re-install the parent's watchdog and analytics.
 
@@ -114,7 +109,6 @@ def _worker_init(
     """
     set_default_budget(budget)
     set_default_backend(default_backend)
-    set_default_engine(default_engine)
     if analytics_config is not None:
         obs_analytics.enable(analytics_config)
     if sanitize:
@@ -324,7 +318,6 @@ def run_campaign(
                     check_invariants.CHECKER is not None,
                     get_default_backend(),
                     obs_flightrec.RECORDER is not None,
-                    get_default_engine(),
                 ),
             )
             futures = [(cfg, pool.submit(_run_config_timed, cfg)) for cfg in pending]
@@ -491,25 +484,19 @@ def figure_configs(fig_id: str, scale: str = "scaled") -> List[AnyConfig]:
 
 
 def campaign_for_figures(
-    fig_ids: Sequence[str],
-    scale: str = "scaled",
-    backend: str = "packet",
-    engine: str = "reference",
+    fig_ids: Sequence[str], scale: str = "scaled", backend: str = "packet"
 ) -> List[AnyConfig]:
     """Union of configs for a figure selection, duplicates included.
 
     ``run_campaign`` deduplicates by content key, so figure pairs sharing
     simulations (2/3 with 1, 12/13 with 10/11) cost nothing extra.  A
-    non-default ``backend`` (or ``engine``) is stamped onto every config so
-    campaign keys match what the figure functions will look up after
-    :func:`repro.experiments.config.set_default_backend` /
-    :func:`~repro.experiments.config.set_default_engine`.
+    non-default ``backend`` is stamped onto every config so campaign keys
+    match what the figure functions will look up after
+    :func:`repro.experiments.config.set_default_backend`.
     """
     out: List[AnyConfig] = []
     for fig_id in fig_ids:
         out.extend(figure_configs(fig_id, scale))
     if backend != "packet":
         out = [with_backend(cfg, backend) for cfg in out]
-    if engine != "reference":
-        out = [with_engine(cfg, engine) for cfg in out]
     return out

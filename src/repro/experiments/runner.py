@@ -62,7 +62,6 @@ from .config import (
     FaultConfig,
     IncastConfig,
     apply_default_backend,
-    apply_default_engine,
     red_for_rate,
 )
 from .store import get_store
@@ -416,7 +415,6 @@ def _run_incast_packet(cfg: IncastConfig) -> IncastResult:
             prop_delay_ns=cfg.prop_delay_ns,
             seed=cfg.seed,
             red=red,
-            engine=cfg.engine,
         )
         net = topo.network
         if cfg.faults is not None:
@@ -443,17 +441,7 @@ def _run_incast_packet(cfg: IncastConfig) -> IncastResult:
         qmon = QueueMonitor(
             net.sim, topo.bottleneck_ports, cfg.sample_interval_ns, aggregate="sum"
         ).start()
-        if net.core is not None:
-            # Turbo engine: sample the SoA delivered column in one gather.
-            from ..sim.turbo import TurboGoodputMonitor
-
-            gmon = TurboGoodputMonitor(
-                net.sim, flows, net.nodes, cfg.goodput_interval_ns, core=net.core
-            ).start()
-        else:
-            gmon = GoodputMonitor(
-                net.sim, flows, net.nodes, cfg.goodput_interval_ns
-            ).start()
+        gmon = GoodputMonitor(net.sim, flows, net.nodes, cfg.goodput_interval_ns).start()
         analyzer, asampler = _attach_analyzer(
             net, flows, default_interval_ns=cfg.goodput_interval_ns
         )
@@ -551,7 +539,7 @@ def _run_datacenter_packet(cfg: DatacenterConfig) -> DatacenterResult:
     _begin_flightrec_run(cfg, "datacenter")
     with _phase("build"):
         red = red_for_rate(cfg.fattree.host_rate_bps) if needs_red(cfg.variant) else None
-        topo = build_fattree(cfg.fattree, seed=cfg.seed, red=red, engine=cfg.engine)
+        topo = build_fattree(cfg.fattree, seed=cfg.seed, red=red)
         net = topo.network
         if cfg.faults is not None:
             install_faults(cfg.faults, topo)
@@ -700,7 +688,7 @@ def _run_cached(cache: LRUCache, run: Callable[[Any], Any], cfg: Any) -> Any:
     packet-default config keys (and runs) under ``--backend flow`` without
     the figure code knowing backends exist.
     """
-    cfg = apply_default_engine(apply_default_backend(cfg))
+    cfg = apply_default_backend(cfg)
     key = cfg.cache_key()
     result = cache.get(key)
     if result is not None:
@@ -722,7 +710,7 @@ def peek_cached(cfg: Any) -> Optional[Any]:
     A store hit is promoted into the memory LRU so later ``run_*_cached``
     calls skip the disk read.
     """
-    cfg = apply_default_engine(apply_default_backend(cfg))
+    cfg = apply_default_backend(cfg)
     cache = _INCAST_CACHE if isinstance(cfg, IncastConfig) else _DC_CACHE
     key = cfg.cache_key()
     result = cache.get(key)
@@ -743,7 +731,7 @@ def seed_result_caches(cfg: Any, result: Any) -> None:
     seeds its own LRU and the store with the returned results so figure
     rendering afterwards is pure cache hits.
     """
-    cfg = apply_default_engine(apply_default_backend(cfg))
+    cfg = apply_default_backend(cfg)
     cache = _INCAST_CACHE if isinstance(cfg, IncastConfig) else _DC_CACHE
     cache.put(cfg.cache_key(), result)
     store = get_store()

@@ -245,12 +245,6 @@ class ResultStore:
         # even if the key algorithm ever changes.
         backend = getattr(cfg, "backend", None)
         tag = f"{backend}-" if isinstance(backend, str) else ""
-        # Same treatment for the engine core, but only when non-default:
-        # reference-engine filenames stay byte-for-byte what they were
-        # before the engine field existed.
-        engine = getattr(cfg, "engine", None)
-        if isinstance(engine, str) and engine != "reference":
-            tag += f"{engine}-"
         return self.namespace / f"{type(cfg).__name__}-{tag}{config_key(cfg)}.pkl"
 
     # -- access -----------------------------------------------------------

@@ -35,11 +35,6 @@ from .pfc import PfcConfig, PfcEgressState, PfcIngress
 from .port import Port, RedConfig
 from .switch import RoutingError, Switch
 from .trace import FlowSnapshot, FlowTracer, PortCounterSampler, PortSample
-from .wheel import TimingWheel
-
-# NOTE: repro.sim.turbo (TurboSimulator & friends) is deliberately NOT
-# imported here — it requires numpy (the [perf] extra) and is pulled in
-# lazily by Network(engine="turbo").
 
 __all__ = [
     "ACK",
@@ -82,5 +77,4 @@ __all__ = [
     "Simulator",
     "Switch",
     "SwitchBlackoutInjector",
-    "TimingWheel",
 ]

@@ -312,8 +312,7 @@ class Simulator:
             runaway feedback loops in tests).  Zero or less executes nothing.
         """
         # The loops test the limit after a callback, so an exhausted budget
-        # is turned away here: once per run(), for both loops and the turbo
-        # twins that inherit this method.
+        # is turned away here: once per run(), for both loops.
         if max_events is not None and max_events <= 0:
             return
         # Dispatch, not inline hooks: the fast loop below must carry zero

@@ -83,35 +83,8 @@ class CompletionStatus:
 class Network:
     """A wired topology plus its event loop and flow registry."""
 
-    def __init__(self, seed: int = 1, *, engine: str = "reference"):
-        if engine == "reference":
-            self.sim = Simulator()
-            self.core = None
-            self._host_cls = Host
-            self._switch_cls = Switch
-            self._port_cls = Port
-        elif engine == "turbo":
-            # Lazy import: the turbo core needs numpy (the [perf] extra) and
-            # raises an actionable ImportError without it; the reference
-            # engine must stay importable regardless.
-            from .turbo import (
-                TurboCore,
-                TurboHost,
-                TurboPort,
-                TurboSimulator,
-                TurboSwitch,
-            )
-
-            self.sim = TurboSimulator()
-            self.core = TurboCore()
-            self._host_cls = TurboHost
-            self._switch_cls = TurboSwitch
-            self._port_cls = TurboPort
-        else:
-            raise ValueError(
-                f"unknown engine {engine!r}: expected 'reference' or 'turbo'"
-            )
-        self.engine = engine
+    def __init__(self, seed: int = 1):
+        self.sim = Simulator()
         self.rng = random.Random(seed)
         self.nodes: List = []
         self.hosts: List[Host] = []
@@ -128,9 +101,7 @@ class Network:
 
     def add_host(self, name: Optional[str] = None, **kwargs) -> Host:
         node_id = len(self.nodes)
-        host = self._host_cls(self.sim, node_id, name or f"h{node_id}", **kwargs)
-        if self.core is not None:
-            host.core = self.core
+        host = Host(self.sim, node_id, name or f"h{node_id}", **kwargs)
         host.completion_callbacks.append(self._on_flow_complete)
         self.nodes.append(host)
         self.hosts.append(host)
@@ -139,7 +110,7 @@ class Network:
 
     def add_switch(self, name: Optional[str] = None) -> Switch:
         node_id = len(self.nodes)
-        sw = self._switch_cls(self.sim, node_id, name or f"s{node_id}")
+        sw = Switch(self.sim, node_id, name or f"s{node_id}")
         self.nodes.append(sw)
         self.switches.append(sw)
         self._adjacency[node_id] = []
@@ -164,8 +135,7 @@ class Network:
         if self._routing_built:
             raise RuntimeError("cannot modify topology after build_routing()")
         spec = LinkSpec(rate_bps, prop_delay_ns)
-        port_cls = self._port_cls
-        port_ab = port_cls(
+        port_ab = Port(
             self.sim,
             a,
             spec,
@@ -176,7 +146,7 @@ class Network:
             stamp_int=isinstance(a, Switch),
             pfc=pfc,
         )
-        port_ba = port_cls(
+        port_ba = Port(
             self.sim,
             b,
             spec,
@@ -191,9 +161,6 @@ class Network:
         port_ba.attach_peer(a, port_ab)
         a.attach_port(port_ab, b.node_id)
         b.attach_port(port_ba, a.node_id)
-        if self.core is not None:
-            self.core.register_port(port_ab)
-            self.core.register_port(port_ba)
         self._adjacency[a.node_id].append(b.node_id)
         self._adjacency[b.node_id].append(a.node_id)
         return port_ab, port_ba
@@ -355,15 +322,11 @@ class Network:
         self.flows[flow.flow_id] = flow
         dst.add_receiver_flow(flow)
         src.add_sender_flow(flow, cc)
-        if self.core is not None:
-            self.core.register_flow(flow)
         if flow.flow_id >= self._next_flow_id:
             self._next_flow_id = flow.flow_id + 1
         return flow
 
     def _on_flow_complete(self, flow: Flow) -> None:
-        if self.core is not None:
-            self.core.mark_done(flow)
         self.completed_flows.append(flow)
 
     # -- execution ------------------------------------------------------------------
@@ -390,14 +353,8 @@ class Network:
         events_start = self.sim.events_executed
         wall_start = time.monotonic()
         stop_reason = "timeout"
-        core = self.core
         while self.sim.now() < deadline:
-            # The turbo core keeps an O(1) outstanding-flow counter; the
-            # reference path scans the registry (identical truth value).
-            if core is not None:
-                if core.active == 0:
-                    break
-            elif all(f.completed for f in self.flows.values()):
+            if all(f.completed for f in self.flows.values()):
                 break
             max_events = None
             if budget is not None:

@@ -98,9 +98,7 @@ class Port:
     as ``peer_node.receive(pkt, in_port=peer_port)``.
 
     The three per-packet schedules push their calendar entry themselves (see
-    :mod:`repro.sim.engine` for the layout and for who else may), so this
-    class needs the heap-backed :class:`Simulator`; the turbo core pairs its
-    wheel with :class:`repro.sim.turbo.TurboPort`, which calls ``schedule_*``.
+    :mod:`repro.sim.engine` for the layout and for who else may).
     """
 
     __slots__ = (

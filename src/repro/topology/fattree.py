@@ -98,16 +98,15 @@ def build_fattree(
     red: Optional[RedConfig] = None,
     pfc: Optional[PfcConfig] = None,
     max_queue_bytes: Optional[float] = None,
-    engine: str = "reference",
 ) -> Topology:
     """Build the fat-tree and its routing tables.
 
     Host ordering in :attr:`Topology.hosts` is pod-major, then ToR, then
     host-within-ToR, which experiments use to pick same-pod or cross-pod
-    pairs deterministically; ``engine`` selects the simulator core.
+    pairs deterministically.
     """
     p = params or FatTreeParams()
-    net = Network(seed=seed, engine=engine)
+    net = Network(seed=seed)
     link_kw = dict(red=red, pfc=pfc, max_queue_bytes=max_queue_bytes)
 
     spines = [net.add_switch(f"spine{i}") for i in range(p.spines)]

@@ -29,17 +29,15 @@ def build_star(
     red: Optional[RedConfig] = None,
     pfc: Optional[PfcConfig] = None,
     max_queue_bytes: Optional[float] = None,
-    engine: str = "reference",
 ) -> Topology:
     """Build an ``n_senders``-to-1 star through one switch.
 
     Parameters mirror the paper's Sec. III-D defaults (100 Gbps links, 1 us
-    propagation).  ``red``/``pfc``/``max_queue_bytes`` apply to every link;
-    ``engine`` selects the simulator core (see :class:`repro.sim.Network`).
+    propagation).  ``red``/``pfc``/``max_queue_bytes`` apply to every link.
     """
     if n_senders < 1:
         raise ValueError(f"need at least one sender, got {n_senders}")
-    net = Network(seed=seed, engine=engine)
+    net = Network(seed=seed)
     switch = net.add_switch("sw0")
     hosts = [net.add_host(f"h{i}") for i in range(n_senders + 1)]
     for host in hosts:

@@ -4,6 +4,8 @@ Unit tests for the fault planner and injector, plus one full ladder run
 (the same thing ``check chaos`` and the CI chaos-smoke job execute).
 """
 
+import sys
+
 import pytest
 
 from repro.check.chaos import (
@@ -15,6 +17,7 @@ from repro.check.chaos import (
     reference_chaos_configs,
     run_chaos,
 )
+from repro.experiments.parallel import run_config
 
 
 class TestPlan:
@@ -45,6 +48,17 @@ class TestInject:
 
     def test_none_action_is_a_noop(self):
         ChaosSpec(plan=(("k", "none"),)).inject("k", attempt=1)
+
+    def test_kill_does_not_outlive_a_run_that_never_collects(self):
+        """The kill fires inside the struck run or not at all: a run that
+        fails before its collect phase takes the hook off on its way out."""
+        ChaosSpec(plan=(("k", "kill"),)).inject("k", attempt=1)
+        try:
+            with pytest.raises(ValueError, match="poisoned"):
+                run_config(PoisonConfig())
+            assert sys.getprofile() is None
+        finally:
+            sys.setprofile(None)
 
 
 class TestPoisonConfig:

@@ -1,12 +1,12 @@
-"""Packet-backend parity with a committed golden fixture, on both cores.
+"""Packet-backend parity with a committed golden fixture.
 
 ``data/packet_golden.json`` was recorded from the commit *before* the
 packet datapath and the per-ACK CC path had their call chains cut (PR 13's
 parent), with ``python tests/experiments/test_packet_golden.py --record``
 run against that tree.  The packet engine is exact, so the bar is
 byte-identity: ``fct_digest`` and ``events_executed`` of every case must
-equal the fixture on ``engine="reference"`` and on ``engine="turbo"``.
-Re-record only for a PR that changes the packet physics on purpose.
+equal the fixture.  Re-record only for a PR that changes the packet physics
+on purpose.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 
 from repro.check.differential import fct_digest
 from repro.experiments import runner, scaled_datacenter, scaled_incast, with_seed
-from repro.experiments.config import ENGINES, FaultConfig, with_engine
+from repro.experiments.config import FaultConfig
 from repro.experiments.parallel import run_config
 from repro.sim.pfc import PfcConfig
 from repro.units import ms
@@ -83,11 +83,11 @@ def _star_pfc(pfc: Optional[PfcConfig]) -> Iterator[None]:
         runner.build_star = original
 
 
-def observe(name: str, engine: str) -> Dict[str, Any]:
-    """Run one case on one core and return what the fixture pins about it."""
+def observe(name: str) -> Dict[str, Any]:
+    """Run one case and return what the fixture pins about it."""
     make_cfg, pfc = CASES[name]
     with _star_pfc(pfc):
-        result = run_config(with_engine(make_cfg(), engine))
+        result = run_config(make_cfg())
     return {
         "fct_digest": fct_digest(result),
         "events_executed": result.events_executed,
@@ -99,10 +99,9 @@ def golden() -> Dict[str, Any]:
     return json.loads(FIXTURE.read_text())
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_matches_parent_commit(name: str, engine: str, golden: Dict[str, Any]) -> None:
-    assert observe(name, engine) == golden[name]
+def test_matches_parent_commit(name: str, golden: Dict[str, Any]) -> None:
+    assert observe(name) == golden[name]
 
 
 def test_special_cases_leave_the_plain_path(golden: Dict[str, Any]) -> None:
@@ -114,10 +113,6 @@ def test_special_cases_leave_the_plain_path(golden: Dict[str, Any]) -> None:
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/experiments/test_packet_golden.py --record")
-    recorded = {}
-    for case in sorted(CASES):
-        recorded[case] = observe(case, "reference")
-        if observe(case, "turbo") != recorded[case]:
-            sys.exit(f"{case}: turbo core disagrees with the reference, not recording")
+    recorded = {case: observe(case) for case in sorted(CASES)}
     FIXTURE.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(CASES)} cases to {FIXTURE}")

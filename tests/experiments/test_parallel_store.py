@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.config import scaled_incast
+from repro.experiments.config import scaled_datacenter, scaled_incast
 from repro.experiments.figures import ALL_FIGURES, fig8
 from repro.experiments.parallel import (
     campaign_for_figures,
@@ -23,6 +23,7 @@ from repro.experiments.parallel import (
 from repro.experiments.store import ResultStore, set_store
 from repro.experiments.sweeps import incast_seed_sweep
 from repro.sim import engine
+from repro.units import ms
 
 
 @pytest.fixture(autouse=True)
@@ -92,6 +93,19 @@ def test_warm_store_across_processes_simulates_nothing(tmp_path):
     outcome = run_campaign([CFG], jobs=1)
     assert outcome.stats.executed == 0
     assert engine.total_events_executed() == before
+
+
+def test_keys_and_store_filenames_do_not_move(tmp_path):
+    """Journals resume and stores replay by key across code versions, so
+    removing a defaulted config field must leave both literals alone
+    (recorded at the commit that still had the ``engine`` field)."""
+    store = ResultStore(tmp_path)
+    incast = scaled_incast("hpcc-vai-sf", 16)
+    trace = scaled_datacenter("hpcc", "hadoop", duration_ns=ms(1.0))
+    assert incast.cache_key() == "cdf93ebc561a447f12de"
+    assert store.path_for(incast).name == "IncastConfig-packet-cdf93ebc561a447f12de.pkl"
+    assert trace.cache_key() == "99ec80d7134fe430b74d"
+    assert store.path_for(trace).name == "DatacenterConfig-packet-99ec80d7134fe430b74d.pkl"
 
 
 @dataclass(frozen=True)

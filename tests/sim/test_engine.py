@@ -123,8 +123,10 @@ class TestRunControl:
         sim.schedule(10.0, out.append, "a")
         sim.schedule(30.0, out.append, "b")
         sim.run(until=20.0)
+        assert sim.now() == 20.0  # exactly ``until``, not the last event's 10.0
         sim.run()
         assert out == ["a", "b"]
+        assert sim.now() == 30.0
 
     def test_max_events_limits_execution(self):
         sim = Simulator()
@@ -175,6 +177,58 @@ class TestRunControl:
             sim.schedule(float(i), lambda: None)
         sim.run()
         assert sim.events_executed == 7
+
+    def test_max_events_exit_does_not_advance_clock_past_pending_head(self):
+        sim = Simulator()
+        log = []
+        for i in range(5):
+            sim.schedule(float(10 * (i + 1)), log.append, i)
+        sim.run(until=1000.0, max_events=2)
+        log.append(("now", sim.now()))
+        log.append(("pending", sim.pending_events))
+        sim.run()
+        assert log == [0, 1, ("now", 20.0), ("pending", 3), 2, 3, 4]
+        assert sim.now() == 50.0  # the unbounded run stops at the last event
+
+    def test_zero_or_negative_max_events_executes_nothing(self):
+        """The loops test the limit after a callback; a budget that is
+        already spent must not buy one more event (or move the clock)."""
+        sim = Simulator()
+        log = []
+        sim.schedule(10.0, log.append, "a")
+        sim.schedule_detached(20.0, log.append, "b")
+        sim.run(max_events=0)
+        sim.run(until=50.0, max_events=-3)
+        log.append(("now", sim.now(), sim.events_executed, sim.pending_events))
+        sim.run(max_events=1)
+        log.append(("now", sim.now(), sim.events_executed, sim.pending_events))
+        assert log == [("now", 0.0, 0, 2), "a", ("now", 10.0, 1, 1)]
+
+    def test_peek_time_between_runs_does_not_reorder(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(100_000.0, log.append, "far")
+        log.append(("peek", sim.peek_time()))
+        sim.schedule(5.0, log.append, "near")
+        sim.run()
+        assert log == [("peek", 100_000.0), "near", "far"]
+
+    def test_exception_in_callback_leaves_simulator_usable(self):
+        def boom():
+            raise RuntimeError("boom")
+
+        sim = Simulator()
+        log = []
+        sim.schedule(1.0, log.append, "a")
+        sim.schedule(2.0, boom)
+        sim.schedule(3.0, log.append, "b")
+        try:
+            sim.run()
+        except RuntimeError:
+            log.append("raised")
+        log.append(("pending", sim.pending_events))
+        sim.run()
+        assert log == ["a", "raised", ("pending", 1), "b"]
 
 
 class TestEngineProperties:
