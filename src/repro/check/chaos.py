@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..experiments import runner as exp_runner
 from ..experiments.config import scaled_incast, with_backend
-from ..experiments.parallel import AnyConfig, run_config
+from ..experiments.parallel import AnyConfig, run_campaign, run_config
 from ..experiments.store import ResultStore, config_key
 from ..experiments.supervisor import (
     STATUS_OK,
@@ -47,7 +47,6 @@ from ..experiments.supervisor import (
     STATUS_SALVAGED,
     RetryPolicy,
     SupervisorConfig,
-    run_supervised,
 )
 from .differential import _isolated_caches, fct_digest
 
@@ -266,8 +265,8 @@ def run_chaos(
         chaos=spec,
     )
     with _isolated_caches(store):
-        outcome = run_supervised(
-            configs + [poison], jobs=jobs, sup=sup, progress=progress
+        outcome = run_campaign(
+            configs + [poison], jobs=jobs, supervisor=sup, progress=progress
         )
         chaos_digests = {
             key: fct_digest(result)
@@ -338,10 +337,10 @@ def run_chaos(
     evicted_before = store.stats.evicted_corrupt
     with _isolated_caches(store), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        healed = run_supervised(
+        healed = run_campaign(
             configs,
             jobs=1,
-            sup=SupervisorConfig(policy=sup.policy, partial_ok=True),
+            supervisor=SupervisorConfig(policy=sup.policy, partial_ok=True),
             progress=progress,
         )
         healed_digest = fct_digest(healed.results[victim.cache_key()])

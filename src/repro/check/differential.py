@@ -7,7 +7,7 @@ performance work leans on that equivalence hard:
   into one but must keep packet spacing, and therefore every output,
   identical;
 * **serial vs. ``--jobs N`` campaigns** — a simulation is a pure function
-  of its config, so pool workers must return exactly what an in-process
+  of its config, so campaign workers must return exactly what an in-process
   run produces;
 * **store-cold vs. store-warm** — a result replayed from the persistent
   store must equal the simulation it skipped;
@@ -201,7 +201,7 @@ def check_fused_vs_unfused(cfg: AnyConfig) -> DifferentialReport:
 
 
 def check_serial_vs_parallel(cfg: AnyConfig, jobs: int = 2) -> DifferentialReport:
-    """A pool worker must return exactly what an in-process run produces."""
+    """A campaign worker must return exactly what an in-process run produces."""
     with _isolated_caches():
         serial = run_campaign([cfg], jobs=1).result_for(cfg)
     with _isolated_caches():

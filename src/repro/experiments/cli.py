@@ -46,7 +46,6 @@ from .runner import drain_incomplete_runs, run_with_retry, set_default_budget
 from .store import ResultStore, set_store
 from .supervisor import (
     CampaignIncomplete,
-    CampaignJournal,
     RetryPolicy,
     SupervisorConfig,
     load_journal,
@@ -125,16 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for the simulation campaign (default: 1)",
-    )
-    parser.add_argument(
-        "--supervise",
-        action="store_true",
         help=(
-            "run the campaign under the fault-tolerant supervisor: worker "
-            "liveness monitoring (hung workers killed and rescheduled), "
-            "transient-error retries with backoff, and quarantine of poison "
-            "configs instead of aborting the sweep"
+            "where the campaign's simulations run: 1 (default) runs them in "
+            "this process; N >= 2 runs them in N supervised worker processes "
+            "(hung or killed workers are replaced and their runs rescheduled)"
         ),
     )
     parser.add_argument(
@@ -153,16 +146,16 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "resume an interrupted campaign from its journal: completed "
             "configs are served from the store, quarantines carry over, and "
-            "only unfinished work re-runs (implies --supervise)"
+            "only unfinished work re-runs"
         ),
     )
     parser.add_argument(
         "--partial-ok",
         action="store_true",
         help=(
-            "finish a supervised campaign even when some configs are "
-            "quarantined or lost, surfacing per-config statuses instead of "
-            "failing the whole invocation"
+            "finish the campaign even when some configs are quarantined or "
+            "lost, surfacing per-config statuses instead of failing the "
+            "whole invocation"
         ),
     )
     parser.add_argument(
@@ -171,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         metavar="N",
         help=(
-            "supervised mode: total attempts per config before it is "
+            "total attempts per config before it is "
             "quarantined (transient errors) or written off (worker losses) "
             "(default: 3)"
         ),
@@ -182,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="S",
         help=(
-            "supervised mode: base delay before re-attempting a failed "
+            "base delay before re-attempting a failed "
             "config; doubles per attempt with deterministic jitter "
             "(default: 0, retry immediately)"
         ),
@@ -279,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "supervised campaigns: write one Chrome-trace shard per "
+            "with --jobs N >= 2: write one Chrome-trace shard per "
             "completed run to DIR (drained from each worker's tracer ring) "
             "and journal their paths; merge with 'obs stitch JOURNAL'"
         ),
@@ -621,7 +614,7 @@ def obs_main(argv: List[str]) -> int:
     top.add_argument(
         "journal",
         metavar="JOURNAL",
-        help="campaign journal written by --supervise --journal PATH",
+        help="campaign journal written by --journal PATH",
     )
     top.add_argument(
         "--once",
@@ -685,7 +678,7 @@ def obs_main(argv: List[str]) -> int:
     sti.add_argument(
         "journal",
         metavar="JOURNAL",
-        help="campaign journal written by --supervise --journal PATH",
+        help="campaign journal written by --journal PATH",
     )
     sti.add_argument(
         "--out",
@@ -900,7 +893,7 @@ def check_main(argv: List[str]) -> int:
         type=int,
         default=2,
         metavar="N",
-        help="supervised worker processes (default: 2)",
+        help="supervised worker processes, at least 2 (default: 2)",
     )
     ch.add_argument(
         "--journal-out",
@@ -976,6 +969,12 @@ def check_main(argv: List[str]) -> int:
         )
         return 0
     if args.verb == "chaos":
+        if args.jobs < 2:
+            # jobs=1 runs attempts in this process: an injected SIGKILL or
+            # hang would strike the harness itself.
+            parser.error(
+                "check chaos injects faults into worker processes: --jobs must be >= 2"
+            )
         import tempfile
 
         from ..check import chaos as check_chaos
@@ -1038,7 +1037,7 @@ def check_main(argv: List[str]) -> int:
 
 
 def _print_supervision(outcome: "Any") -> None:
-    """One status line per supervised campaign + quarantine details."""
+    """One status line per campaign + quarantine details."""
     counts: dict = {}
     for status in outcome.statuses.values():
         counts[status] = counts.get(status, 0) + 1
@@ -1065,8 +1064,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.backend != "packet":
         # Process-wide default: the figure functions spell packet-backend
-        # configs, and the cache boundary rewrites them (pool workers get
-        # the same default via the initializer).
+        # configs, and the cache boundary rewrites them (campaign workers
+        # are started with the same default).
         set_default_backend(args.backend)
         print(f"[backend] running simulations on the [{args.backend}] backend")
     wall_start = time.perf_counter()
@@ -1139,39 +1138,30 @@ def main(argv: Optional[List[str]] = None) -> int:
         def progress(message: str) -> None:
             print(f"[campaign] {message}", flush=True)
 
-    supervised = args.supervise or args.resume is not None
-    supervisor_cfg: Optional[SupervisorConfig] = None
-    plain_journal: Optional[CampaignJournal] = None
-    if supervised:
-        resume_state = None
-        if args.resume is not None:
-            try:
-                resume_state = load_journal(args.resume)
-            except (OSError, ValueError) as exc:
-                print(f"error: cannot resume from {args.resume}: {exc}",
-                      file=sys.stderr)
-                return 2
-        journal_path = args.journal
-        if journal_path is None and args.resume is not None:
-            journal_path = args.resume  # keep appending to the same history
-        supervisor_cfg = SupervisorConfig(
-            policy=RetryPolicy(
-                max_attempts=args.max_attempts, backoff_s=args.retry_backoff
-            ),
-            journal_path=Path(journal_path) if journal_path else None,
-            resume=resume_state,
-            partial_ok=args.partial_ok,
-            trace_shard_dir=Path(args.trace_shards) if args.trace_shards else None,
-            trace_capacity=args.trace_capacity,
-        )
-    elif args.journal is not None:
-        # Unsupervised campaigns still journal the Ctrl-C case so an
-        # interrupted sweep leaves a --resume-able trace behind.
-        plain_journal = CampaignJournal(Path(args.journal))
-    if args.trace_shards is not None and not supervised:
+    resume_state = None
+    if args.resume is not None:
+        try:
+            resume_state = load_journal(args.resume)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot resume from {args.resume}: {exc}",
+                  file=sys.stderr)
+            return 2
+    # Without --journal a resumed campaign keeps appending to the same history.
+    journal_path = args.journal or args.resume
+    supervisor_cfg = SupervisorConfig(
+        policy=RetryPolicy(
+            max_attempts=args.max_attempts, backoff_s=args.retry_backoff
+        ),
+        journal_path=Path(journal_path) if journal_path else None,
+        resume=resume_state,
+        partial_ok=args.partial_ok,
+        trace_shard_dir=Path(args.trace_shards) if args.trace_shards else None,
+        trace_capacity=args.trace_capacity,
+    )
+    if args.trace_shards is not None and args.jobs == 1:
         print(
-            "warning: --trace-shards is drained by the supervisor's workers; "
-            "pass --supervise to collect shards (ignoring)",
+            "warning: --trace-shards is drained by worker processes; "
+            "pass --jobs 2 or more to collect shards (ignoring)",
             file=sys.stderr,
         )
 
@@ -1188,13 +1178,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 budget=budget,
                 progress=progress,
                 supervisor=supervisor_cfg,
-                journal=plain_journal,
             )
         except CampaignIncomplete as exc:
-            # Supervised mode without --partial-ok: the journal and partial
-            # results are intact; figures depending on missing configs fail
-            # individually below.  No serial fallback — re-running poison
-            # serially would just fail again, slower.
+            # Without --partial-ok: the journal and partial results are
+            # intact; figures depending on missing configs fail individually
+            # below.
             outcome = exc.outcome
             print(f"error: {exc}", file=sys.stderr)
             print(f"[campaign] {outcome.stats.summary()}")
@@ -1202,7 +1190,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             exit_code = 1
         except Exception as exc:
             # Figures retry failing runs individually below; the campaign
-            # failing wholesale (e.g. a broken pool) only loses parallelism.
+            # failing wholesale (e.g. workers that cannot be spawned) only
+            # loses parallelism.
             print(
                 f"warning: campaign failed ({type(exc).__name__}: {exc}); "
                 "falling back to serial per-figure runs",
@@ -1210,11 +1199,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         else:
             print(f"[campaign] {outcome.stats.summary()}")
-            if supervised:
-                _print_supervision(outcome)
+            _print_supervision(outcome)
             if args.profile:
-                # Events executed by pool workers happen in other processes;
-                # this counter covers the serial (jobs=1) campaign path.
+                # Events executed by workers happen in other processes; this
+                # counter covers the in-process (jobs=1) campaign.
                 events = engine.total_events_executed() - campaign_events
                 rate = events / outcome.stats.wall_s if outcome.stats.wall_s else 0.0
                 print(
@@ -1251,8 +1239,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"[profile] {kind} {job_id}: events={events} "
                 f"wall={elapsed:.2f}s events/s={rate:,.0f}"
             )
-    if plain_journal is not None:
-        plain_journal.close()
     if store is not None:
         print(f"[store] {store.stats.summary()}")
     incomplete = drain_incomplete_runs()
@@ -1337,7 +1323,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         print(f"[flightrec] {recorder.summary()}")
     if collector is not None:
-        # Pool workers execute their events in other processes; their run
+        # Campaign workers execute their events in other processes; their run
         # records carry the counts, so fold them into the process total.
         events_total = engine.total_events_executed() - events_start
         events_total += sum(
@@ -1375,9 +1361,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"[telemetry] manifest -> {args.telemetry}")
     if sanitizer is not None and exit_code == 0:
         # A violation surfaces above as a failed figure (exit_code 1); the
-        # summary is only meaningful when every checked run survived.  Pool
-        # workers run their own checkers (violations still abort the
-        # campaign), so their counts are not in the parent's tally.
+        # summary is only meaningful when every checked run survived.  Campaign
+        # workers run their own checkers (a violation there quarantines the
+        # config and fails the campaign), so their counts are not in the
+        # parent's tally.
         note = " (+ per-worker checks)" if args.jobs > 1 else ""
         print(f"[sanitize] {sanitizer.summary()}{note}")
     # Leave the process as we found it for in-process callers (tests).

@@ -1,38 +1,35 @@
-"""Parallel experiment campaigns: fan configs across cores, cache by content.
+"""Experiment campaigns: what to run, how one run is wrapped, what comes back.
 
 A *campaign* is the set of simulation configs a figure selection needs.
-:func:`run_campaign` deduplicates them by content key, serves what the
-in-memory LRU or the persistent :mod:`store` already holds, and fans the
-remainder out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
-Results come back to the parent, which seeds the runner's caches — figure
-rendering afterwards is pure cache hits, so the existing sequential figure
-code needs no changes to benefit.
+:func:`run_campaign` is the one way to execute it: the configs are
+deduplicated by content key, what the in-memory LRU or the persistent
+:mod:`store` already holds is served from there, and the remainder goes
+through the task state machine in :mod:`repro.experiments.supervisor`
+(journal, retries, quarantine).  Results come back to the parent, which
+seeds the runner's caches — figure rendering afterwards is pure cache hits,
+so the sequential figure code needs no changes to benefit.
+
+``jobs`` alone decides where an attempt executes: ``jobs=1`` runs it in the
+calling process (nothing is forked, so tracers, profilers and coverage tools
+see the run), ``jobs >= 2`` runs it in supervised worker processes.
 
 Determinism: a simulation is a pure function of its config (every RNG in
 the simulator is seeded from config fields), so a config computed in a
-worker process is byte-identical to one computed serially or replayed from
+worker process is byte-identical to one computed in-process or replayed from
 the store — ``tests/experiments/test_parallel_store.py`` locks this in.
-Workers share nothing: each runs its configs in a fresh interpreter with
-its own seeded RNGs, and per-run watchdog budgets are re-installed in every
-worker by the pool initializer.
 
-``jobs=1`` never spawns a pool — campaigns degrade gracefully to serial
-execution on single-core machines (and under coverage tools that dislike
-forked children).
+This module holds the pieces both sides of the pipe share (the work
+function, the result envelope, the outcome types) and the figure -> config
+registry; the executor itself lives in :mod:`supervisor`.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..check import invariants as check_invariants
-from ..obs import analytics as obs_analytics
-from ..obs import flightrec as obs_flightrec
-from ..obs import telemetry as obs_telemetry
 from ..sim.network import RunBudget
 from .config import (
     DATACENTER_VARIANTS,
@@ -44,30 +41,22 @@ from .config import (
     DatacenterConfig,
     IncastConfig,
     apply_default_backend,
-    get_default_backend,
     paper_datacenter,
     paper_incast,
     scaled_datacenter,
     scaled_incast,
-    set_default_backend,
     with_backend,
 )
-from .runner import (
-    peek_cached,
-    run_datacenter,
-    run_incast,
-    seed_result_caches,
-    set_default_budget,
-)
+from .runner import run_datacenter, run_incast
 
 AnyConfig = Union[IncastConfig, DatacenterConfig]
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; runtime import is lazy
-    from .supervisor import CampaignJournal, SupervisorConfig
+    from .supervisor import SupervisorConfig
 
 
 def run_config(cfg: AnyConfig) -> Any:
-    """Simulate one config (uncached dispatch; the pool's work function).
+    """Simulate one config (uncached dispatch; the campaign's work function).
 
     A config type outside the two built-in families can make itself runnable
     by exposing a ``run_self()`` method — the chaos harness's poison configs
@@ -84,69 +73,14 @@ def run_config(cfg: AnyConfig) -> Any:
     raise TypeError(f"not a runnable config: {type(cfg).__name__}")
 
 
-def _worker_init(
-    budget: Optional[RunBudget],
-    analytics_config: Optional["obs_analytics.AnalyticsConfig"] = None,
-    sanitize: bool = False,
-    default_backend: str = "packet",
-    flightrec: bool = False,
-) -> None:
-    """Pool initializer: re-install the parent's watchdog and analytics.
-
-    Live analytics is a per-process switch; without this, pool runs would
-    silently come back without streaming summaries while serial runs carry
-    them.  The worker's aggregator itself is discarded — the per-run
-    summary rides home on the result object and the parent re-records it.
-
-    The sanitizer is likewise per-process: when the parent runs with
-    ``--sanitize``, every worker gets its own checker so a violation in a
-    pool run raises in the worker and surfaces through the future exactly
-    like any other run failure.
-
-    The flight recorder follows the analytics pattern: the worker's
-    recorder dies with the worker, the finalized run section rides home on
-    the result object, and the parent re-adopts it.
-    """
-    set_default_budget(budget)
-    set_default_backend(default_backend)
-    if analytics_config is not None:
-        obs_analytics.enable(analytics_config)
-    if sanitize:
-        check_invariants.enable()
-    if flightrec:
-        obs_flightrec.enable()
-
-
-def _describe(cfg: Any) -> str:
-    """Progress label for a config (anything with cache_key() is runnable)."""
-    describe = getattr(cfg, "describe", None)
-    return describe() if callable(describe) else type(cfg).__name__
-
-
-def _analytics_suffix(live: Optional[Dict[str, Any]]) -> str:
-    """Compact live-analytics fields for a campaign heartbeat line."""
-    if not live:
-        return ""
-    conv = live.get("convergence_ns")
-    parts = [
-        f"jain={live.get('jain', float('nan')):.3f}",
-        f"conv={conv / 1e6:.3f}ms" if conv is not None else "conv=-",
-    ]
-    slowdown = live.get("slowdown") or {}
-    p999 = slowdown.get("p999_slowdown")
-    if p999 is not None:
-        parts.append(f"p999-slowdown={p999:.2f}")
-    return " [" + " ".join(parts) + "]"
-
-
 @dataclass
 class RunEnvelope:
-    """A worker's result plus the per-run telemetry the parent reports.
+    """One attempt's result plus the provenance the campaign reports.
 
     Workers never enable telemetry themselves (the collector is a parent-
-    process object); instead every pool task comes back wrapped in one of
-    these so the parent can attribute wall time, event count, and worker
-    pid without a second communication channel.
+    process object); every attempt comes back wrapped in one of these so the
+    parent can attribute wall time, event count and executing pid without a
+    second communication channel.
     """
 
     result: Any
@@ -156,7 +90,7 @@ class RunEnvelope:
 
 
 def _run_config_timed(cfg: AnyConfig) -> RunEnvelope:
-    """Pool work function: simulate and wrap with timing provenance."""
+    """Campaign work function: simulate and wrap with timing provenance."""
     t0 = time.perf_counter()
     result = run_config(cfg)
     return RunEnvelope(
@@ -169,11 +103,7 @@ def _run_config_timed(cfg: AnyConfig) -> RunEnvelope:
 
 @dataclass
 class CampaignStats:
-    """What one campaign did: cache effectiveness and parallel speed.
-
-    The supervision counters (``retried`` onward) stay zero on the plain
-    pool path; the fault-tolerant supervisor fills them in.
-    """
+    """What one campaign did: cache effectiveness, speed and supervision."""
 
     requested: int = 0  # configs asked for, duplicates included
     unique: int = 0  # after content-key dedup
@@ -216,8 +146,7 @@ class CampaignOutcome:
     """Results keyed by config content key, plus stats and any failures.
 
     ``statuses`` maps every unique config key to its final per-config state
-    (``ok``/``retried``/``salvaged``/``quarantined``/``lost``) when the
-    campaign ran under the supervisor; the plain pool path leaves it empty.
+    (``ok``/``retried``/``salvaged``/``quarantined``/``lost``);
     ``quarantines`` carries the replayable reports for poison configs.
     """
 
@@ -231,203 +160,37 @@ class CampaignOutcome:
         return self.results[cfg.cache_key()]
 
 
-def _announce(progress: Optional[Callable[[str], None]], message: str) -> None:
-    """One live progress line: to the caller's sink and the telemetry log."""
-    if progress is not None:
-        progress(message)
-    tel = obs_telemetry.TELEMETRY
-    if tel is not None:
-        tel.heartbeat(message)
-
-
 def run_campaign(
     configs: Sequence[AnyConfig],
     *,
     jobs: int = 1,
     budget: Optional[RunBudget] = None,
-    salvage: bool = False,
     progress: Optional[Callable[[str], None]] = None,
     supervisor: Optional["SupervisorConfig"] = None,
-    journal: Optional["CampaignJournal"] = None,
 ) -> CampaignOutcome:
     """Run every config, each exactly once, using caches then ``jobs`` cores.
 
     Cache tiers are consulted in the parent only (workers always simulate);
-    every fresh result is written back through :func:`seed_result_caches`,
-    so a second campaign over the same configs executes nothing.
+    every fresh result is written back through the runner's caches, so a
+    second campaign over the same configs executes nothing.
 
-    With ``salvage=True`` a config whose run raises is reported on the
-    outcome's ``failures`` instead of aborting the campaign — sweeps use
-    this so one pathological seed cannot waste the other workers' results.
-
-    With ``supervisor`` set the campaign is delegated wholesale to
-    :func:`repro.experiments.supervisor.run_supervised`, which adds worker
-    liveness monitoring, retry/backoff, quarantine, and journaled resume
-    (``salvage`` is subsumed by the supervisor's ``partial_ok``).  Without
-    it, an optional ``journal`` still records an ``interrupted`` event if
-    the campaign dies on Ctrl-C, so even unsupervised campaigns leave a
-    resumable trace.
+    ``jobs=1`` attempts each config in the calling process; ``jobs >= 2``
+    hands attempts to that many supervised workers.  Either way a config
+    whose run raises is retried or quarantined per ``supervisor.policy``
+    and the campaign ends in :class:`~.supervisor.CampaignIncomplete`
+    (carrying every partial result) unless ``supervisor.partial_ok`` is
+    set.  ``supervisor=None`` means ``SupervisorConfig()``; see
+    :func:`repro.experiments.supervisor.run_supervised`, which this calls.
 
     ``progress`` receives one human-readable line per completed (or failed)
     run, plus a campaign header; the same lines land in the telemetry
     collector's heartbeat log when telemetry is enabled.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if supervisor is not None:
-        from .supervisor import run_supervised
+    from .supervisor import run_supervised  # supervisor imports this module
 
-        return run_supervised(
-            configs, jobs=jobs, budget=budget, progress=progress, sup=supervisor
-        )
-    start = time.perf_counter()
-    stats = CampaignStats(requested=len(configs), jobs=jobs)
-    unique: Dict[str, AnyConfig] = {}
-    for cfg in configs:
-        unique.setdefault(cfg.cache_key(), cfg)
-    stats.unique = len(unique)
-
-    results: Dict[str, Any] = {}
-    failures: List[Tuple[str, str]] = []
-    pending: List[AnyConfig] = []
-    for key, cfg in unique.items():
-        cached = peek_cached(cfg)
-        if cached is not None:
-            results[key] = cached
-            stats.cached += 1
-        else:
-            pending.append(cfg)
-
-    if pending:
-        _announce(
-            progress,
-            f"campaign: {stats.unique} unique config(s), {stats.cached} cached, "
-            f"{len(pending)} to simulate (jobs={jobs})",
-        )
-        if jobs == 1:
-            futures = [(cfg, None) for cfg in pending]
-            pool = None
-        else:
-            parent_agg = obs_analytics.ANALYTICS
-            pool = ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending)),
-                initializer=_worker_init,
-                initargs=(
-                    budget,
-                    parent_agg.config if parent_agg is not None else None,
-                    check_invariants.CHECKER is not None,
-                    get_default_backend(),
-                    obs_flightrec.RECORDER is not None,
-                ),
-            )
-            futures = [(cfg, pool.submit(_run_config_timed, cfg)) for cfg in pending]
-        done = 0
-        try:
-            for cfg, future in futures:
-                try:
-                    if future is None:
-                        # Serial path runs in-parent; the runner itself
-                        # records the run when telemetry is on, so only the
-                        # pool path reports envelopes (no double-counting).
-                        result = run_config(cfg)
-                        envelope = None
-                    else:
-                        envelope = future.result()
-                        result = envelope.result
-                except Exception as exc:
-                    done += 1
-                    _announce(
-                        progress,
-                        f"[{done}/{len(pending)}] {_describe(cfg)} "
-                        f"FAILED: {type(exc).__name__}: {exc}",
-                    )
-                    if not salvage:
-                        raise
-                    failures.append(
-                        (cfg.cache_key(), f"{type(exc).__name__}: {exc}")
-                    )
-                    continue
-                seed_result_caches(cfg, result)
-                results[cfg.cache_key()] = result
-                stats.executed += 1
-                done += 1
-                live = getattr(result, "analytics", None)
-                if envelope is not None and live is not None:
-                    # The worker's aggregator died with the worker; re-record
-                    # the summary that rode home on the result object.
-                    agg = obs_analytics.ANALYTICS
-                    if agg is not None:
-                        agg.record(
-                            "incast" if isinstance(cfg, IncastConfig) else "datacenter",
-                            _describe(cfg),
-                            live,
-                        )
-                frun = getattr(result, "flightrec", None)
-                if envelope is not None and frun is not None:
-                    # Same shipping pattern as analytics: the worker's
-                    # recorder is gone, so adopt the section it finalized.
-                    rec = obs_flightrec.RECORDER
-                    if rec is not None:
-                        rec.adopt_run(frun)
-                if envelope is None:
-                    _announce(progress, f"[{done}/{len(pending)}] {_describe(cfg)} done")
-                else:
-                    tel = obs_telemetry.TELEMETRY
-                    if tel is not None:
-                        status = getattr(result, "status", None)
-                        tel.record_run(
-                            "incast" if isinstance(cfg, IncastConfig) else "datacenter",
-                            _describe(cfg),
-                            wall_s=envelope.wall_s,
-                            events=envelope.events,
-                            completed=bool(status) if status is not None else True,
-                            pid=envelope.pid,
-                        )
-                    _announce(
-                        progress,
-                        f"[{done}/{len(pending)}] {_describe(cfg)} done in "
-                        f"{envelope.wall_s:.2f}s ({envelope.events} events, "
-                        f"pid {envelope.pid})" + _analytics_suffix(live),
-                    )
-        except KeyboardInterrupt:
-            # Ctrl-C must not leave orphaned workers grinding on, and the
-            # journal (when one is attached) must land on disk before the
-            # interrupt propagates — that file is what --resume reads.
-            not_done = []
-            for pending_cfg, pending_future in futures:
-                key = pending_cfg.cache_key()
-                if key in results:
-                    continue
-                if pending_future is not None:
-                    pending_future.cancel()
-                not_done.append(key)
-            if pool is not None:
-                for proc in list(getattr(pool, "_processes", {}).values()):
-                    proc.terminate()
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = None
-            if journal is not None:
-                journal.append(
-                    "interrupted", pending=not_done, completed=len(results)
-                )
-            raise
-        finally:
-            if pool is not None:
-                pool.shutdown()
-
-    stats.wall_s = time.perf_counter() - start
-    tel = obs_telemetry.TELEMETRY
-    if tel is not None:
-        tel.record_campaign(
-            requested=stats.requested,
-            unique=stats.unique,
-            cached=stats.cached,
-            executed=stats.executed,
-            jobs=stats.jobs,
-            wall_s=stats.wall_s,
-            failures=len(failures),
-        )
-    return CampaignOutcome(results=results, stats=stats, failures=failures)
+    return run_supervised(
+        configs, jobs=jobs, budget=budget, progress=progress, sup=supervisor
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,32 @@
-"""Fault-tolerant campaign supervision: liveness, retries, journaling.
+"""The campaign executor: task state machine, supervised workers, journaling.
 
-:func:`run_supervised` runs the same content-keyed campaigns as
-:func:`repro.experiments.parallel.run_campaign`, but owns its worker
-processes instead of delegating to a ``ProcessPoolExecutor``, which lets
-it survive every failure mode a pool cannot:
+:func:`run_supervised` is what :func:`repro.experiments.parallel.run_campaign`
+calls, and the only way a campaign executes.  Every unique config is a task
+that goes through the same state machine — content-key dedup, cache peek,
+``attempt`` / ``done`` / ``fail`` / ``quarantine`` journal records,
+:class:`RetryPolicy`, a final per-config status — and ``jobs`` alone
+decides where an attempt runs:
 
-* **Worker loss** — a worker SIGKILLed (OOM killer, operator, chaos
-  harness) mid-task is detected via its process sentinel; the task is
-  rescheduled on a fresh worker and counted toward the config's attempt
-  budget.  A config that eventually succeeds this way is ``salvaged``.
-* **Hangs** — workers heartbeat over their pipe while simulating; a busy
-  worker silent past the stall deadline (derived from the
-  :class:`~repro.sim.network.RunBudget` when one is set) is SIGKILLed and
-  its task rescheduled.  This backstops the in-worker watchdog, which
-  cannot fire if the worker is wedged below Python (or never started).
+* ``jobs == 1``: in the calling process.  Nothing is forked, so the tracer,
+  phase profiler, sanitizer and ``total_events_executed()`` see the run,
+  and the runner's own in-process telemetry / analytics / flight-recorder
+  records are the only ones (the campaign adds no second copy).  There is
+  no heartbeat and no stall kill: nothing outside the process is watching.
+* ``jobs >= 2``: in worker processes this module owns, which lets the
+  campaign survive what an in-process attempt cannot:
+
+  * **Worker loss** — a worker SIGKILLed (OOM killer, operator, chaos
+    harness) mid-task is detected via its process sentinel; the task is
+    rescheduled on a fresh worker and counted toward the config's attempt
+    budget.  A config that eventually succeeds this way is ``salvaged``.
+  * **Hangs** — workers heartbeat over their pipe while simulating; a busy
+    worker silent past the stall deadline (derived from the
+    :class:`~repro.sim.network.RunBudget` when one is set) is SIGKILLed
+    and its task rescheduled.  This backstops the in-worker watchdog,
+    which cannot fire if the worker is wedged below Python.
+
+Both modes share the rest:
+
 * **Transient errors** — a :class:`RetryPolicy` classifies failures by
   exception type; transient ones are retried with exponential backoff and
   deterministic jitter (derived from the config key, so two supervisors
@@ -54,19 +67,15 @@ from ..obs import registry as obs_registry
 from ..obs import telemetry as obs_telemetry
 from ..obs import tracer as obs_tracer
 from ..sim.network import RunBudget
-from .config import IncastConfig
-from .parallel import (
-    AnyConfig,
-    CampaignOutcome,
-    CampaignStats,
-    _announce,
-    _analytics_suffix,
-    _describe,
-    _run_config_timed,
-    _worker_init,
+from .config import IncastConfig, get_default_backend, set_default_backend
+from .parallel import AnyConfig, CampaignOutcome, CampaignStats, _run_config_timed
+from .runner import (
+    get_default_budget,
+    peek_cached,
+    seed_result_caches,
+    set_default_budget,
 )
-from .runner import peek_cached, seed_result_caches
-from .store import canonical_config_repr
+from .store import canonical_config_repr, code_fingerprint
 
 __all__ = [
     "CampaignJournal",
@@ -86,6 +95,37 @@ STATUS_QUARANTINED = "quarantined"  # written off as poison; replayable report
 STATUS_LOST = "lost"  # no result, not poison (worker loss budget / interrupt)
 
 TERMINAL_STATUSES = (STATUS_OK, STATUS_RETRIED, STATUS_SALVAGED, STATUS_QUARANTINED)
+
+
+def _describe(cfg: Any) -> str:
+    """Progress label for a config (anything with cache_key() is runnable)."""
+    describe = getattr(cfg, "describe", None)
+    return describe() if callable(describe) else type(cfg).__name__
+
+
+def _analytics_suffix(live: Optional[Dict[str, Any]]) -> str:
+    """Compact live-analytics fields for a campaign heartbeat line."""
+    if not live:
+        return ""
+    conv = live.get("convergence_ns")
+    parts = [
+        f"jain={live.get('jain', float('nan')):.3f}",
+        f"conv={conv / 1e6:.3f}ms" if conv is not None else "conv=-",
+    ]
+    slowdown = live.get("slowdown") or {}
+    p999 = slowdown.get("p999_slowdown")
+    if p999 is not None:
+        parts.append(f"p999-slowdown={p999:.2f}")
+    return " [" + " ".join(parts) + "]"
+
+
+def _announce(progress: Optional[Callable[[str], None]], message: str) -> None:
+    """One live progress line: to the caller's sink and the telemetry log."""
+    if progress is not None:
+        progress(message)
+    tel = obs_telemetry.TELEMETRY
+    if tel is not None:
+        tel.heartbeat(message)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +352,7 @@ HEARTBEAT_INTERVAL_S = 0.25
 def _worker_main(
     conn: connection.Connection,
     budget: Optional[RunBudget],
+    default_backend: str,
     analytics_config: Any,
     sanitize: bool,
     chaos: Any,
@@ -320,6 +361,14 @@ def _worker_main(
     flightrec: bool = False,
 ) -> None:
     """Supervised worker loop: receive configs, heartbeat while running.
+
+    The per-process switches are re-installed from the parent's first: the
+    watchdog budget, the default backend (so unstamped configs simulate on
+    the backend their key was computed for), live analytics, the sanitizer
+    (a violation raises here and comes home as an ``err`` like any other
+    failure) and the flight recorder.  The worker's aggregator and recorder
+    die with it — the per-run summary and the finalized run section ride
+    home on the result object and the parent re-records them.
 
     The heartbeat thread starts *after* chaos injection so an injected
     hang looks to the parent exactly like a wedged worker (silence), not
@@ -330,7 +379,14 @@ def _worker_main(
     import threading
     import traceback
 
-    _worker_init(budget, analytics_config, sanitize, flightrec=flightrec)
+    set_default_budget(budget)
+    set_default_backend(default_backend)
+    if analytics_config is not None:
+        obs_analytics.enable(analytics_config)
+    if sanitize:
+        check_invariants.enable()
+    if flightrec:
+        obs_flightrec.enable()
     if trace_capacity:
         # Per-worker trace shard: the ring drains into each "ok" reply so
         # the parent can persist one Chrome-trace shard per run for
@@ -403,10 +459,12 @@ def _worker_main(
 class SupervisorConfig:
     """Knobs for :func:`run_supervised` beyond the plain campaign ones.
 
-    ``stall_timeout_s=None`` derives the deadline: generous multiples of
-    the heartbeat interval, widened to clear the per-run wall-clock
-    budget (the in-worker watchdog must get first shot at a slow run;
-    the supervisor's SIGKILL is the backstop for wedged processes).
+    The liveness, chaos and trace-shard knobs act on worker processes, so
+    they apply to ``jobs >= 2`` only.  ``stall_timeout_s=None`` derives the
+    deadline: generous multiples of the heartbeat interval, widened to
+    clear the per-run wall-clock budget (the in-worker watchdog must get
+    first shot at a slow run; the supervisor's SIGKILL is the backstop for
+    wedged processes).
     """
 
     policy: RetryPolicy = field(default_factory=RetryPolicy)
@@ -449,7 +507,7 @@ class SupervisorConfig:
 
 
 class CampaignIncomplete(RuntimeError):
-    """A supervised campaign finished with quarantined/lost configs and
+    """A campaign finished with quarantined/lost configs and
     ``partial_ok`` was not set.  The outcome (with every partial result)
     rides on the exception."""
 
@@ -506,6 +564,7 @@ def _spawn_worker(budget: Optional[RunBudget], sup: SupervisorConfig) -> _Worker
         args=(
             child_conn,
             budget,
+            get_default_backend(),
             parent_agg.config if parent_agg is not None else None,
             check_invariants.CHECKER is not None,
             sup.chaos,
@@ -528,7 +587,8 @@ def run_supervised(
     progress: Optional[Callable[[str], None]] = None,
     sup: Optional[SupervisorConfig] = None,
 ) -> CampaignOutcome:
-    """Run a campaign under full supervision; see the module docstring.
+    """Run a campaign; see the module docstring (``sup=None`` is the default
+    :class:`SupervisorConfig`).
 
     Returns a :class:`~repro.experiments.parallel.CampaignOutcome` whose
     ``statuses`` has an entry for every unique config.  Raises
@@ -541,6 +601,12 @@ def run_supervised(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     sup = sup or SupervisorConfig()
+    in_process = jobs == 1
+    if in_process and sup.chaos is not None:
+        raise ValueError(
+            "chaos injection needs worker processes (jobs >= 2): with jobs=1 "
+            "an injected kill or hang would strike the calling process"
+        )
     start = time.perf_counter()
     stats = CampaignStats(requested=len(configs), jobs=jobs)
     unique: Dict[str, AnyConfig] = {}
@@ -561,17 +627,18 @@ def run_supervised(
         if journal is not None:
             journal.append(event, **fields)
 
-    from .store import code_fingerprint
-
-    record(
-        "campaign",
-        version=JOURNAL_VERSION,
-        fingerprint=code_fingerprint(),
-        jobs=jobs,
-        requested=stats.requested,
-        unique=stats.unique,
-        resumed_from=str(sup.resume.path) if sup.resume is not None else None,
-    )
+    if journal is not None:
+        # Hashing the source tree is paid only where the fingerprint is
+        # used: here and in the resume comparison below.
+        journal.append(
+            "campaign",
+            version=JOURNAL_VERSION,
+            fingerprint=code_fingerprint(),
+            jobs=jobs,
+            requested=stats.requested,
+            unique=stats.unique,
+            resumed_from=str(sup.resume.path) if sup.resume is not None else None,
+        )
 
     resume = sup.resume
     if resume is not None and resume.fingerprint not in (None, code_fingerprint()):
@@ -622,6 +689,7 @@ def run_supervised(
     runtime_deadline = sup.runtime_deadline(budget)
     outstanding = len(pending)
     workers: List[_Worker] = []
+    running: Optional[_Task] = None  # the in-process attempt, if one is underway
     done_count = 0
     total_to_run = outstanding
 
@@ -689,6 +757,8 @@ def run_supervised(
         )
 
     def handle_success(task: _Task, envelope: Any, shard: Any = None) -> None:
+        """Adopt one attempt's result; for a worker's, also re-record what
+        the runner recorded in that (now unreachable) process."""
         nonlocal outstanding, done_count
         result = envelope.result
         seed_result_caches(task.cfg, result)
@@ -727,31 +797,26 @@ def run_supervised(
         write_shard(task, envelope, shard)
         outstanding -= 1
         done_count += 1
-        agg = obs_analytics.ANALYTICS
-        if agg is not None and live is not None:
-            agg.record(
-                "incast" if isinstance(task.cfg, IncastConfig) else "datacenter",
-                _describe(task.cfg),
-                live,
-            )
-        frun = getattr(result, "flightrec", None)
-        if frun is not None:
-            # Worker's recorder died with the worker; adopt the finalized
-            # run section that rode home on the result (analytics pattern).
+        if not in_process:
+            kind = "incast" if isinstance(task.cfg, IncastConfig) else "datacenter"
+            agg = obs_analytics.ANALYTICS
+            if agg is not None and live is not None:
+                agg.record(kind, _describe(task.cfg), live)
+            frun = getattr(result, "flightrec", None)
             rec = obs_flightrec.RECORDER
-            if rec is not None:
+            if rec is not None and frun is not None:
                 rec.adopt_run(frun)
-        tel = obs_telemetry.TELEMETRY
-        if tel is not None:
-            run_status = getattr(result, "status", None)
-            tel.record_run(
-                "incast" if isinstance(task.cfg, IncastConfig) else "datacenter",
-                _describe(task.cfg),
-                wall_s=envelope.wall_s,
-                events=envelope.events,
-                completed=bool(run_status) if run_status is not None else True,
-                pid=envelope.pid,
-            )
+            tel = obs_telemetry.TELEMETRY
+            if tel is not None:
+                run_status = getattr(result, "status", None)
+                tel.record_run(
+                    kind,
+                    _describe(task.cfg),
+                    wall_s=envelope.wall_s,
+                    events=envelope.events,
+                    completed=bool(run_status) if run_status is not None else True,
+                    pid=envelope.pid,
+                )
         suffix = "" if status == STATUS_OK else f" [{status}]"
         _announce(
             progress,
@@ -783,25 +848,48 @@ def run_supervised(
         task.not_before = time.monotonic() + delay
         pending.append(task)
 
+    def drain(worker: _Worker) -> None:
+        """Handle everything ``worker`` has sent (raises EOFError/OSError
+        when the pipe is gone)."""
+        while worker.conn.poll():
+            message = worker.conn.recv()
+            worker.last_seen = time.monotonic()
+            kind, task = message[0], worker.task
+            if task is None or message[1] != task.key:
+                continue  # nothing in flight to attribute it to
+            if kind == "hb":
+                tel = obs_telemetry.TELEMETRY
+                if tel is not None:
+                    tel.heartbeat(
+                        f"worker pid {message[2]} alive on {_describe(task.cfg)}"
+                    )
+                reg = obs_registry.STATS
+                if reg is not None:
+                    reg.counter("campaign.heartbeats").inc()
+                # Flushed but not fsync'd: advisory liveness for `obs top`,
+                # cheap to lose.
+                record(
+                    "hb",
+                    _sync=False,
+                    key=task.key,
+                    pid=message[2],
+                    desc=_describe(task.cfg),
+                )
+            elif kind == "ok":
+                worker.task = None
+                handle_success(task, message[3], message[4])
+            elif kind == "err":
+                worker.task = None
+                handle_error(task, message[3], message[4])
+
     def handle_worker_down(worker: _Worker, *, killed: bool) -> None:
         """Reap a dead (or just-killed) worker, draining its final sends."""
-        task = worker.task
         # The worker may have sent its result and then died: drain first.
         try:
-            while worker.conn.poll():
-                message = worker.conn.recv()
-                if message[0] == "ok" and task is not None and message[1] == task.key:
-                    worker.task = None
-                    handle_success(
-                        task, message[3], message[4] if len(message) > 4 else None
-                    )
-                    task = None
-                elif message[0] == "err" and task is not None and message[1] == task.key:
-                    worker.task = None
-                    handle_error(task, message[3], message[4])
-                    task = None
+            drain(worker)
         except (EOFError, OSError):
             pass
+        task = worker.task
         worker.kill()
         workers.remove(worker)
         if task is not None:
@@ -837,10 +925,42 @@ def run_supervised(
             round(outstanding / rate, 3) if rate > 0 else 0.0
         )
 
+    def begin_attempt(task: _Task, pid: int) -> None:
+        pending.remove(task)
+        task.attempts += 1
+        record(
+            "attempt",
+            key=task.key,
+            attempt=task.attempts,
+            pid=pid,
+            desc=_describe(task.cfg),
+        )
+
+    def attempt_in_process(task: _Task) -> None:
+        """``jobs == 1``: one attempt, here, under the same bookkeeping."""
+        nonlocal running
+        begin_attempt(task, os.getpid())
+        process_budget = get_default_budget()
+        if budget is not None:
+            set_default_budget(budget)
+        running = task
+        try:
+            outcome: Any = _run_config_timed(task.cfg)
+        except Exception as exc:
+            # An interrupt passes through, leaving ``running`` for the journal.
+            outcome = exc
+        finally:
+            set_default_budget(process_budget)
+        running = None
+        if isinstance(outcome, Exception):
+            handle_error(task, type(outcome).__name__, str(outcome))
+        else:
+            handle_success(task, outcome)
+
     if outstanding:
         _announce(
             progress,
-            f"supervised campaign: {stats.unique} unique config(s), "
+            f"campaign: {stats.unique} unique config(s), "
             f"{stats.cached} cached, {outstanding} to simulate "
             f"(jobs={jobs}, max_attempts={sup.policy.max_attempts})",
         )
@@ -848,9 +968,14 @@ def run_supervised(
         while outstanding > 0:
             update_campaign_gauges()
             now = time.monotonic()
-            # Dispatch every eligible task to an idle (spawning if needed)
-            # worker.  Tasks in backoff stay queued.
+            # Tasks in backoff stay queued.
             eligible = [t for t in pending if t.not_before <= now]
+            if in_process and eligible:
+                attempt_in_process(eligible[0])
+                continue
+            # Dispatch every eligible task to an idle (spawning if needed)
+            # worker.  (In-process there are no workers and nothing eligible:
+            # the no-busy branch below sleeps out the backoff.)
             for task in eligible:
                 worker = next((w for w in workers if not w.busy), None)
                 if worker is None and len(workers) < jobs:
@@ -858,18 +983,10 @@ def run_supervised(
                     workers.append(worker)
                 if worker is None:
                     break
-                pending.remove(task)
-                task.attempts += 1
+                begin_attempt(task, worker.proc.pid)
                 worker.task = task
                 worker.last_seen = now
                 worker.dispatched_at = now
-                record(
-                    "attempt",
-                    key=task.key,
-                    attempt=task.attempts,
-                    pid=worker.proc.pid,
-                    desc=_describe(task.cfg),
-                )
                 try:
                     worker.conn.send(("run", task.key, task.cfg, task.attempts))
                 except (OSError, ValueError):
@@ -895,42 +1012,7 @@ def run_supervised(
             for worker in list(busy):
                 if worker.conn in ready:
                     try:
-                        while worker.conn.poll():
-                            message = worker.conn.recv()
-                            worker.last_seen = time.monotonic()
-                            kind = message[0]
-                            if kind == "hb":
-                                tel = obs_telemetry.TELEMETRY
-                                if tel is not None and worker.task is not None:
-                                    tel.heartbeat(
-                                        f"worker pid {message[2]} alive on "
-                                        f"{_describe(worker.task.cfg)}"
-                                    )
-                                reg = obs_registry.STATS
-                                if reg is not None:
-                                    reg.counter("campaign.heartbeats").inc()
-                                if worker.task is not None:
-                                    # Flushed but not fsync'd: advisory
-                                    # liveness for `obs top`, cheap to lose.
-                                    record(
-                                        "hb",
-                                        _sync=False,
-                                        key=worker.task.key,
-                                        pid=message[2],
-                                        desc=_describe(worker.task.cfg),
-                                    )
-                            elif kind == "ok":
-                                task, worker.task = worker.task, None
-                                if task is not None:
-                                    handle_success(
-                                        task,
-                                        message[3],
-                                        message[4] if len(message) > 4 else None,
-                                    )
-                            elif kind == "err":
-                                task, worker.task = worker.task, None
-                                if task is not None:
-                                    handle_error(task, message[3], message[4])
+                        drain(worker)
                     except (EOFError, OSError):
                         handle_worker_down(worker, killed=False)
                         continue
@@ -962,6 +1044,8 @@ def run_supervised(
                     handle_worker_down(worker, killed=True)
     except KeyboardInterrupt:
         in_flight = [w.task.key for w in workers if w.task is not None]
+        if running is not None:
+            in_flight.append(running.key)
         still_pending = [t.key for t in pending]
         for key in in_flight + still_pending:
             statuses.setdefault(key, STATUS_LOST)

@@ -80,14 +80,18 @@ class SweepOutcome(Dict[str, Aggregate]):
 def _prefetch_parallel(configs: Sequence[object], jobs: int) -> None:
     """Warm the result caches for ``configs`` using ``jobs`` processes.
 
-    Best-effort (``salvage=True``): a config that fails here is simply
-    re-attempted serially by ``salvage_runs``, which owns retry/reporting.
+    Best-effort (one attempt, ``partial_ok``): a config that fails here is
+    simply re-attempted serially by ``salvage_runs``, which owns
+    retry/reporting.
     """
     if jobs <= 1:
         return
-    from .parallel import run_campaign  # local: avoid import cycle at module load
+    # local: avoid import cycle at module load
+    from .parallel import run_campaign
+    from .supervisor import RetryPolicy, SupervisorConfig
 
-    run_campaign(list(configs), jobs=jobs, salvage=True)
+    best_effort = SupervisorConfig(policy=RetryPolicy(max_attempts=1), partial_ok=True)
+    run_campaign(list(configs), jobs=jobs, supervisor=best_effort)
 
 
 def incast_seed_sweep(

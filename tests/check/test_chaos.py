@@ -75,6 +75,16 @@ class TestLadder:
         with pytest.raises(ValueError, match="n_configs must be >="):
             run_chaos(store_dir=str(tmp_path), n_configs=2)
 
+    def test_jobs1_rejected_before_any_fault_can_strike_the_caller(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="needs worker processes"):
+            run_chaos(store_dir=str(tmp_path), jobs=1)
+        from repro.experiments.cli import check_main
+
+        with pytest.raises(SystemExit) as exc_info:
+            check_main(["chaos", "--jobs", "1"])
+        assert exc_info.value.code == 2
+        assert "--jobs must be >= 2" in capsys.readouterr().err
+
     def test_reference_configs_are_distinct(self):
         configs = reference_chaos_configs(4)
         assert len({cfg.cache_key() for cfg in configs}) == 4

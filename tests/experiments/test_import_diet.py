@@ -3,8 +3,10 @@
 scipy, networkx and http.server each have exactly one user (the fig-4 ODE
 cross-check, the device-graph helper and its no-path error, the
 ``--metrics-port`` server); they are imported there, so every CLI start,
-pool worker and ledger child skips ~900 modules.  A module-level import
-sneaking back in fails this test, not a benchmark three PRs later.
+campaign worker and ledger child skips ~900 modules.  ``concurrent.futures``
+has no user at all since the supervisor became the only campaign executor.
+A module-level import sneaking back in fails this test, not a benchmark
+three PRs later.
 """
 
 import os
@@ -18,7 +20,8 @@ import sys
 
 import repro.experiments.cli
 
-loaded = [m for m in ("scipy", "networkx", "http.server") if m in sys.modules]
+forbidden = ("scipy", "networkx", "http.server", "concurrent.futures")
+loaded = [m for m in forbidden if m in sys.modules]
 assert not loaded, f"imported at CLI start: {loaded}"
 
 # The lazy users still work when called.

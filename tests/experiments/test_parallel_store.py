@@ -1,18 +1,26 @@
 """Campaign-layer tests: parallel execution, store integration, determinism.
 
 The load-bearing guarantee: a simulation result is identical whether the
-config runs serially in-process, in a pool worker, or is replayed from the
+config runs in the calling process, in a campaign worker, or is replayed from the
 persistent store — so the campaign layer can be used freely without ever
 changing the science.
 """
 
+import json
+import os
 import pickle
 from dataclasses import dataclass
 
 import pytest
 
+from repro.check import invariants as check_invariants
+from repro.check.differential import fct_digest
 from repro.experiments import runner
-from repro.experiments.config import scaled_datacenter, scaled_incast
+from repro.experiments.config import (
+    scaled_datacenter,
+    scaled_incast,
+    set_default_backend,
+)
 from repro.experiments.figures import ALL_FIGURES, fig8
 from repro.experiments.parallel import (
     campaign_for_figures,
@@ -21,8 +29,17 @@ from repro.experiments.parallel import (
     run_config,
 )
 from repro.experiments.store import ResultStore, set_store
+from repro.experiments.supervisor import (
+    STATUS_OK,
+    STATUS_QUARANTINED,
+    CampaignIncomplete,
+    RetryPolicy,
+    SupervisorConfig,
+)
 from repro.experiments.sweeps import incast_seed_sweep
+from repro.obs import tracer as obs_tracer
 from repro.sim import engine
+from repro.sim.network import RunBudget
 from repro.units import ms
 
 
@@ -116,17 +133,90 @@ class _NotRunnable:
         return f"not-runnable-{self.x}"
 
 
-def test_salvage_reports_failures_instead_of_raising():
-    outcome = run_campaign([_NotRunnable(), CFG], jobs=1, salvage=True)
+def test_partial_ok_reports_failures_instead_of_raising():
+    outcome = run_campaign(
+        [_NotRunnable(), CFG], jobs=1, supervisor=SupervisorConfig(partial_ok=True)
+    )
     assert len(outcome.failures) == 1
     key, error = outcome.failures[0]
     assert key == "not-runnable-0" and "TypeError" in error
+    assert outcome.statuses[key] == STATUS_QUARANTINED
+    (report,) = outcome.quarantines
+    assert report.classification == "deterministic" and report.attempts == 1
     assert outcome.stats.executed == 1  # the good config still ran
 
 
-def test_without_salvage_a_failure_raises():
-    with pytest.raises(TypeError):
-        run_campaign([_NotRunnable()], jobs=1)
+def test_without_partial_ok_a_failure_raises_incomplete():
+    with pytest.raises(CampaignIncomplete) as exc_info:
+        run_campaign([_NotRunnable(), CFG], jobs=1)
+    outcome = exc_info.value.outcome
+    (report,) = outcome.quarantines
+    assert "TypeError" in report.error
+    assert outcome.statuses[CFG.cache_key()] == STATUS_OK  # partial results ride along
+
+
+def test_jobs1_runs_in_calling_process(tmp_path):
+    """``jobs=1`` never forks: the parent's counters and hooks see the run."""
+    journal = tmp_path / "j.jsonl"
+    before = engine.total_events_executed()
+    tracer = obs_tracer.enable(capacity=4096)
+    sanitizer = check_invariants.enable()
+    try:
+        outcome = run_campaign(
+            [CFG], jobs=1, supervisor=SupervisorConfig(journal_path=journal)
+        )
+    finally:
+        check_invariants.disable()
+        obs_tracer.disable()
+    assert outcome.statuses == {CFG.cache_key(): STATUS_OK}
+    assert engine.total_events_executed() > before
+    assert len(tracer) > 0
+    assert sanitizer.total_checks() > 0
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    (attempt,) = [r for r in records if r["event"] == "attempt"]
+    (done,) = [r for r in records if r["event"] == "done"]
+    assert attempt["pid"] == done["pid"] == os.getpid()
+
+
+def test_jobs1_attempt_runs_under_the_campaign_budget():
+    """``budget=`` bounds an in-process attempt as it does a worker's, and
+    the process-wide default is put back afterwards."""
+    one_try = SupervisorConfig(policy=RetryPolicy(max_attempts=1), partial_ok=True)
+    outcome = run_campaign(
+        [CFG], jobs=1, budget=RunBudget(max_events=500), supervisor=one_try
+    )
+    (report,) = outcome.quarantines
+    assert report.error.startswith("WatchdogExpired") and report.classification == "transient"
+    assert runner.get_default_budget() is None
+
+
+def test_jobs2_without_config_is_supervised():
+    """No ``supervisor=`` argument still means supervised workers."""
+    configs = [CFG, scaled_incast("hpcc", 4)]
+    before = engine.total_events_executed()
+    lines = []
+    outcome = run_campaign(configs, jobs=2, progress=lines.append)
+    assert outcome.statuses == {c.cache_key(): STATUS_OK for c in configs}
+    assert engine.total_events_executed() == before  # nothing ran here
+    pids = {int(line.split("pid ")[1].split(")")[0]) for line in lines if "done in" in line}
+    assert pids and os.getpid() not in pids
+
+
+def test_supervised_worker_honours_default_backend():
+    """An unstamped config runs on the parent's default backend in a worker,
+    the backend its cache key was computed for."""
+    cfg = scaled_incast("hpcc", 16)
+    set_default_backend("flow")
+    try:
+        in_process = run_config(cfg)
+        runner.clear_caches()
+        worker = run_campaign(
+            [cfg], jobs=2, supervisor=SupervisorConfig()
+        ).result_for(cfg)
+    finally:
+        set_default_backend("packet")
+    assert worker.config.backend == "flow"
+    assert fct_digest(worker) == fct_digest(in_process)
 
 
 def test_jobs_must_be_positive():

@@ -264,6 +264,37 @@ class TestCliHardening:
         assert rc == 1
         assert "incomplete" in captured.err
 
+    def test_campaign_flags_need_no_supervise_switch(self, capsys, tmp_path):
+        """--journal applies to every campaign; --trace-shards with --jobs 1
+        warns, because shards are drained by workers and jobs=1 has none."""
+        import json
+        import os
+
+        from repro.experiments.cli import build_parser
+        from repro.experiments.store import set_store
+
+        assert "--supervise" not in build_parser().format_help()
+        journal = tmp_path / "j.jsonl"
+        shards = tmp_path / "shards"
+        set_store(None)  # earlier CLI tests leave their default store active
+        clear_caches()
+        try:
+            rc = cli_main([
+                "--fig", "8", "--no-store", "--journal", str(journal),
+                "--trace-shards", str(shards),
+            ])
+        finally:
+            clear_caches()
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "--trace-shards is drained by worker processes" in captured.err
+        assert not shards.exists()
+        assert "[supervisor] per-config statuses: 2 ok" in captured.out
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        done = [r for r in records if r["event"] == "done"]
+        assert len(done) == 2 and {r["pid"] for r in done} == {os.getpid()}
+        assert records[-1]["event"] == "end"
+
     def test_failing_figure_is_retried_then_reported(self, capsys, monkeypatch):
         from repro.experiments import figures
 

@@ -1,4 +1,8 @@
-"""Fault-tolerant campaign supervisor tests.
+"""Campaign executor tests: the task state machine and supervised workers.
+
+Cases that need a process to kill (self-SIGKILL, hangs, heartbeats) run
+with ``jobs=2``: one task still spawns one worker, and ``jobs=1`` would run
+the attempt in the test process itself.
 
 The load-bearing guarantees: (1) supervision never changes results — a
 campaign that limps home through worker kills, hangs, and retries yields
@@ -24,7 +28,7 @@ import repro
 from repro.check.differential import fct_digest
 from repro.experiments import runner
 from repro.experiments.config import scaled_incast
-from repro.experiments.parallel import run_campaign, run_config
+from repro.experiments.parallel import run_config
 from repro.experiments.store import ResultStore, config_key, set_store
 from repro.experiments.supervisor import (
     STATUS_LOST,
@@ -239,7 +243,7 @@ class TestSupervisedStatuses:
 
     def test_worker_sigkill_mid_run_is_salvaged(self, tmp_path):
         cfg = SelfKillOnceCfg(marker_dir=str(tmp_path))
-        out = run_supervised([cfg], jobs=1, sup=SupervisorConfig())
+        out = run_supervised([cfg], jobs=2, sup=SupervisorConfig())
         assert out.statuses[cfg.cache_key()] == STATUS_SALVAGED
         assert out.results[cfg.cache_key()] == {"value": "x"}
         assert out.stats.workers_lost == 1
@@ -275,7 +279,7 @@ class TestSupervisedStatuses:
     def test_exhausted_worker_losses_are_lost(self, tmp_path):
         cfg = AlwaysKillCfg(marker_dir=str(tmp_path))
         out = run_supervised(
-            [cfg], jobs=1,
+            [cfg], jobs=2,
             sup=SupervisorConfig(
                 policy=RetryPolicy(max_attempts=2), partial_ok=True
             ),
@@ -283,6 +287,20 @@ class TestSupervisedStatuses:
         assert out.statuses[cfg.cache_key()] == STATUS_LOST
         assert out.stats.lost == 1
         assert out.stats.workers_lost == 2
+
+    def test_chaos_with_jobs1_is_refused(self, tmp_path):
+        """An injected kill or hang must never strike the calling process."""
+
+        class _NeverInjected:
+            def inject(self, key, attempt):  # pragma: no cover - must not run
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        with pytest.raises(ValueError, match="jobs >= 2"):
+            run_supervised(
+                [GoodCfg(marker_dir=str(tmp_path))],
+                jobs=1,
+                sup=SupervisorConfig(chaos=_NeverInjected()),
+            )
 
     def test_incomplete_without_partial_ok_raises_with_outcome(self, tmp_path):
         poison = PoisonCfg(marker_dir=str(tmp_path))
@@ -307,7 +325,7 @@ class TestSupervisedStatuses:
         )
         start = time.monotonic()
         out = run_supervised(
-            [cfg], jobs=1, budget=RunBudget(wall_clock_s=0.2), sup=sup
+            [cfg], jobs=2, budget=RunBudget(wall_clock_s=0.2), sup=sup
         )
         assert time.monotonic() - start < 30.0  # not the 600 s sleep
         assert out.stats.workers_killed >= 1
@@ -320,7 +338,7 @@ class TestSupervisedStatuses:
         baseline = fct_digest(run_config(cfg))
         runner.clear_caches()
         killer = SelfKillOnceCfg(tag="k", marker_dir=str(tmp_path))
-        out = run_supervised([killer, cfg], jobs=1, sup=SupervisorConfig())
+        out = run_supervised([killer, cfg], jobs=2, sup=SupervisorConfig())
         assert out.statuses[cfg.cache_key()] in (STATUS_OK, STATUS_SALVAGED)
         assert fct_digest(out.results[cfg.cache_key()]) == baseline
 
@@ -460,52 +478,65 @@ class _InterruptAfterFirst:
 
 
 class TestInterrupts:
-    def test_pool_interrupt_cancels_terminates_and_journals(self, tmp_path):
-        """Satellite regression: Ctrl-C mid-campaign must cancel pending
-        futures, terminate the pool workers (not wait 30 s for the slow
-        fakes), journal the interruption, and re-raise."""
+    def test_in_process_interrupt_journals_and_reraises(self, tmp_path):
+        """Ctrl-C during a ``jobs=1`` attempt: the running config is
+        journaled in flight, the queued ones pending, and it re-raises."""
+
+        @dataclass(frozen=True)
+        class InterruptCfg(_FakeCfg):
+            def run_self(self):
+                raise KeyboardInterrupt
+
+        fast = GoodCfg(marker_dir=str(tmp_path))
+        struck = InterruptCfg(tag="i", marker_dir=str(tmp_path))
+        queued = GoodCfg(tag="q", marker_dir=str(tmp_path))
+        journal_path = tmp_path / "j.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            run_supervised(
+                [fast, struck, queued],
+                jobs=1,
+                sup=SupervisorConfig(journal_path=journal_path),
+            )
+        (interrupted,) = [
+            r for r in _journal_records(journal_path) if r["event"] == "interrupted"
+        ]
+        assert interrupted["completed"] == 1
+        assert interrupted["in_flight"] == [struck.cache_key()]
+        assert interrupted["pending"] == [queued.cache_key()]
+        state = load_journal(journal_path)
+        assert state.interrupted
+        assert state.statuses[fast.cache_key()] == STATUS_OK
+        assert state.statuses[struck.cache_key()] == STATUS_LOST
+        assert state.statuses[queued.cache_key()] == STATUS_LOST
+
+    def test_supervised_interrupt_journals_and_reraises(self, tmp_path):
+        """Ctrl-C mid-campaign must kill the workers (not wait 30 s for the
+        slow fakes), journal what was in flight and queued, and re-raise."""
         fast = GoodCfg(marker_dir=str(tmp_path))
         slow = [
             SlowCfg(tag=f"s{i}", marker_dir=str(tmp_path), seconds=30.0)
             for i in range(3)
         ]
         journal_path = tmp_path / "j.jsonl"
-        journal = CampaignJournal(journal_path)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(
-                [fast] + slow,
-                jobs=2,
-                progress=_InterruptAfterFirst(),
-                journal=journal,
-            )
-        elapsed = time.monotonic() - start
-        journal.close()
-        assert elapsed < 20.0, "interrupt waited on terminated workers"
-        records = [
-            json.loads(line)
-            for line in journal_path.read_text().splitlines()
-        ]
-        (interrupted,) = [r for r in records if r["event"] == "interrupted"]
-        assert interrupted["completed"] == 1
-        assert set(interrupted["pending"]) == {c.cache_key() for c in slow}
-
-    def test_supervised_interrupt_journals_and_reraises(self, tmp_path):
-        fast = GoodCfg(marker_dir=str(tmp_path))
-        slow = SlowCfg(marker_dir=str(tmp_path), seconds=30.0)
-        journal_path = tmp_path / "j.jsonl"
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_supervised(
-                [fast, slow],
+                [fast] + slow,
                 jobs=2,
                 progress=_InterruptAfterFirst(),
                 sup=SupervisorConfig(journal_path=journal_path),
             )
-        assert time.monotonic() - start < 20.0
+        assert time.monotonic() - start < 20.0, "interrupt waited on killed workers"
+        (interrupted,) = [
+            r for r in _journal_records(journal_path) if r["event"] == "interrupted"
+        ]
+        assert interrupted["completed"] == 1
+        assert set(interrupted["in_flight"] + interrupted["pending"]) == {
+            c.cache_key() for c in slow
+        }
         state = load_journal(journal_path)
         assert state.interrupted
-        assert state.statuses[slow.cache_key()] == STATUS_LOST
+        assert all(state.statuses[c.cache_key()] == STATUS_LOST for c in slow)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +622,7 @@ class TestJournalObservability:
         cfg = SlowCfg(tag="s", seconds=0.4, marker_dir=str(tmp_path))
         out = run_supervised(
             [cfg],
-            jobs=1,
+            jobs=2,
             sup=SupervisorConfig(
                 journal_path=journal, heartbeat_interval_s=0.05
             ),
@@ -667,7 +698,7 @@ class TestClockOddities:
         cfg = SlowCfg(tag="s", seconds=0.3, marker_dir=str(tmp_path))
         out = run_supervised(
             [cfg],
-            jobs=1,
+            jobs=2,
             sup=SupervisorConfig(
                 journal_path=journal,
                 heartbeat_interval_s=0.05,
