@@ -35,6 +35,7 @@ from ..obs import stitch as obs_stitch
 from ..obs import telemetry as obs_telemetry
 from ..obs import tracer as obs_tracer
 from ..obs.report import render_flows, render_report, render_why
+from ..sim import calendar as sim_calendar
 from ..sim import engine
 from ..sim.network import RunBudget
 from .extensions import ALL_EXTENSIONS
@@ -1036,6 +1037,13 @@ def check_main(argv: List[str]) -> int:
     return 0
 
 
+def _calendar_name() -> str:
+    """Which event calendar the ``[profile]`` rates were measured on."""
+    if sim_calendar.NATIVE:
+        return "native"
+    return f"heapq ({sim_calendar.FALLBACK_REASON})"
+
+
 def _print_supervision(outcome: "Any") -> None:
     """One status line per campaign + quarantine details."""
     counts: dict = {}
@@ -1207,7 +1215,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 rate = events / outcome.stats.wall_s if outcome.stats.wall_s else 0.0
                 print(
                     f"[profile] campaign: events={events} "
-                    f"wall={outcome.stats.wall_s:.2f}s events/s={rate:,.0f}"
+                    f"wall={outcome.stats.wall_s:.2f}s events/s={rate:,.0f} "
+                    f"calendar={_calendar_name()}"
                 )
 
     jobs = [("figure", str(f), ALL_FIGURES) for f in figs]
@@ -1237,7 +1246,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             rate = events / elapsed if elapsed > 0 else 0.0
             print(
                 f"[profile] {kind} {job_id}: events={events} "
-                f"wall={elapsed:.2f}s events/s={rate:,.0f}"
+                f"wall={elapsed:.2f}s events/s={rate:,.0f} "
+                f"calendar={_calendar_name()}"
             )
     if store is not None:
         print(f"[store] {store.stats.summary()}")

@@ -126,26 +126,34 @@ def config_key(cfg: Any) -> str:
 _CODE_FINGERPRINT: Optional[str] = None
 
 
+def fingerprint_tree(package_root: Path) -> str:
+    """Hash of every ``.py`` and ``.c`` file under ``package_root`` (12 hex chars).
+
+    Sorted relative-path order, ``(path, contents)`` pairs.  C sources count
+    (``sim/_calendar.c`` carries the calendar's ordering key); what is built
+    from them does not.
+    """
+    h = hashlib.sha256()
+    for path in sorted(p for p in package_root.rglob("*.*") if p.suffix in (".py", ".c")):
+        rel = path.relative_to(package_root).as_posix()
+        h.update(rel.encode("utf-8"))
+        h.update(b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()[:12]
+
+
 def code_fingerprint() -> str:
     """Hash of the ``repro`` package's source text (12 hex chars, cached).
 
-    Walks every ``.py`` file under the installed package directory in sorted
-    relative-path order and hashes ``(path, contents)`` pairs.  Any edit to
+    :func:`fingerprint_tree` of the installed package directory.  Any edit to
     the simulator — including files a given config never imports — retires
     all stored results, which errs on the side of never serving stale
     physics.
     """
     global _CODE_FINGERPRINT
     if _CODE_FINGERPRINT is None:
-        package_root = Path(__file__).resolve().parent.parent
-        h = hashlib.sha256()
-        for path in sorted(package_root.rglob("*.py")):
-            rel = path.relative_to(package_root).as_posix()
-            h.update(rel.encode("utf-8"))
-            h.update(b"\0")
-            h.update(path.read_bytes())
-            h.update(b"\0")
-        _CODE_FINGERPRINT = h.hexdigest()[:12]
+        _CODE_FINGERPRINT = fingerprint_tree(Path(__file__).resolve().parent.parent)
     return _CODE_FINGERPRINT
 
 

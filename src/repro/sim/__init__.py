@@ -1,6 +1,7 @@
 """ns-3-equivalent substrate: discrete-event packet-level network simulator.
 
-Layering (bottom-up): :mod:`engine` (event loop) → :mod:`packet` /
+Layering (bottom-up): :mod:`calendar` (the event heap; native keys when
+``_calendar.c`` built) → :mod:`engine` (event loop) → :mod:`packet` /
 :mod:`link` → :mod:`port` (queueing, ECN, INT, PFC) → :mod:`node` /
 :mod:`switch` / :mod:`host` → :mod:`network` (wiring, routing, flows) →
 :mod:`monitor` (samplers).

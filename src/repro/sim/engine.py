@@ -1,7 +1,9 @@
 """Discrete-event simulation engine.
 
 This is the bottom layer of the ns-3-equivalent substrate: a classic
-calendar-of-events loop backed by :mod:`heapq`.  Design notes:
+calendar-of-events loop over the binary heap of :mod:`repro.sim.calendar`
+(``heapq``'s interface and array order; native keys when the extension
+built).  Design notes:
 
 * Timestamps are ``float`` nanoseconds.  Events scheduled at identical
   timestamps are executed in FIFO scheduling order thanks to a monotonically
@@ -52,13 +54,13 @@ Hot-path notes (this loop executes millions of times per experiment):
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Callable, Optional
 
 from ..check import invariants as check_invariants
 from ..obs import flightrec as obs_flightrec
 from ..obs import profiler as obs_profiler
 from ..obs import registry as obs_registry
+from .calendar import Calendar, heappop, heappush
 
 #: Compaction trigger: sweep the heap once at least this many cancelled
 #: entries exist *and* they outnumber the live ones.
@@ -79,9 +81,11 @@ class Event:
 
     Users obtain instances from :meth:`Simulator.schedule` and may keep them
     only to call :meth:`cancel`.  All other attributes are engine-internal.
-    An event reference is dead once the event has fired; cancelling a dead
-    reference is a harmless no-op (detached schedules have no ``Event`` at
-    all, so there is nothing to hand out or cancel).
+    An event reference is dead once its entry has left the calendar (fired,
+    discarded or compacted away): the engine clears ``sim`` at that moment,
+    so cancelling a dead reference is a harmless no-op that no counter sees
+    (detached schedules have no ``Event`` at all, so there is nothing to
+    hand out or cancel).
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "sim")
@@ -146,9 +150,10 @@ class Simulator:
         # Heap entries are (fire_time, schedule_time, seq, Event | None, fn,
         # args) — see the module docstring for why schedule_time participates
         # in ordering.  The numeric prefix is unique (seq never repeats among
-        # coexisting entries), so ordering never falls through to slot 3 and
-        # comparisons stay in C (a measured ~25% of total runtime otherwise).
-        self._heap: list = []
+        # coexisting entries), so ordering never falls through to slot 3: the
+        # native calendar compares unboxed keys only, the stdlib one stays
+        # in C (a measured ~25% of total runtime otherwise).
+        self._heap = Calendar()
         self._now: float = 0.0
         self._seq: int = 0
         # Sequence number of the event currently executing (run loop sets it
@@ -202,7 +207,7 @@ class Simulator:
         seq = self._seq
         ev = Event(time, seq, fn, args)
         ev.sim = self
-        heapq.heappush(self._heap, (time, now, seq, ev, fn, args))
+        heappush(self._heap, (time, now, seq, ev, fn, args))
         self._seq = seq + 1
         return ev
 
@@ -219,7 +224,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule with negative delay {delay}")
         now = self._now
         seq = self._seq
-        heapq.heappush(self._heap, (now + delay, now, seq, None, fn, args))
+        heappush(self._heap, (now + delay, now, seq, None, fn, args))
         self._seq = seq + 1
 
     def schedule_delivery(
@@ -247,7 +252,7 @@ class Simulator:
         if tx_seq is None:
             tx_seq = self._seq
             self._seq = tx_seq + 1
-        heapq.heappush(self._heap, (t_end + delay, t_end, tx_seq, None, fn, args))
+        heappush(self._heap, (t_end + delay, t_end, tx_seq, None, fn, args))
 
     def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute virtual time."""
@@ -257,7 +262,7 @@ class Simulator:
             )
         ev = Event(time, self._seq, fn, args)
         ev.sim = self
-        heapq.heappush(self._heap, (time, self._now, self._seq, ev, fn, args))
+        heappush(self._heap, (time, self._now, self._seq, ev, fn, args))
         self._seq += 1
         return ev
 
@@ -281,11 +286,14 @@ class Simulator:
 
     def _compact(self) -> None:
         self.compactions += 1
-        live = [
-            entry for entry in self._heap if entry[3] is None or not entry[3].cancelled
-        ]
-        heapq.heapify(live)
-        self._heap = live
+        live = []
+        for entry in self._heap:
+            ev = entry[3]
+            if ev is None or not ev.cancelled:
+                live.append(entry)
+            else:
+                ev.sim = None
+        self._heap = Calendar(live)
         self._cancelled = 0
 
     # -- execution ----------------------------------------------------------
@@ -343,7 +351,6 @@ class Simulator:
         self._stopped = False
         executed = 0
         heap = self._heap
-        heappop = heapq.heappop
         # Instrumentation is flushed as per-run deltas at run() exit — the
         # per-event hot loop below stays untouched whether obs is on or off.
         reg = obs_registry.STATS
@@ -361,11 +368,15 @@ class Simulator:
                 if ev is not None and ev.cancelled:
                     heappop(heap)
                     self._cancelled -= 1
+                    ev.sim = None
                     continue
                 t = entry[0]
                 if until is not None and t > until:
                     break
                 heappop(heap)
+                if ev is not None:
+                    # Off the calendar: a late cancel() must not be counted.
+                    ev.sim = None
                 if chk is not None:
                     chk.on_event(t, self._now)
                 self._now = t
@@ -416,7 +427,6 @@ class Simulator:
         self._stopped = False
         executed = 0
         heap = self._heap
-        heappop = heapq.heappop
         reg = obs_registry.STATS
         chk = check_invariants.CHECKER
         prof = obs_profiler.PHASE_HOOKS
@@ -435,11 +445,15 @@ class Simulator:
                 if ev is not None and ev.cancelled:
                     heappop(heap)
                     self._cancelled -= 1
+                    ev.sim = None
                     continue
                 t = entry[0]
                 if until is not None and t > until:
                     break
                 heappop(heap)
+                if ev is not None:
+                    # Off the calendar: a late cancel() must not be counted.
+                    ev.sim = None
                 if chk is not None:
                     chk.on_event(t, self._now)
                 self._now = t
@@ -481,6 +495,6 @@ class Simulator:
         """Timestamp of the next live event, or ``None`` if the heap is empty."""
         heap = self._heap
         while heap and heap[0][3] is not None and heap[0][3].cancelled:
-            heapq.heappop(heap)
+            heappop(heap)[3].sim = None
             self._cancelled -= 1
         return heap[0][0] if heap else None

@@ -37,7 +37,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
 from ..check import invariants as check_invariants
@@ -45,6 +44,7 @@ from ..obs import flightrec as obs_flightrec
 from ..obs import profiler as obs_profiler
 from ..obs import registry as obs_registry
 from ..obs import tracer as obs_tracer
+from .calendar import heappush
 from .engine import Simulator
 from .link import LinkSpec
 from .packet import DATA, PAUSE, RESUME, HopRecord, Packet

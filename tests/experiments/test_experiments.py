@@ -172,6 +172,17 @@ class TestCli:
         assert cli_main(["--fig", "7"]) == 0
         assert "320" in capsys.readouterr().out
 
+    def test_profile_line_names_the_calendar(self, capsys, monkeypatch):
+        from repro.sim import calendar
+
+        assert cli_main(["--fig", "7", "--profile"]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[profile]")]
+        assert line.endswith("calendar=native" if calendar.NATIVE else ")")
+        monkeypatch.setattr(calendar, "NATIVE", False)
+        monkeypatch.setattr(calendar, "FALLBACK_REASON", "FileNotFoundError: no cc")
+        assert cli_main(["--fig", "7", "--profile"]) == 0
+        assert "calendar=heapq (FileNotFoundError: no cc)" in capsys.readouterr().out
+
     def test_unknown_figure(self, capsys):
         assert cli_main(["--fig", "99"]) == 2
 

@@ -1,7 +1,9 @@
 """Result-store unit tests: canonical keys, roundtrip, corruption, GC."""
 
 import dataclasses
+import shutil
 from dataclasses import make_dataclass
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.experiments.store import (
     config_key,
     decode_entry,
     encode_entry,
+    fingerprint_tree,
 )
 
 
@@ -94,6 +97,38 @@ def test_code_fingerprint_is_short_hex_and_cached():
     assert len(fp) == 12
     int(fp, 16)  # valid hex
     assert code_fingerprint() is fp  # cached
+
+
+def _copied_package(tmp_path):
+    import repro
+
+    root = tmp_path / "repro"
+    shutil.copytree(
+        Path(repro.__file__).parent, root, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    return root
+
+
+def test_fingerprint_covers_c_sources(tmp_path):
+    """``sim/_calendar.c`` carries the event-ordering key: editing it must
+    retire stored results exactly as editing a ``.py`` file does."""
+    root = _copied_package(tmp_path)
+    before = fingerprint_tree(root)
+    source = root / "sim" / "_calendar.c"
+    data = bytearray(source.read_bytes())
+    data[-2] ^= 0x01
+    source.write_bytes(bytes(data))
+    assert fingerprint_tree(root) != before
+
+
+def test_fingerprint_ignores_built_binaries(tmp_path):
+    root = _copied_package(tmp_path)
+    before = fingerprint_tree(root)
+    (root / "sim" / "_calendar-0123456789abcdef.cpython-311-x86_64-linux-gnu.so").write_bytes(b"\x7fELF")
+    cache = root / "sim" / "__pycache__"
+    cache.mkdir()
+    (cache / "_calendar-0123456789abcdef.abi3.so").write_bytes(b"\x7fELF")
+    assert fingerprint_tree(root) == before
 
 
 # ---------------------------------------------------------------------------

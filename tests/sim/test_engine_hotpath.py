@@ -60,6 +60,77 @@ class TestCancelledAccounting:
         assert sim.pending_events == 1
 
 
+class TestDeadHandles:
+    """A handle is dead once its entry has left the calendar: ``cancel()`` on
+    it must move no counter, or ``pending_events`` under-reports to watchdogs
+    and ``_maybe_compact`` sweeps for nothing."""
+
+    @staticmethod
+    def _settled(sim, pending):
+        assert (sim.pending_events, sim._cancelled, sim.cancellations) == (pending, 0, 0)
+
+    @pytest.mark.parametrize("profiled", [False, True], ids=["fast", "profiled"])
+    def test_cancel_after_the_event_fired(self, profiled):
+        from repro.obs import profiler
+
+        sim = Simulator()
+        ev = sim.schedule(1.0, _noop)
+        sim.schedule(5.0, _noop)
+        if profiled:
+            profiler.enable("phase")
+        try:
+            sim.run(until=2.0)
+        finally:
+            if profiled:
+                profiler.disable()
+        ev.cancel()  # one live entry left, none cancelled
+        assert ev.sim is None
+        self._settled(sim, pending=1)
+
+    def test_cancel_from_inside_its_own_callback(self):
+        sim = Simulator()
+        handle = []
+        handle.append(sim.schedule(1.0, lambda: handle[0].cancel()))
+        sim.schedule(5.0, _noop)
+        sim.run(until=2.0)
+        self._settled(sim, pending=1)
+
+    def test_cancel_after_discard(self):
+        sim = Simulator()
+        ev = sim.schedule(1.0, _noop)
+        sim.schedule(5.0, _noop)
+        ev.cancel()
+        sim.run(until=2.0)  # pops the corpse
+        assert ev.sim is None and sim.cancellations == 1 and sim._cancelled == 0
+        ev.cancelled = False  # even a handle someone revived stays detached
+        ev.cancel()
+        assert (sim.pending_events, sim._cancelled, sim.cancellations) == (1, 0, 1)
+
+    def test_cancel_after_peek_time_discard(self):
+        sim = Simulator()
+        ev = sim.schedule(1.0, _noop)
+        sim.schedule(5.0, _noop)
+        ev.cancel()
+        assert sim.peek_time() == 5.0
+        assert ev.sim is None and (sim.pending_events, sim._cancelled) == (1, 0)
+
+    def test_cancel_after_compaction(self):
+        sim = Simulator()
+        keep = sim.schedule(100.0, _noop)
+        dead = [sim.schedule(200.0 + i, _noop) for i in range(200)]
+        for ev in dead:
+            ev.cancel()
+        sim.run(until=1.0)
+        assert sim.compactions == 1 and sim.heap_size == 1
+        assert all(ev.sim is None for ev in dead) and keep.sim is sim
+        for ev in dead:
+            ev.cancelled = False
+            ev.cancel()
+        assert (sim.pending_events, sim._cancelled, sim.cancellations) == (1, 0, 200)
+        keep.cancel()  # the live handle still counts
+        assert (sim.pending_events, sim._cancelled, sim.cancellations) == (0, 1, 201)
+
+
 class TestDetachedEntries:
     """A fire-and-forget event is its calendar tuple: no ``Event``, no pool."""
 

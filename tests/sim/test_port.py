@@ -136,7 +136,7 @@ class TestPushEquivalence:
         port.enqueue(pkt)
         t_end = now + port.spec.serialization_ns(pkt.size)
         twin.schedule_delivery(prop, t_end, None, sink.receive, pkt, None)
-        assert sim._heap == twin._heap
+        assert list(sim._heap) == list(twin._heap)
         assert sim._seq == twin._seq == 1
         assert port.busy_until == t_end
 
@@ -166,7 +166,7 @@ class TestPushEquivalence:
 
         sim.run(max_events=1)  # _tx_done fires and pushes the delivery
         twin.run(max_events=1)
-        assert sim._heap == twin._heap
+        assert list(sim._heap) == list(twin._heap)
         assert sim._heap[0][:3] == (now + ser + prop, now + ser, 0)
         assert sim._seq == twin._seq == 1  # the delivery reuses tx-done's seq
 
