@@ -101,6 +101,10 @@ class CongestionControl(ABC):
         self._sender = sender_state
         self._host = host
 
+    def unbind(self) -> None:
+        """The flow completed and the substrate dropped its sender state."""
+        self._sender = None
+
     @property
     def snd_nxt(self) -> int:
         """The sender's next unsent sequence number (0 before binding)."""

@@ -138,8 +138,9 @@ class InvariantChecker:
         self._port_stamped: Dict[Any, set] = {}
         # Shadow ACK count per SamplingFrequency instance.
         self._sf_counts: Dict[Any, int] = {}
-        # Highest next_seq ever reached per SenderState: go-back-N rewinds
-        # next_seq, but an ACK may never exceed what was actually sent.
+        # Highest next_seq ever reached per flow (keyed by the Flow, which
+        # outlives its SenderState): go-back-N rewinds next_seq, but an ACK
+        # may never exceed what was actually sent.
         self._sent_hw: Dict[Any, int] = {}
 
     # -- lifecycle -----------------------------------------------------------
@@ -302,8 +303,8 @@ class InvariantChecker:
                 f"flow {state.flow.flow_id}: sent past end of flow "
                 f"(next_seq={next_seq} > size={state.flow.size})",
             )
-        if next_seq > self._sent_hw.get(state, 0):
-            self._sent_hw[state] = next_seq
+        if next_seq > self._sent_hw.get(state.flow, 0):
+            self._sent_hw[state.flow] = next_seq
 
     def on_ack(self, state: Any, pkt: Any) -> None:
         """Host hook: cumulative ACK processed; ``state.acked`` updated.
@@ -320,7 +321,7 @@ class InvariantChecker:
                 f"flow {flow.flow_id}: ACK for byte {pkt.seq} beyond flow "
                 f"size {flow.size}",
             )
-        hw = self._sent_hw.get(state)
+        hw = self._sent_hw.get(flow)
         if hw is not None and pkt.seq > hw:
             self._fail(
                 "gbn-sequence",
@@ -380,7 +381,7 @@ class InvariantChecker:
                 f"{components_ns!r}ns but FCT is {fct_ns!r}ns "
                 f"(residual {residual_ns!r}ns exceeds {tolerance_ns}ns)",
             )
-        hw = self._sent_hw.get(state)
+        hw = self._sent_hw.get(flow)
         if hw is not None and hw < flow.size:
             self._fail(
                 "flightrec-conserve",

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -398,16 +399,19 @@ def run_datacenter_hybrid(cfg: DatacenterConfig) -> "DatacenterResult":  # noqa:
             residual = port.spec.rate_bps * max(1.0 - util, 0.05)
             port.spec = replace(port.spec, rate_bps=residual)
         short_flows: List[Flow] = []
-        env_cache: Dict[Tuple[int, int], object] = {}
+        cc_cache: Dict[Tuple[int, int], object] = {}
         for spec in short_specs:
             src = ptopo.hosts[spec.src_index].node_id
             dst = ptopo.hosts[spec.dst_index].node_id
             key = (src, dst)
-            env = env_cache.get(key)
-            if env is None:
-                env = make_env(pnet, src, dst)
-                env_cache[key] = env
-            cc = make_cc(cfg.variant, env, fs_max_cwnd_pkts=cfg.fs_max_cwnd_pkts)
+            cc = cc_cache.get(key)
+            if cc is None:
+                cc = cc_cache[key] = partial(
+                    make_cc,
+                    cfg.variant,
+                    make_env(pnet, src, dst),
+                    fs_max_cwnd_pkts=cfg.fs_max_cwnd_pkts,
+                )
             flow = Flow(
                 pnet.next_flow_id(), src, dst, spec.size_bytes, spec.start_time_ns
             )
@@ -433,7 +437,7 @@ def run_datacenter_hybrid(cfg: DatacenterConfig) -> "DatacenterResult":  # noqa:
         events=events,
         completed=bool(fluid_status) and bool(packet_status),
     )
-    return DatacenterResult(
+    result = DatacenterResult(
         config=cfg,
         records=records,
         n_offered=len(long_flows) + len(short_flows),
@@ -446,3 +450,5 @@ def run_datacenter_hybrid(cfg: DatacenterConfig) -> "DatacenterResult":  # noqa:
         fault_drops=pnet.total_fault_drops(),
         retransmitted_bytes=pnet.total_retransmitted_bytes(),
     )
+    pnet.close()
+    return result

@@ -33,6 +33,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -326,6 +327,12 @@ def make_env(network: Network, src: int, dst: int, mtu: int = 1000) -> CCEnv:
     )
 
 
+def cc_factory(cfg: Any, network: Network, src: int, dst: int) -> Callable[[], Any]:
+    """``make_cc`` for ``cfg`` on the src -> dst path, called at a flow's start."""
+    env = make_env(network, src, dst)
+    return partial(make_cc, cfg.variant, env, fs_max_cwnd_pkts=cfg.fs_max_cwnd_pkts)
+
+
 # ---------------------------------------------------------------------------
 # Incast
 # ---------------------------------------------------------------------------
@@ -429,13 +436,11 @@ def _run_incast_packet(cfg: IncastConfig) -> IncastResult:
         flows: List[Flow] = []
         for spec in specs:
             src = topo.hosts[spec.sender_index].node_id
-            env = make_env(net, src, receiver)
-            cc = make_cc(cfg.variant, env, fs_max_cwnd_pkts=cfg.fs_max_cwnd_pkts)
             flow = Flow(
                 net.next_flow_id(), src, receiver, spec.size_bytes, spec.start_time_ns
             )
             flow.use_cnp = uses_cnp(cfg.variant)
-            net.add_flow(flow, cc)
+            net.add_flow(flow, cc_factory(cfg, net, src, receiver))
             flows.append(flow)
 
         qmon = QueueMonitor(
@@ -469,7 +474,7 @@ def _run_incast_packet(cfg: IncastConfig) -> IncastResult:
         events=net.sim.events_executed,
         completed=bool(status),
     )
-    return IncastResult(
+    result = IncastResult(
         config=cfg,
         flows=flows,
         jain_times_ns=jt,
@@ -488,6 +493,8 @@ def _run_incast_packet(cfg: IncastConfig) -> IncastResult:
         analytics=live,
         flightrec=frun,
     )
+    net.close()
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -546,26 +553,25 @@ def _run_datacenter_packet(cfg: DatacenterConfig) -> DatacenterResult:
         dist = get_distribution(cfg.workload)
         if cfg.size_scale != 1.0:
             dist = ScaledDistribution(dist, cfg.size_scale)
-        specs = generate_poisson_traffic(
+        # Environments depend only on (src, dst): one CC factory per pair,
+        # called at each flow's start event.
+        cc_cache: Dict[Tuple[int, int], Callable[[], Any]] = {}
+        flows: List[Flow] = []
+        # The trace is not bound to a name: it is dropped once it is flows.
+        for spec in generate_poisson_traffic(
             n_hosts=len(topo.hosts),
             host_rate_bps=cfg.fattree.host_rate_bps,
             load=cfg.load,
             duration_ns=cfg.duration_ns,
             distribution=dist,
             seed=cfg.seed,
-        )
-        # Environments depend only on (src, dst); cache them.
-        env_cache: Dict[Tuple[int, int], CCEnv] = {}
-        flows: List[Flow] = []
-        for spec in specs:
+        ):
             src = topo.hosts[spec.src_index].node_id
             dst = topo.hosts[spec.dst_index].node_id
             key = (src, dst)
-            env = env_cache.get(key)
-            if env is None:
-                env = make_env(net, src, dst)
-                env_cache[key] = env
-            cc = make_cc(cfg.variant, env, fs_max_cwnd_pkts=cfg.fs_max_cwnd_pkts)
+            cc = cc_cache.get(key)
+            if cc is None:
+                cc = cc_cache[key] = cc_factory(cfg, net, src, dst)
             flow = Flow(
                 net.next_flow_id(), src, dst, spec.size_bytes, spec.start_time_ns
             )
@@ -610,7 +616,7 @@ def _run_datacenter_packet(cfg: DatacenterConfig) -> DatacenterResult:
         events=net.sim.events_executed,
         completed=bool(status),
     )
-    return DatacenterResult(
+    result = DatacenterResult(
         config=cfg,
         records=records,
         n_offered=len(flows),
@@ -624,6 +630,8 @@ def _run_datacenter_packet(cfg: DatacenterConfig) -> DatacenterResult:
         analytics=live,
         flightrec=frun,
     )
+    net.close()
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,7 @@ HEARTBEAT_INTERVAL_S = 0.25
 
 def _worker_main(
     conn: connection.Connection,
+    inherited: Sequence[connection.Connection],
     budget: Optional[RunBudget],
     default_backend: str,
     analytics_config: Any,
@@ -361,6 +362,11 @@ def _worker_main(
     flightrec: bool = False,
 ) -> None:
     """Supervised worker loop: receive configs, heartbeat while running.
+
+    ``inherited`` are the supervisor's ends of this worker's pipe and of its
+    older siblings', which a forked child holds copies of.  They are closed
+    before anything else: while one is open here, ``conn.recv()`` never sees
+    EOF, and the workers of a SIGKILLed supervisor would wait forever.
 
     The per-process switches are re-installed from the parent's first: the
     watchdog budget, the default backend (so unstamped configs simulate on
@@ -379,6 +385,8 @@ def _worker_main(
     import threading
     import traceback
 
+    for end in inherited:
+        end.close()
     set_default_budget(budget)
     set_default_backend(default_backend)
     if analytics_config is not None:
@@ -421,7 +429,7 @@ def _worker_main(
         def beat() -> None:
             while not stop_beating.wait(heartbeat_interval_s):
                 if not send(("hb", key, os.getpid())):
-                    return
+                    os._exit(1)  # the supervisor is gone: nobody to run this for
 
         beater = threading.Thread(target=beat, daemon=True)
         beater.start()
@@ -556,13 +564,16 @@ class _Worker:
             pass
 
 
-def _spawn_worker(budget: Optional[RunBudget], sup: SupervisorConfig) -> _Worker:
+def _spawn_worker(
+    budget: Optional[RunBudget], sup: SupervisorConfig, siblings: Sequence[_Worker]
+) -> _Worker:
     parent_agg = obs_analytics.ANALYTICS
     parent_conn, child_conn = Pipe(duplex=True)
     proc = Process(
         target=_worker_main,
         args=(
             child_conn,
+            [parent_conn] + [w.conn for w in siblings],
             budget,
             get_default_backend(),
             parent_agg.config if parent_agg is not None else None,
@@ -979,7 +990,7 @@ def run_supervised(
             for task in eligible:
                 worker = next((w for w in workers if not w.busy), None)
                 if worker is None and len(workers) < jobs:
-                    worker = _spawn_worker(budget, sup)
+                    worker = _spawn_worker(budget, sup, workers)
                     workers.append(worker)
                 if worker is None:
                     break

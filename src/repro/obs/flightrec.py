@@ -374,7 +374,7 @@ class FlightRecorder:
         total = track.total()
         residual = fct - total
         track.residual_ns = residual
-        track.retransmits = state.retransmits
+        track.retransmits = flow.retransmits
         track.done = True
         magnitude = residual if residual >= 0.0 else -residual
         if magnitude > self.max_residual_ns:

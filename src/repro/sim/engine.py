@@ -37,6 +37,10 @@ Hot-path notes (this loop executes millions of times per experiment):
   detached methods stay the single written definition of the key those
   sites must reproduce (``tests/sim/test_port.py`` compares the tuples), and
   nothing else in ``src/`` writes ``_heap`` or ``_seq``.
+* Arrivals known long ahead (a trace's flow starts) go through
+  :meth:`Simulator.schedule_stream`: the key is drawn at registration, as
+  ``schedule_at`` would, but only each stream's earliest entry occupies the
+  calendar, so a long trace neither deepens the heap nor moves a key.
 * :meth:`Simulator.schedule_delivery` is the ordering-preserving primitive
   behind fused transmission (see :mod:`repro.sim.port`).  A packet delivery
   historically got its tie-break sequence number at serialization *end*
@@ -54,7 +58,8 @@ Hot-path notes (this loop executes millions of times per experiment):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+import heapq
+from typing import Any, Callable, List, Optional
 
 from ..check import invariants as check_invariants
 from ..obs import flightrec as obs_flightrec
@@ -266,6 +271,41 @@ class Simulator:
         self._seq += 1
         return ev
 
+    def schedule_stream(
+        self, stream: List[tuple], time: float, fn: Callable[..., None], *args: Any
+    ) -> None:
+        """:meth:`schedule_at` without a handle, for arrivals known long ahead.
+
+        The entry gets the key ``schedule_at(time, fn, *args)`` would give it
+        *now* -- ``(time, now, seq)``, ``seq`` drawn here -- so it fires
+        exactly where it always did, whatever is registered after it.  But it
+        waits in ``stream`` (the caller's list, a :mod:`heapq` heap, empty at
+        first), and only the stream's earliest entry is on the calendar:
+        ``fn`` must call :meth:`stream_next` when it fires to put the next
+        one there.  An entry earlier than the waiting head (registration out
+        of time order) goes onto the calendar beside it, not into ``stream``.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule into the past: t={time} < now={self._now}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        entry = (time, self._now, seq, None, fn, args)
+        if stream and entry > stream[0]:
+            heapq.heappush(stream, entry)  # behind the head, which is out
+            return
+        if not stream:
+            stream.append(entry)
+        heappush(self._heap, entry)
+
+    def stream_next(self, stream: List[tuple]) -> None:
+        """The executing :meth:`schedule_stream` entry hands over to the next."""
+        if stream and stream[0][2] == self._cur_seq:
+            heapq.heappop(stream)
+            if stream:
+                heappush(self._heap, stream[0])
+
     def cancel(self, event: Optional[Event]) -> None:
         """Cancel a previously scheduled event (None is tolerated)."""
         if event is not None:
@@ -294,6 +334,17 @@ class Simulator:
             else:
                 ev.sim = None
         self._heap = Calendar(live)
+        self._cancelled = 0
+
+    def close(self) -> None:
+        """Drop everything pending (the simulator is finished with), handles
+        included: entries and handles hold bound methods of ports, hosts and
+        timers, the cycles that keep a finished network from being freed."""
+        for entry in self._heap:
+            ev = entry[3]
+            if ev is not None:
+                ev.sim = ev.fn = ev.args = None
+        self._heap = Calendar()
         self._cancelled = 0
 
     # -- execution ----------------------------------------------------------

@@ -32,6 +32,9 @@ class Flow:
         "use_cnp",
         "finish_time",
         "started",
+        "packets_sent",
+        "retransmits",
+        "retransmitted_bytes",
     )
 
     def __init__(
@@ -62,6 +65,12 @@ class Flow:
         self.use_cnp = False
         self.finish_time: Optional[float] = None
         self.started = False
+        # Sender-side totals.  They are kept here, not on SenderState, because
+        # that is dropped at completion and results are read after it.  The
+        # last two move only under loss recovery (Host.enable_loss_recovery).
+        self.packets_sent = 0
+        self.retransmits = 0
+        self.retransmitted_bytes = 0
 
     @property
     def completed(self) -> bool:
@@ -83,10 +92,10 @@ class Flow:
 
 
 class SenderState:
-    """Sender-side runtime state for one flow.
+    """Sender-side runtime state for one flow, from its start event to its
+    completing ACK (:class:`repro.sim.host.Host` builds and drops it).
 
-    The retransmission fields (``rto_*``, ``retransmits``,
-    ``retransmitted_bytes``) are only active when the owning host has loss
+    The ``rto_*`` fields are only active when the owning host has loss
     recovery enabled (see :meth:`repro.sim.host.Host.enable_loss_recovery`);
     on a lossless fabric they stay at their initial values.
     """
@@ -98,13 +107,10 @@ class SenderState:
         "acked",
         "next_allowed",
         "timer",
-        "packets_sent",
         "last_ack_time",
         "rto_timer",
         "rto_ns",
         "rto_backoff",
-        "retransmits",
-        "retransmitted_bytes",
         "last_rto_acked",
         "probe_mode",
         "fr",
@@ -117,13 +123,10 @@ class SenderState:
         self.acked = 0
         self.next_allowed = 0.0
         self.timer = None
-        self.packets_sent = 0
         self.last_ack_time = 0.0
         self.rto_timer = None
         self.rto_ns = 0.0  # assigned when the host enables loss recovery
         self.rto_backoff = 1.0
-        self.retransmits = 0
-        self.retransmitted_bytes = 0
         # Anti-livelock probe (see Host._rto_fired): the cumulative ACK at
         # the previous RTO, and whether the sender is in single-packet
         # stop-and-wait mode because consecutive RTOs made no progress.
@@ -142,6 +145,9 @@ class SenderState:
         return self.next_seq >= self.flow.size
 
 
+_NEVER = -float("inf")  # one shared object, not one per receiver
+
+
 class ReceiverState:
     """Receiver-side runtime state for one flow."""
 
@@ -150,5 +156,5 @@ class ReceiverState:
     def __init__(self, flow: Flow):
         self.flow = flow
         self.received = 0  # contiguous bytes received
-        self.last_cnp_time = -float("inf")
+        self.last_cnp_time = _NEVER
         self.packets_received = 0

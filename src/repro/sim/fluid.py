@@ -58,7 +58,7 @@ tick, 4132 of the 4184 event steps in the fig-8 pair at 16 and 32 senders
 are queue samples, and the integration step *is* ``sample_interval_ns``.
 FCTs therefore move with the sampling interval
 (``test_fct_independent_of_queue_sample_interval`` is an expected failure),
-and ``TAU_RTTS`` is calibrated at the default interval.  ROADMAP item 4(c)
+and ``TAU_RTTS`` is calibrated at the default interval.  ROADMAP item 1
 carries the fix (passive samplers, analytic byte integral between
 rate-changing events, then re-calibration).
 

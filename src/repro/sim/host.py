@@ -29,7 +29,7 @@ pays a single attribute test.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from ..check import invariants as check_invariants
 from ..obs import flightrec as obs_flightrec
@@ -43,6 +43,9 @@ from .port import Port
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cc.base import CongestionControl
+
+#: A flow's congestion control, or a zero-argument factory called at its start.
+CCOrFactory = Union["CongestionControl", Callable[[], "CongestionControl"]]
 
 #: Default payload bytes per packet (MTU), as used throughout the paper.
 DEFAULT_MTU = 1000
@@ -72,7 +75,10 @@ class Host(Node):
         super().__init__(sim, node_id, name)
         self.mtu = mtu
         self.cnp_interval_ns = cnp_interval_ns
-        self.senders: Dict[int, SenderState] = {}
+        # A key per flow ever registered here; the value is None before the
+        # flow's start event (it waits in ``_starts``) and after its last ACK.
+        self.senders: Dict[int, Optional[SenderState]] = {}
+        self._starts: List[tuple] = []  # Simulator.schedule_stream's list
         self.receivers: Dict[int, ReceiverState] = {}
         self.completion_callbacks: List[Callable[[Flow], None]] = []
         # Loss-recovery knobs; disabled unless enable_loss_recovery() is called.
@@ -82,6 +88,8 @@ class Host(Node):
         self.rto_min_ns = DEFAULT_RTO_MIN_NS
         self.max_rto_backoff = DEFAULT_MAX_RTO_BACKOFF
         self.corrupt_discards = 0
+        #: ACKs / CNPs dropped because their flow had no sender state (any more).
+        self.late_packets = 0
         # Reusable per-host AckContext: one is filled per ACK and handed to
         # cc.on_ack, which must not retain it (none do — they copy scalars
         # and at most keep the int_records list).  Saves an allocation on
@@ -117,8 +125,8 @@ class Host(Node):
         """Turn on go-back-N retransmission for this host's sender flows.
 
         ``rto_ns`` fixes the base timeout outright; otherwise it is computed
-        per flow as ``max(rto_min_ns, rto_scale * base_rtt)``.  Already
-        registered flows are updated too.
+        per flow as ``max(rto_min_ns, rto_scale * base_rtt)``.  Flows already
+        sending are updated too; one still waiting reads the knobs at its start.
         """
         self.loss_recovery = True
         self.rto_override_ns = rto_ns
@@ -126,27 +134,36 @@ class Host(Node):
         self.rto_min_ns = rto_min_ns
         self.max_rto_backoff = max_backoff
         for state in self.senders.values():
-            state.rto_ns = self._rto_for(state)
+            if state is not None:
+                state.rto_ns = self._rto_for(state)
 
     def _rto_for(self, state: SenderState) -> float:
         if self.rto_override_ns is not None:
             return self.rto_override_ns
         return max(self.rto_min_ns, self.rto_scale * state.cc.env.base_rtt_ns)
 
-    def add_sender_flow(self, flow: Flow, cc: "CongestionControl") -> SenderState:
-        """Register an outgoing flow; transmission starts at flow.start_time."""
+    def add_sender_flow(self, flow: Flow, cc: CCOrFactory) -> None:
+        """Register an outgoing flow; transmission starts at flow.start_time.
+
+        Nothing per-flow is built until then, ``cc`` included if it is a
+        factory (a CC object is not callable); see DESIGN "Flow lifecycle".
+        """
         if flow.flow_id in self.senders:
             raise ValueError(f"flow {flow.flow_id} already registered on {self.name}")
+        self.senders[flow.flow_id] = None
+        start = max(flow.start_time, self.sim.now())
+        self.sim.schedule_stream(self._starts, start, self._start_flow, flow, cc)
+
+    def _start_flow(self, flow: Flow, cc: CCOrFactory) -> None:
+        self.sim.stream_next(self._starts)
+        if callable(cc):
+            cc = cc()
         state = SenderState(flow, cc)
         cc.bind(state, self)
         self.senders[flow.flow_id] = state
         if self.loss_recovery:
             state.rto_ns = self._rto_for(state)
-        self.sim.schedule_at(max(flow.start_time, self.sim.now()), self._start_flow, state)
-        return state
-
-    def _start_flow(self, state: SenderState) -> None:
-        state.flow.started = True
+        flow.started = True
         fr = obs_flightrec.RECORDER
         if fr is not None:
             state.fr = fr.open_flow(state)
@@ -177,7 +194,7 @@ class Host(Node):
                 now, flow.ecmp_hash, flow.priority,
             )
             state.next_seq += payload
-            state.packets_sent += 1
+            flow.packets_sent += 1
             chk = check_invariants.CHECKER
             if chk is not None:
                 chk.on_send(state)
@@ -240,8 +257,8 @@ class Host(Node):
             state.probe_mode = True
         state.last_rto_acked = state.acked
         # Go-back-N: rewind to the last cumulative ACK and resend from there.
-        state.retransmits += 1
-        state.retransmitted_bytes += state.next_seq - state.acked
+        flow.retransmits += 1
+        flow.retransmitted_bytes += state.next_seq - state.acked
         reg = obs_registry.STATS
         if reg is not None:
             reg.counter("host.retransmissions").inc()
@@ -328,7 +345,8 @@ class Host(Node):
     def _receive_ack(self, pkt: Packet) -> None:
         state = self.senders.get(pkt.flow_id)
         if state is None:
-            raise RuntimeError(f"{self.name}: ACK for unknown flow {pkt.flow_id}")
+            self._no_sender(pkt, "ACK")
+            return
         flow = state.flow
         now = self.sim._now
         newly = pkt.seq - state.acked
@@ -384,7 +402,7 @@ class Host(Node):
                         "src": flow.src,
                         "dst": flow.dst,
                         "size_bytes": flow.size,
-                        "retransmits": state.retransmits,
+                        "retransmits": flow.retransmits,
                     },
                 )
             if fr is not None:
@@ -394,6 +412,10 @@ class Host(Node):
                     # six components now telescope to exactly the FCT; this
                     # checks conservation (and the sanitizer cross-check).
                     fr.on_complete(track, state, now)
+            # Retire: the totals live on ``flow``; with the CC's back-pointer
+            # cut, dropping ours frees state, CC and the INT records it kept.
+            self.senders[flow.flow_id] = None
+            state.cc.unbind()
             for cb in self.completion_callbacks:
                 cb(flow)
             return
@@ -402,6 +424,16 @@ class Host(Node):
     def _receive_cnp(self, pkt: Packet) -> None:
         state = self.senders.get(pkt.flow_id)
         if state is None:
-            raise RuntimeError(f"{self.name}: CNP for unknown flow {pkt.flow_id}")
+            self._no_sender(pkt, "CNP")
+            return
         state.cc.on_cnp(self.sim._now)
         # Rate may have dropped; pacing timer handles future sends. No-op here.
+
+    def _no_sender(self, pkt: Packet, what: str) -> None:
+        """An ACK / CNP with no sender state to land on: late, or a bug."""
+        if pkt.flow_id not in self.senders:
+            raise RuntimeError(f"{self.name}: {what} for unknown flow {pkt.flow_id}")
+        self.late_packets += 1
+        reg = obs_registry.STATS
+        if reg is not None:
+            reg.counter("host.late_packets").inc()

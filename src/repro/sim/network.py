@@ -18,20 +18,17 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .engine import Simulator
 from .flow import Flow
-from .host import Host
+from .host import CCOrFactory, Host
 from .link import LinkSpec
 from .packet import ACK_BYTES, HEADER_BYTES
 from .pfc import PfcConfig
 from .port import Port, RedConfig
 from .routing import bfs_distances, ecmp_next_hops
 from .switch import Switch
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cc.base import CongestionControl
 
 
 @dataclass(frozen=True)
@@ -309,8 +306,9 @@ class Network:
         self._next_flow_id += 1
         return fid
 
-    def add_flow(self, flow: Flow, cc: "CongestionControl") -> Flow:
-        """Register a flow: sender state at src host, receiver state at dst."""
+    def add_flow(self, flow: Flow, cc: CCOrFactory) -> Flow:
+        """Register a flow: receiver state at dst now, sender state at src
+        from its start event on (``cc``: the CC, or a factory called then)."""
         if not self._routing_built:
             raise RuntimeError("call build_routing() before adding flows")
         if flow.flow_id in self.flows:
@@ -354,7 +352,7 @@ class Network:
         wall_start = time.monotonic()
         stop_reason = "timeout"
         while self.sim.now() < deadline:
-            if all(f.completed for f in self.flows.values()):
+            if len(self.completed_flows) == len(self.flows):
                 break
             max_events = None
             if budget is not None:
@@ -378,7 +376,7 @@ class Network:
                 # simulation deadlocked (e.g. loss without recovery).
                 stop_reason = "stalled"
                 break
-        completed = all(f.completed for f in self.flows.values())
+        completed = len(self.completed_flows) == len(self.flows)
         if completed:
             stop_reason = "completed"
         incomplete = tuple(
@@ -390,6 +388,20 @@ class Network:
             incomplete_flows=incomplete,
             events_executed=self.sim.events_executed - events_start,
         )
+
+    def close(self) -> None:
+        """Take a finished network apart so reference counting frees it.
+
+        Nodes, ports and simulator point at each other: left whole, each
+        run's network would sit in memory until a full collection came by.
+        Flows and counters stay readable; nothing can be run afterwards.
+        """
+        self.sim.close()
+        for node in self.nodes:
+            for port in node.ports:
+                port.close()
+        for host in self.hosts:
+            host.completion_callbacks.clear()
 
     # -- monitoring helpers -------------------------------------------------------
 
@@ -403,9 +415,7 @@ class Network:
 
     def total_retransmitted_bytes(self) -> int:
         """Bytes resent by go-back-N recovery across all sender flows."""
-        return sum(
-            s.retransmitted_bytes for h in self.hosts for s in h.senders.values()
-        )
+        return sum(f.retransmitted_bytes for f in self.flows.values())
 
     def total_drops(self) -> int:
         return sum(p.drops for n in self.nodes for p in n.ports)

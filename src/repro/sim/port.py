@@ -187,6 +187,12 @@ class Port:
         self.peer_port = port
         self._deliver = node.receive
 
+    def close(self) -> None:
+        """Cut every reference that closes a cycle through this port
+        (:meth:`repro.sim.network.Network.close`); counters stay readable."""
+        self.owner = self.peer_node = self.peer_port = self._deliver = None
+        self._on_tx_done = self._wake_event = self.fault_hook = None
+
     # -- identity -----------------------------------------------------------
 
     @property

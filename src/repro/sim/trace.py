@@ -105,7 +105,7 @@ class FlowTracer:
         now = self.sim.now()
         for host in self.hosts:
             for state in host.senders.values():
-                if not state.flow.started or state.flow.completed:
+                if state is None:  # not started yet, or completed
                     continue
                 self.snapshots.append(
                     FlowSnapshot(

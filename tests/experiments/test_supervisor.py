@@ -465,6 +465,71 @@ class TestResume:
 # ---------------------------------------------------------------------------
 
 
+def _running(pid: int) -> bool:
+    """``pid`` is a live process (a zombie nobody reaped yet is not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+class TestOrphanedWorkers:
+    def test_workers_of_a_sigkilled_supervisor_exit(self, tmp_path):
+        """A forked worker holds copies of the supervisor's pipe ends (its
+        own and its older siblings'); until it closes them it never sees the
+        supervisor go, and sleeps -- or simulates -- on for nobody."""
+        journal_path = tmp_path / "journal.jsonl"
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from repro.experiments.supervisor import SupervisorConfig, run_supervised\n"
+            "from tests.experiments.test_supervisor import SlowCfg\n"
+            "base = Path(sys.argv[1])\n"
+            "configs = [SlowCfg(tag=t, marker_dir=str(base), seconds=600.0) for t in 'ab']\n"
+            "run_supervised(configs, jobs=2, sup=SupervisorConfig(\n"
+            "    journal_path=base / 'journal.jsonl', heartbeat_interval_s=0.05))\n"
+        )
+        src_dir = Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": f"{src_dir}{os.pathsep}{src_dir.parent}"}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        pids = set()
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(pids) < 2:
+                assert time.monotonic() < deadline, "two workers never started"
+                assert proc.poll() is None, "supervisor subprocess exited prematurely"
+                time.sleep(0.01)
+                if journal_path.exists():
+                    records = [
+                        json.loads(line)
+                        for line in journal_path.read_text().splitlines()
+                        if line.endswith("}")
+                    ]
+                    pids = {r["pid"] for r in records if r["event"] == "hb"}
+            assert proc.pid not in pids and all(_running(pid) for pid in pids)
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+            # A few heartbeat intervals; the bound is loose for a busy host
+            # and still a hundredth of the configs' 600 s.
+            deadline = time.monotonic() + 5.0
+            while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            for pid in {proc.pid, *pids}:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except OSError:
+                    pass
+            proc.wait(timeout=30)
+
+
 class _InterruptAfterFirst:
     """A progress sink that raises KeyboardInterrupt on the first done line."""
 

@@ -192,7 +192,7 @@ class TestRelaxation:
         strict=True,
         reason="the relax tick re-arms from `now` at every event, so a 2 us "
         "queue sampler starves it and becomes the integration step "
-        "(sim/fluid.py 'Integration step'; fix parked in ROADMAP item 4(c))",
+        "(sim/fluid.py 'Integration step'; fix is ROADMAP item 1)",
     )
     def test_fct_independent_of_queue_sample_interval(self):
         """A sampler observes; how often it looks must not move any FCT."""

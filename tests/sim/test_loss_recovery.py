@@ -58,9 +58,10 @@ class TestGoBackN:
         flow, _ = run_flow(net, h0, h1, size=3000)
         status = net.run_until_flows_complete(timeout_ns=us(5000))
         assert status
-        state = h0.senders[0]
-        assert state.retransmits >= 1
-        assert state.retransmitted_bytes >= 1000
+        # The sender state is gone with the flow; its totals are on the flow.
+        assert h0.senders[0] is None
+        assert flow.retransmits >= 1
+        assert flow.retransmitted_bytes >= 1000
         assert h1.receivers[0].received == 3000
 
     def test_heavy_random_loss_still_completes(self):
@@ -71,7 +72,7 @@ class TestGoBackN:
         net.enable_loss_recovery()
         flow, _ = run_flow(net, h0, h1, size=50_000)
         assert net.run_until_flows_complete(timeout_ns=us(50_000))
-        assert h0.senders[0].retransmits >= 1
+        assert flow.retransmits >= 1
 
     def test_without_recovery_a_drop_deadlocks(self):
         """Control: the same loss without recovery stalls forever."""
@@ -94,10 +95,10 @@ class TestGoBackN:
         net.enable_loss_recovery(rto_ns=us(10), max_backoff=8.0)
         flow, cc = run_flow(net, h0, h1, size=2000)
         net.run(until=us(2000))
-        state = h0.senders[0]
+        state = h0.senders[0]  # still sending: nothing was ever delivered
         assert state.rto_backoff == 8.0  # capped
-        assert state.retransmits >= 4
-        assert len(cc.timeouts) == state.retransmits  # CC notified each time
+        assert flow.retransmits >= 4
+        assert len(cc.timeouts) == flow.retransmits  # CC notified each time
 
     def test_backoff_resets_on_progress(self):
         net, h0, h1, sw = two_host_net()
@@ -108,11 +109,13 @@ class TestGoBackN:
         ).install(net)
         net.enable_loss_recovery(rto_ns=us(20))
         flow, _ = run_flow(net, h0, h1, size=20_000)
+        net.run(until=0.0)  # the start event builds the sender state
+        state = h0.senders[0]
         assert net.run_until_flows_complete(timeout_ns=us(50_000))
         # Completion implies the backoff was reset between loss episodes;
         # the timer itself must be cancelled at completion.
-        state = h0.senders[0]
-        assert state.retransmits >= 2
+        assert h0.senders[0] is None
+        assert flow.retransmits >= 2
         assert state.rto_timer is None
         assert state.rto_backoff == 1.0
 
@@ -128,11 +131,12 @@ class TestGoBackN:
         ).install(net)
         net.enable_loss_recovery(rto_ns=us(20))
         flow, _ = run_flow(net, h0, h1, size=20_000)
+        net.run(until=0.0)  # the start event builds the sender state
+        state = h0.senders[0]
         status = net.run_until_flows_complete(timeout_ns=us(20_000))
         assert status
         assert flow.completed
-        state = h0.senders[0]
-        assert state.retransmits >= 2  # recovery did the work
+        assert flow.retransmits >= 2  # recovery did the work
         assert not state.probe_mode  # ...and normal sending resumed
 
     def test_probe_mode_engages_only_after_unproductive_rto(self):
@@ -144,8 +148,10 @@ class TestGoBackN:
         ).install(net)
         net.enable_loss_recovery()
         flow, _ = run_flow(net, h0, h1, size=3000)
+        net.run(until=0.0)  # the start event builds the sender state
+        state = h0.senders[0]
         assert net.run_until_flows_complete(timeout_ns=us(5000))
-        assert h0.senders[0].last_rto_acked == -1  # reset on progress
+        assert state.last_rto_acked == -1  # reset on progress
 
     def test_corrupt_packets_discarded_and_recovered(self):
         net, h0, h1, sw = two_host_net()
@@ -222,9 +228,7 @@ class TestLosslessEquivalence:
                 NullCC(env_for(net, h.node_id, dst)),
             )
         assert net.run_until_flows_complete(timeout_ns=us(50_000))
-        assert all(
-            s.retransmits == 0 for h in hosts for s in h.senders.values()
-        )
+        assert all(f.retransmits == 0 for f in net.flows.values())
         assert net.total_retransmitted_bytes() == 0
 
 
@@ -233,15 +237,19 @@ class TestRtoConfiguration:
         net, h0, h1, sw = two_host_net()
         net.enable_loss_recovery(rto_scale=4.0, rto_min_ns=1e6)
         flow, _ = run_flow(net, h0, h1)
-        state = h0.senders[0]
-        assert state.rto_ns == 1e6  # floor dominates (base RTT is ~6.2 us)
+        net.run(until=0.0)  # the RTO is worked out when the flow starts
+        assert h0.senders[0].rto_ns == 1e6  # floor dominates (base RTT is ~6.2 us)
 
     def test_rto_override(self):
         net, h0, h1, sw = two_host_net()
         flow, _ = run_flow(net, h0, h1)
-        # Enabling after registration updates existing senders too.
+        # Enabling after registration reaches a flow that has yet to start...
         net.enable_loss_recovery(rto_ns=us(123))
+        net.run(until=0.0)
         assert h0.senders[0].rto_ns == us(123)
+        # ...and one that is already sending.
+        net.enable_loss_recovery(rto_ns=us(77))
+        assert h0.senders[0].rto_ns == us(77)
 
     def test_invalid_retry_knobs(self):
         net, h0, h1, sw = two_host_net()

@@ -180,5 +180,4 @@ class TestPacing:
         net.run_until_flows_complete(timeout_ns=us(10_000))
         assert flow.completed
         # Sender can never have more than window + one packet outstanding.
-        sender = h0.senders[0]
-        assert sender.packets_sent == 100
+        assert flow.packets_sent == 100

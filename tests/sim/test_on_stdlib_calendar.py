@@ -1,8 +1,9 @@
 """The calendar-sensitive suites once more, on the stdlib calendar.
 
 Everything that pins event order or calendar layout -- the nine
-``packet_golden.json`` cases, the engine suites and ``Port``'s push
-equivalence -- is collected a second time here, under the
+``packet_golden.json`` cases, the engine suites, ``Port``'s push
+equivalence and the flow-lifecycle suite (``schedule_stream`` pushes onto
+the calendar too) -- is collected a second time here, under the
 ``stdlib_calendar`` fixture (``tests/conftest.py``).  The modules themselves
 run on whatever ``repro.sim.calendar`` loaded, which is the native calendar
 wherever a C compiler is found (``test_calendar.py`` insists on that), so
@@ -37,6 +38,7 @@ globals().update(_second_copy("tests.experiments.test_packet_golden"))
 globals().update(_second_copy("tests.sim.test_engine"))
 globals().update(_second_copy("tests.sim.test_engine_hotpath"))
 globals().update(_second_copy("tests.sim.test_port", only={"TestPushEquivalence"}))
+globals().update(_second_copy("tests.sim.test_flow_lifecycle"))
 
 
 def test_this_module_runs_on_a_heapq_list():

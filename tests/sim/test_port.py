@@ -387,13 +387,12 @@ class TestDropReleasesPfcAccounting:
         # Bottleneck holds one queued packet: the third in a burst drops.
         net.connect(sink, sw, gbps(8), us(1), pfc=pfc, max_queue_bytes=1100.0)
         net.build_routing()
-        # Register the flow so the sink's ACKs land on real sender state,
-        # but feed the data by hand: next_seq is pre-advanced to the flow
-        # size so the sender itself never transmits.
+        # Register the flow so the sink's ACKs are for a flow the sender
+        # knows, but feed the data by hand: the flow itself never starts, so
+        # the sender never transmits (and drops those ACKs, counted).
         flow = Flow(0, sender.node_id, sink.node_id, 3000, 1e18)
         env = CCEnv(line_rate_bps=gbps(8), base_rtt_ns=us(4), hops=2)
         net.add_flow(flow, IdleCC(env))
-        sender.senders[0].next_seq = 3000
         in_port = sw.port_to[sender.node_id]
         ingress = in_port.pfc_ingress
 
