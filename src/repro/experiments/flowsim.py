@@ -17,8 +17,9 @@ The fluid engine reduces a congestion-control variant to two numbers:
   point is that VAI+SF variants converge in a few RTTs where default
   HPCC/Swift take tens; :data:`TAU_RTTS` encodes exactly that ordering.
   The absolute values are calibrated against the packet engine on the
-  fig8 workload (see ``check differential --backends``), not derived
-  from protocol equations — flow mode is a *fast approximation*.
+  fig 1/8/9 incasts (``check differential --backends``; scan in DESIGN.md
+  sec 13), not derived from protocol equations; the engine integrates in
+  closed form, so they carry no step-size or sampling-interval term.
 * a rate cap — ``fs_max_cwnd_pkts`` MTUs per base RTT, the bounded-window
   ceiling all variants share in this reproduction.
 
@@ -89,9 +90,8 @@ TAU_RTTS: Tuple[Tuple[str, float], ...] = (
     ("dcqcn", 40.0),
 )
 
-#: Lag for variants matching no family above (default HPCC/Swift),
-#: calibrated against the packet backend's fig-8 convergence time and
-#: post-start Jain index (check/differential.py backend matrix).
+#: Lag for variants matching no family above (default HPCC/Swift): the
+#: minimum of the backend matrix's summed divergence over tau (60-65).
 DEFAULT_TAU_RTTS = 60.0
 
 
@@ -380,7 +380,7 @@ def run_datacenter_hybrid(cfg: DatacenterConfig) -> "DatacenterResult":  # noqa:
     with _phase("build"):
         topo = build_fattree(cfg.fattree, seed=cfg.seed)
         net = topo.network
-        engine = FluidEngine(net, track_link_utilization=True)
+        engine = FluidEngine(net)
         specs = _datacenter_workload(cfg, topo)
         long_specs = [s for s in specs if s.size_bytes > cfg.hybrid_packet_max_bytes]
         short_specs = [s for s in specs if s.size_bytes <= cfg.hybrid_packet_max_bytes]

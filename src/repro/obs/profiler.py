@@ -47,8 +47,8 @@ PHASES = (
     "pfc",              # PFC pause/resume application
     "monitor.sample",   # periodic samplers (queue/goodput/analytics)
     "fault.inject",     # fault-schedule callbacks
-    "fluid.run",        # flow-level engine main loop
-    "fluid.relax",      # fluid relaxation + target recomputation
+    "fluid.run",        # flow-level engine main loop (closed-form advance, samples)
+    "fluid.relax",      # fluid water-filling, rescale and departure solve
     "engine.other",     # anything not classified above
 )
 

@@ -1,13 +1,10 @@
 """Event-driven flow-level (fluid) simulation engine.
 
-The packet engine executes one event per packet per hop — exact, but
-~3x10^5 events/s caps experiments far below paper scale.  This engine
-models each flow as a *rate process* instead: between events every active
-flow transfers bytes at a piecewise-constant rate, and events fire only
-when the rate picture changes (a flow arrives, departs, a link flaps, a
-relaxation tick) or a monitor samples.  The 16-flow fig-8 incast that costs
-the packet engine ~110k events costs this engine ~900, of which 720 are
-queue samples (see *Integration step* below).
+The packet engine executes one event per packet per hop — exact, but the
+16-flow fig-8 incast costs it ~110k events.  This engine models each flow
+as a *rate process* and wakes only when the rate picture changes (a flow
+arrives or departs, a link flaps); between wake-ups every rate follows a
+closed form.  The same incast costs 16 loop iterations (*Integration step*).
 
 Rate model
 ----------
@@ -21,16 +18,16 @@ Rate model
   changed flows keep their targets untouched.
 * **Convergence lag** makes the backend CC-aware: instead of snapping to
   the target, each flow's intrinsic rate relaxes toward it first-order,
-  ``r(t + dt) = T + (r(t) - T) * exp(-dt / tau)``, with ``tau`` the
+  ``r(t) = T + (r(0) - T) * exp(-t / tau)``, with ``tau`` the
   variant's convergence time constant (fast for VAI+SF variants, slow
   for default HPCC/Swift — see :mod:`repro.experiments.flowsim`).
   ``tau = 0`` snaps instantly (ideal fair sharing).
-* **Feasibility**: intrinsic rates may transiently oversubscribe a link
-  (a newly arrived flow starts at line rate, exactly like a fresh CC
-  window).  Served rates are intrinsic rates scaled down per link so no
-  link exceeds capacity; the overhang feeds a modelled queue on the
-  monitored bottleneck links (diagnostic only — queued bytes are not
-  re-delivered, the paper's queue figures need depth, not payload).
+* **Feasibility**: intrinsic rates may oversubscribe a link (a newly
+  arrived flow starts at line rate, exactly like a fresh CC window).
+  Served rates are intrinsic rates scaled down per link so no link
+  exceeds capacity; the overhang feeds a modelled queue on the monitored
+  bottleneck links (diagnostic only — queued bytes are not re-delivered,
+  the paper's queue figures need depth, not payload).
 
 Completion semantics mirror the packet engine: a flow finishes when its
 payload has drained at the served rate, plus a constant per-flow latency
@@ -47,34 +44,40 @@ same post-flap tables.
 Integration step
 ----------------
 
-Rates are piecewise constant between events, so the relaxation above is
-integrated with a step equal to the gap between events.  A relaxation tick
-is armed ``max(min(tau)/4, 500 ns)`` after *every* event (from ``now``, not
-from the previous tick) while some flow is off its target, so it only
-fires when nothing else happens for that long.  On runs without samplers
-(the fat-tree traces) it does fire and bounds the step.  On the incast
-configs it never does: their 2 us queue sampler is shorter than every
-tick, 4132 of the 4184 event steps in the fig-8 pair at 16 and 32 senders
-are queue samples, and the integration step *is* ``sample_interval_ns``.
-FCTs therefore move with the sampling interval
-(``test_fct_independent_of_queue_sample_interval`` is an expected failure),
-and ``TAU_RTTS`` is calibrated at the default interval.  ROADMAP item 1
-carries the fix (passive samplers, analytic byte integral between
-rate-changing events, then re-calibration).
+Arrivals and flaps *commit* (:meth:`FluidEngine._rescale`): each link's
+summed intrinsic rates end at or below capacity, where the summed targets
+already are.  While every flow relaxes with one ``tau`` a link carries
+``sum(T) + (load - sum(T)) * exp(-t / tau)``, under capacity until the
+next wake-up, so served equals intrinsic: bytes drained, queue depth and
+per-link served bytes are read off ``T t + (r(0) - T) tau (1 - exp(-t /
+tau))``, and the next departure is that integral's root
+(:func:`drain_time_ns`), solved rather than stepped to.  Every incast
+interval takes this path; a fig-8 run wakes 16 times at 16 senders, 32 at
+32.
+
+With flows of *different* ``tau`` active (fat-tree traces: base RTT grows
+with hop count) a fast riser beside a slow faller can push a shared link
+over capacity mid-interval, and the per-link scaling has no closed form.
+While some flow is off its target such an interval is cut every
+``min(tau) / 4`` from the last wake-up: scale factors are refreshed at
+each cut and held across the sub-step, inside which the integrals stay
+exact (DESIGN.md sec 13).
+
+Samplers are passive: each wake-up writes the samples whose instants have
+passed, from the closed form at those instants, so no FCT depends on a
+sampling interval.  ``events_executed`` counts arrivals, departures,
+flaps, sub-steps and samples *written*; ``wakeups`` counts loop iterations.
 
 Cost
 ----
 
-One event is two passes over the table of active flows
-(:meth:`FluidEngine._drain_and_relax`: drain, relax, collect departures;
-:meth:`FluidEngine._rescale`: per-link loads and scale factors, served
-rates, next departure, relax-tick test), each O(active flows x path
-length).  Arrivals, departures and flaps add one water-filling of the
-touched component, linear in its (flow, link) incidences plus
-O(rounds x links).
-
-Everything is deterministic: no RNG, and every sum runs over
-insertion-ordered tables (never a set, never ``id()`` order).
+One wake-up is two passes over the table of active flows
+(:meth:`FluidEngine._advance`, :meth:`FluidEngine._rescale`), each
+O(active flows x path length), plus one water-filling of the touched
+component.  Newton runs only for flows whose bound ``remaining / max(r, T)``
+beats the best departure so far; a sample costs one ``exp`` per distinct
+``tau`` in use.  Everything is deterministic: no RNG, and every sum runs
+over insertion-ordered tables (never a set, never ``id()`` order).
 """
 
 from __future__ import annotations
@@ -105,11 +108,10 @@ GOODPUT_FRACTION = MTU_PAYLOAD / (MTU_PAYLOAD + HEADER_BYTES)
 #: A flow with less than this many payload bytes left is complete.
 _EPS_BYTES = 1e-6
 
-#: Relative rate error below which relaxation is considered converged.
-_RELAX_TOL = 1e-3
-
-#: Floor for the relaxation tick interval (ns) — bounds event count.
-_MIN_RELAX_TICK_NS = 500.0
+#: A link is oversubscribed when its summed rates exceed capacity by more
+#: than this factor.  A commit leaves the sum *at* capacity to within the
+#: rounding of the sum itself; those few ulp per user are not an overload.
+_FULL = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -136,43 +138,79 @@ class FluidFlowParams:
             raise ValueError("start_fraction must be in (0, 1]")
 
 
+def drain_time_ns(need: float, rate: float, target: float, tau: float) -> float:
+    """When a flow relaxing from ``rate`` toward ``target`` has moved ``need`` bytes.
+
+    The root of ``need = target t + (rate - target) tau (1 - exp(-t / tau))``
+    by Newton's method, started on the side it converges from monotonically:
+    a falling rate makes the integral concave (start at the lower bound
+    ``need / rate``), a rising one convex (start where its asymptote crosses).
+    """
+    delta = rate - target
+    if delta == 0.0:
+        return need / rate if rate > 0.0 else math.inf
+    if target <= 0.0 and delta * tau <= need:
+        return math.inf  # decays to a standstill first
+    t = need / rate if delta > 0.0 else (need - delta * tau) / target
+    for _ in range(64):
+        em = math.expm1(-t / tau)
+        step = (target * t - delta * tau * em - need) / (target + delta * (1.0 + em))
+        t -= step
+        if -1e-13 * t <= step <= 1e-13 * t:
+            break
+    return t
+
+
 #: A directed link: (upstream node id, downstream node id).
 DLink = Tuple[int, int]
 
 
 @dataclass(eq=False)
 class _Link:
-    """Per-link accumulators the event step reads and writes in place."""
+    """Per-link accumulators the wake-up passes read and write in place."""
 
     index: int  # position in creation order; the link's id in water-filling
     cap: float  # goodput capacity in bytes/ns, 0 while the link is down
     #: Active flows crossing the link, by flow id, in occupation order.
     users: Dict[int, "_FlowState"] = field(default_factory=dict)
-    load: float = 0.0  # sum of the users' intrinsic rates after the last event
-    served: float = 0.0  # sum of their served rates (current only while tracking utilization)
+    load: float = 0.0  # sum of the users' intrinsic rates at the last wake-up
     factor: float = 1.0  # cap / load when oversubscribed, else 1
-    queue: float = 0.0  # modelled backlog in bytes (monitored links only)
-    bytes: float = 0.0  # served bytes so far (utilization tracking only)
+    bytes: float = 0.0  # served bytes its users have been credited with (see _credit)
+    # Monitored links only: the backlog at the last wake-up, and load minus
+    # capacity since as ``drift + sum(d * exp(-t / tau))``.
+    queue: float = 0.0
+    drift: float = 0.0  # summed targets minus capacity
+    decays: Tuple[Tuple[float, float], ...] = ()  # (tau, summed rate - target)
+
+    def depth(self, t: float) -> float:
+        """Backlog ``t`` ns after the last wake-up."""
+        depth = self.queue + self.drift * t
+        for tau, delta in self.decays:
+            depth -= delta * tau * math.expm1(-t / tau)
+        return depth if depth > 0.0 else 0.0
 
 
 @dataclass(eq=False)
 class _FlowState:
     flow: Flow
     params: FluidFlowParams
-    remaining: float
+    remaining: float  # payload bytes left at the last wake-up
     latency_ns: float
     fid: int
-    tau: float  # params.tau_ns, read once per flow per event
+    tau: float  # params.tau_ns, read once per flow per wake-up
     active: bool = False
     links: Tuple[_Link, ...] = ()  # empty while inactive or unroutable
     link_ids: Tuple[int, ...] = ()  # the links' indexes: water-filling input
-    r_int: float = 0.0  # intrinsic (demanded) rate, bytes/ns
-    r_srv: float = 0.0  # served rate after per-link feasibility scaling
+    r_int: float = 0.0  # intrinsic (demanded) rate at the last wake-up, bytes/ns
     target: float = 0.0
+    factor: float = 0.0  # served / intrinsic rate until the next wake-up
+    credited: float = 0.0  # ``remaining`` when the links' ``bytes`` last saw it
 
 
 @dataclass
-class _Samples:
+class _Sampler:
+    interval: Optional[float]
+    due: float  # the next instant to write (inf when off)
     times: List[float] = field(default_factory=list)
     values: List = field(default_factory=list)
 
@@ -192,6 +230,7 @@ class FluidEngine:
     rate_sample_interval_ns / queue_sample_interval_ns:
         Enable periodic sampling of per-flow served rates (Jain series)
         and summed monitored-queue depth.  None disables a sampler.
+        Samplers only observe: they never wake the loop.
     """
 
     def __init__(
@@ -202,7 +241,6 @@ class FluidEngine:
         rate_sample_interval_ns: Optional[float] = None,
         queue_sample_interval_ns: Optional[float] = None,
         md_delay_ns: float = 0.0,
-        track_link_utilization: bool = False,
     ):
         self.net = net
         #: How long an oversubscription burst feeds the modeled queue before
@@ -210,8 +248,8 @@ class FluidEngine:
         self.md_delay_ns = md_delay_ns
         self.now = 0.0
         self.events_executed = 0
-        self._flows: Dict[int, _FlowState] = {}
-        self._order: List[_FlowState] = []  # registration order (sampling columns)
+        self.wakeups = 0  # loop iterations: one per instant at which rates changed
+        self._flows: Dict[int, _FlowState] = {}  # in registration order: sampling columns
         #: The active flows in arrival order.  Every per-link sum runs over
         #: this table, so results never depend on hash or ``id()`` order.
         self._active: List[_FlowState] = []
@@ -219,25 +257,15 @@ class FluidEngine:
         self._arrival_idx = 0
         self._links: Dict[DLink, _Link] = {}
         self._busy: List[_Link] = []  # links with at least one user
+        self._mixed = False  # active flows relax with different tau: links can overshoot
         self._monitored: Tuple[_Link, ...] = tuple(
             self._link((p.owner.node_id, p.peer_node.node_id)) for p in monitored_ports
         )
-        #: Served bytes per directed link feed hybrid-mode derating.  Only
-        #: accumulated when requested: it costs a pass over every flow's
-        #: path per event and only :meth:`link_utilization` reads it.
-        self._track_utilization = track_link_utilization
-        self._rate_interval = rate_sample_interval_ns
-        self._queue_interval = queue_sample_interval_ns
-        self._rate_samples = _Samples()
-        self._queue_samples = _Samples()
-        self._next_rate_sample = (
-            rate_sample_interval_ns if rate_sample_interval_ns else math.inf
-        )
-        self._next_queue_sample = (
-            queue_sample_interval_ns if queue_sample_interval_ns else math.inf
-        )
-        self._next_relax = math.inf
+        self._rates = _Sampler(rate_sample_interval_ns, rate_sample_interval_ns or math.inf)
+        self._queues = _Sampler(queue_sample_interval_ns, queue_sample_interval_ns or math.inf)
+        self._next_substep = math.inf
         self._next_departure = math.inf
+        self._departing: Optional[_FlowState] = None  # whose time that is
         #: (time, a, b, up) link state toggles, sorted by time.
         self._flaps: List[Tuple[float, int, int, bool]] = []
         self._flap_idx = 0
@@ -262,7 +290,6 @@ class FluidEngine:
             tau=params.tau_ns,
         )
         self._flows[flow.flow_id] = st
-        self._order.append(st)
         self._arrivals.append((flow.start_time, flow.flow_id))
 
     def schedule_link_flap(
@@ -293,7 +320,7 @@ class FluidEngine:
         """The accumulator record of a directed link, created on first use.
 
         Capacities are read from the ports here and again after a link flap
-        (port lookups are far too slow for the per-event loops).
+        (port lookups are far too slow for the per-wake-up loops).
         """
         link = self._links.get(dlink)
         if link is None:
@@ -338,23 +365,22 @@ class FluidEngine:
         path = self._path_links(st.flow.src, st.flow.dst, st.flow.ecmp_hash)
         st.links = tuple(self._link(d) for d in path or ())
         st.link_ids = tuple(link.index for link in st.links)
+        st.credited = st.remaining
         for link in st.links:
             link.users[st.fid] = st
 
+    def _credit(self, st: _FlowState) -> None:
+        """Book the bytes ``st`` drained since the last call on its links."""
+        moved = st.credited - st.remaining
+        st.credited = st.remaining
+        for link in st.links:
+            link.bytes += moved
+
     def _vacate(self, st: _FlowState) -> None:
+        self._credit(st)
         for link in st.links:
             link.users.pop(st.fid, None)
         st.links = st.link_ids = ()
-
-    def _refresh_busy(self) -> None:
-        """Re-list the links in use after flows occupied or vacated some."""
-        busy = []
-        for link in self._links.values():
-            if link.users:
-                busy.append(link)
-            else:  # nothing crosses it: what the monitored-queue integral reads
-                link.load = link.served = 0.0
-        self._busy = busy
 
     def _recompute_targets(self, seeds: Iterable[_FlowState]) -> None:
         """Water-fill the bottleneck component(s) touched by ``seeds``.
@@ -387,97 +413,56 @@ class FluidEngine:
         for fid, target in targets.items():
             component[fid].target = target
 
-    def _snap_new_flows(self, fresh: List[_FlowState]) -> None:
-        """Arrivals start at line rate (or instantly at target for tau=0)."""
-        for st in fresh:
-            if st.tau == 0.0 or not st.links:
-                st.r_int = st.target
-                continue
-            path_cap = min(link.cap for link in st.links)
-            if st.params.cap_bytes_per_ns is not None:
-                path_cap = min(path_cap, st.params.cap_bytes_per_ns)
-            st.r_int = st.params.start_fraction * path_cap
+    # -- the wake-up passes ------------------------------------------------
 
-    # -- the event step ----------------------------------------------------
-
-    def _integrate_links(self, dt: float) -> None:
-        """Queue depth and served bytes over ``dt`` at the cached link loads."""
+    def _advance(self, t: float) -> List[_FlowState]:
+        """Pass A: move every flow to ``t`` by the closed form; return the drained."""
+        dt = t - self.now
+        self.now = t
         for link in self._monitored:
-            depth = link.queue + (link.load - link.cap) * dt
-            link.queue = depth if depth > 0.0 else 0.0
-        if self._track_utilization:
-            for link in self._busy:
-                if link.served > 0.0:
-                    link.bytes += link.served * dt
-
-    def _drain_and_relax(self, dt: float) -> List[_FlowState]:
-        """Pass A: move every active flow across ``dt``; return the drained.
-
-        Bytes leave at the served rates in force during the interval, and
-        intrinsic rates relax first-order toward the targets that were in
-        force during it (the event's own state change is applied later).
-        """
-        self._integrate_links(dt)
-        exp = math.exp
+            link.queue = link.depth(dt)
+        expm1 = math.expm1
         drained = []
+        em = shared_tau = 0.0  # consecutive flows mostly share one tau
         for st in self._active:
-            remaining = st.remaining
-            r_srv = st.r_srv
-            if r_srv > 0.0:
-                remaining -= r_srv * dt
-                st.remaining = remaining = remaining if remaining > 0.0 else 0.0
+            target = st.target
+            moved = target * dt
+            delta = st.r_int - target
+            if delta != 0.0:
+                tau = st.tau
+                if tau != shared_tau:
+                    em = expm1(-dt / tau)
+                    shared_tau = tau
+                moved -= delta * tau * em
+                decayed = delta + delta * em
+                # Land exactly on the target once the residual is far
+                # below any physical meaning.
+                if -1e-12 * target < decayed < 1e-12 * target:
+                    st.r_int = target
+                else:
+                    st.r_int = target + decayed
+            remaining = st.remaining - st.factor * moved
+            st.remaining = remaining = remaining if remaining > 0.0 else 0.0
             if remaining <= _EPS_BYTES:
                 drained.append(st)
-            tau = st.tau
-            if tau > 0.0:
-                target = st.target
-                delta = st.r_int - target
-                if delta != 0.0:
-                    decayed = delta * exp(-dt / tau)
-                    # Land exactly on the target once the residual is far
-                    # below any physical meaning.
-                    if -1e-12 * target < decayed < 1e-12 * target:
-                        st.r_int = target
-                    else:
-                        st.r_int = target + decayed
         return drained
 
-    def _drain_to_timeout(self, timeout_ns: float) -> None:
-        """Stop the clock at ``timeout_ns``: drain, but change no rate."""
-        dt = timeout_ns - self.now
-        self.now = timeout_ns
-        if dt <= 0.0:
-            return
-        self._integrate_links(dt)
-        eta = math.inf
-        for st in self._active:
-            if st.r_srv > 0.0:
-                remaining = st.remaining - st.r_srv * dt
-                st.remaining = remaining = remaining if remaining > 0.0 else 0.0
-                eta = min(eta, timeout_ns + remaining / st.r_srv)
-        self._next_departure = eta  # what a resumed run waits for
-
     def _rescale(self, commit: bool) -> None:
-        """Pass B: link loads, served rates, next departure and relax tick.
+        """Pass B: link loads, served fractions, next departure and sub-step.
 
         Served = intrinsic scaled so no link exceeds its capacity.
 
         ``commit`` is the multiplicative decrease, applied when congestion
-        appears (an arrival oversubscribes a link, a flap reroutes flows
-        onto fewer links): the scaled-down rates become *intrinsic*.  Real
-        CC cuts rates within an RTT of congestion onset — much faster than
-        it converges to fairness — so the squeeze is immediate while the
-        squeezed vector relaxes toward the fair targets with lag ``tau``.
-        This is what makes late arrivals (fresh window, full rate) hold
-        more than their fair share while incumbents sit below it: the
-        paper's unfairness signature, persisting for O(tau).
-
-        The burst of excess demand between congestion onset and the cut —
-        roughly one base RTT of (load - capacity) — is what a real switch
-        buffers, so it is credited to the monitored queues
-        (``md_delay_ns``); the queues then drain in
-        :meth:`_integrate_links` whenever departures leave the links
-        under-loaded.
+        appears (an arrival, a flap): the scaled-down rates become
+        *intrinsic*.  Real CC cuts rates within an RTT of congestion onset,
+        much faster than it converges to fairness, so the squeeze is
+        immediate while the squeezed vector relaxes toward the fair targets
+        with lag ``tau``.  Late arrivals (fresh window, full rate) thus hold
+        more than their share while incumbents sit below it: the paper's
+        unfairness signature, persisting for O(tau).  The excess demand of
+        the ``md_delay_ns`` before the cut is what a switch buffers, so it
+        is credited to the monitored queues, which drain
+        (:meth:`_Link.depth`) once departures leave them under-loaded.
         """
         active, busy = self._active, self._busy
         for link in busy:
@@ -490,7 +475,7 @@ class FluidEngine:
                 link.load += r_int
         squeezed = False
         for link in busy:
-            if link.load > link.cap:
+            if link.load > link.cap * _FULL:
                 link.factor = link.cap / link.load
                 squeezed = True
             else:
@@ -503,74 +488,98 @@ class FluidEngine:
 
         now = self.now
         eta = min_tau = math.inf
+        departing = None
         for st in active:
-            r_srv = r_int = st.r_int
             links = st.links
-            if not links:
-                r_srv = 0.0
-            elif squeezed:
-                factor = 1.0
+            factor = routed = 1.0 if links else 0.0
+            if squeezed:
                 for link in links:
                     if link.factor < factor:
                         factor = link.factor
-                r_srv = r_int * factor
-            st.r_srv = r_srv
-            if commit:
-                st.r_int = r_int = r_srv
-            if r_srv > 0.0:
-                t = now + st.remaining / r_srv
+            r_int, target = st.r_int, st.target
+            if commit and factor != 1.0 and st.tau > 0.0:
+                st.r_int = r_int = r_int * factor  # the cut: served becomes intrinsic
+                factor = routed
+            st.factor = factor
+            if r_int != target and st.tau < min_tau:
+                min_tau = st.tau
+            peak = r_int if r_int > target else target
+            if factor > 0.0 and peak > 0.0:
+                # A lower bound (exact for a flow on its target): solve only
+                # for flows that could leave before the best so far.
+                t = now + st.remaining / (factor * peak)
                 if t < eta:
-                    eta = t
-            # The relax tick follows the fastest flow still off its target.
-            tau = st.tau
-            if 0.0 < tau < min_tau:
-                target = st.target
-                scale = target if target > r_int else r_int
-                if scale < 1e-9:
-                    scale = 1e-9
-                delta = r_int - target
-                if (delta if delta >= 0.0 else -delta) > _RELAX_TOL * scale:
-                    min_tau = tau
+                    if r_int != target:
+                        t = now + drain_time_ns(st.remaining / factor, r_int, target, st.tau)
+                    if t < eta:
+                        eta = t
+                        departing = st
         self._next_departure = eta
-        if min_tau < math.inf:
-            tick = min_tau / 4.0
-            if tick < _MIN_RELAX_TICK_NS:
-                tick = _MIN_RELAX_TICK_NS
-            self._next_relax = now + tick
-        else:
-            self._next_relax = math.inf
+        self._departing = departing
+        self._next_substep = now + min_tau / 4.0 if self._mixed else math.inf
+        self._aim_queues()
 
-        # What the next event's link integration reads.  After a commit
-        # intrinsic and served rates coincide, so one sum gives both loads.
-        if commit or self._track_utilization:
-            for link in busy:
-                link.served = 0.0
-            for st in active:
-                r_srv = st.r_srv
-                for link in st.links:
-                    link.served += r_srv
-            if commit:
-                for link in busy:
-                    link.load = link.served
+    def _aim_queues(self) -> None:
+        """Give each monitored link the closed form of its load from now on."""
+        for link in self._monitored:
+            drift = -link.cap
+            decays: Dict[float, float] = {}
+            for st in link.users.values():
+                drift += st.target
+                if st.r_int != st.target:
+                    decays[st.tau] = decays.get(st.tau, 0.0) + st.r_int - st.target
+            link.drift = drift
+            link.decays = tuple(decays.items())
 
     # -- sampling ----------------------------------------------------------
 
-    def _take_rate_sample(self) -> None:
-        # Served rates are zero before arrival and after departure.
-        self._rate_samples.times.append(self.now)
-        self._rate_samples.values.append([st.r_srv * 8e9 for st in self._order])
+    def _rates_at(self, dt: float) -> List[float]:
+        """Served rates in bits/s ``dt`` ns after the last wake-up."""
+        decay: Dict[float, float] = {}
+        row = []
+        for st in self._flows.values():
+            # Served rates are zero before arrival and after departure.
+            rate = 0.0
+            if st.active:
+                rate = target = st.target
+                delta = st.r_int - target
+                if delta != 0.0:
+                    tau = st.tau
+                    if tau not in decay:
+                        decay[tau] = math.exp(-dt / tau)
+                    rate += delta * decay[tau]
+                rate *= st.factor * 8e9
+            row.append(rate)
+        return row
 
-    def _take_queue_sample(self) -> None:
-        self._queue_samples.times.append(self.now)
-        self._queue_samples.values.append(sum(link.queue for link in self._monitored))
+    def _queue_at(self, dt: float) -> float:
+        return sum([link.depth(dt) for link in self._monitored])
+
+    def _write_samples(self, until: float, inclusive: bool = False) -> None:
+        """Write the samples due before ``until`` (or at it, when ``inclusive``).
+
+        A sample due exactly at a wake-up is written after it, so it sees
+        the rates that wake-up set.
+        """
+        if inclusive:
+            until = math.nextafter(until, math.inf)
+        now = self.now
+        for sampler, read in ((self._rates, self._rates_at), (self._queues, self._queue_at)):
+            due = sampler.due
+            while due < until:
+                sampler.times.append(due)
+                sampler.values.append(read(due - now))
+                due += sampler.interval
+                self.events_executed += 1
+            sampler.due = due
 
     def rate_series(self) -> Tuple[List[float], List[List[float]]]:
         """(times, rates_bps rows) in flow registration order."""
-        return self._rate_samples.times, self._rate_samples.values
+        return self._rates.times, self._rates.values
 
     def queue_series(self) -> Tuple[List[float], List[float]]:
         """(times, summed monitored queue depth in bytes)."""
-        return self._queue_samples.times, self._queue_samples.values
+        return self._queues.times, self._queues.values
 
     def link_utilization(self, elapsed_ns: Optional[float] = None) -> Dict[DLink, float]:
         """Time-averaged served utilization per directed link in [0, 1].
@@ -580,14 +589,11 @@ class FluidEngine:
         background load.  Utilization is measured against the link's
         *goodput* capacity regardless of its current up/down state.
         """
-        if not self._track_utilization:
-            raise RuntimeError(
-                "link utilization was not tracked; construct the engine "
-                "with track_link_utilization=True"
-            )
         elapsed = self.now if elapsed_ns is None else elapsed_ns
         if elapsed <= 0.0:
             return {}
+        for st in self._active:  # flows a timeout caught mid-transfer
+            self._credit(st)
         out: Dict[DLink, float] = {}
         for dlink, link in sorted(self._links.items()):
             if link.bytes <= 0.0:
@@ -611,34 +617,26 @@ class FluidEngine:
         tr = obs_tracer.TRACER
         if tr is None or obs_flightrec.RECORDER is None:
             return
-        for ts, depth in zip(self._queue_samples.times, self._queue_samples.values):
+        for ts, depth in zip(self._queues.times, self._queues.values):
             tr.counter("queue fluid", ts, {"bytes": depth}, cat="flightrec")
         # Per-flow rate lanes are capped like the recorder's timeline —
         # a datacenter-scale run would otherwise emit thousands of tracks.
-        shown = self._order[: obs_flightrec.TIMELINE_FLOWS_CAP]
-        for row_idx, ts in enumerate(self._rate_samples.times):
-            row = self._rate_samples.values[row_idx]
+        shown = list(self._flows.values())[: obs_flightrec.TIMELINE_FLOWS_CAP]
+        for row_idx, ts in enumerate(self._rates.times):
+            row = self._rates.values[row_idx]
             for col, st in enumerate(shown):
                 tr.counter(
                     f"rate flow {st.fid}", ts, {"bps": row[col]}, cat="flightrec"
                 )
-        if self._track_utilization and self.now > 0.0:
-            for (u, v), util in sorted(self.link_utilization().items()):
-                tr.counter(
-                    f"util {u}->{v}", self.now, {"utilization": util},
-                    cat="flightrec",
-                )
+        for (u, v), util in sorted(self.link_utilization().items()):
+            tr.counter(
+                f"util {u}->{v}", self.now, {"utilization": util}, cat="flightrec"
+            )
 
     # -- main loop ---------------------------------------------------------
 
     def run(self, timeout_ns: float) -> CompletionStatus:
-        """Advance the fluid simulation until done or ``timeout_ns``.
-
-        One event costs two passes over the table of active flows
-        (:meth:`_drain_and_relax` before the state change,
-        :meth:`_rescale` after it) plus, when flows arrive, depart or are
-        re-pathed, one water-filling of the component they touch.
-        """
+        """Advance the fluid simulation until done or ``timeout_ns``."""
         events_start = self.events_executed
         self._arrivals.sort()
         self._flaps.sort()
@@ -657,31 +655,30 @@ class FluidEngine:
                 arrivals[self._arrival_idx][0] if have_arrival else math.inf,
                 self._next_departure,
                 flaps[self._flap_idx][0] if self._flap_idx < len(flaps) else math.inf,
-                self._next_relax,
-                self._next_rate_sample,
-                self._next_queue_sample,
+                self._next_substep,
             )
             if math.isinf(t_next):
                 stop_reason = "stalled"
                 break
             if t_next > timeout_ns:
-                self._drain_to_timeout(timeout_ns)
+                # Stop the clock: drain, but change no rate or deadline.
+                if timeout_ns > self.now:
+                    self._write_samples(timeout_ns, inclusive=True)
+                    self._advance(timeout_ns)
+                    self._aim_queues()
                 stop_reason = "timeout"
                 break
-            dt = t_next - self.now
-            if dt <= 0.0:
-                drained = [st for st in self._active if st.remaining <= _EPS_BYTES]
-            elif prof is None:
-                drained = self._drain_and_relax(dt)
-            else:
-                prof.push("fluid.relax")
-                drained = self._drain_and_relax(dt)
-                prof.pop()
-            self.now = now = t_next
-            # Flows whose bottleneck component must be water-filled again,
-            # and the arrivals among them.
+            self.wakeups += 1
+            self._write_samples(t_next)
+            if t_next >= self._next_substep:
+                self.events_executed += 1
+            if t_next >= self._next_departure:
+                self._departing.remaining = 0.0  # solved for, whatever rounding left
+            drained = self._advance(t_next)
+            now = t_next
+            # Flows whose bottleneck component must be water-filled again.
             changed: Dict[int, _FlowState] = {}
-            fresh: List[_FlowState] = []
+            fresh = False
 
             # Departures: flows fully drained as of t_next.
             for st in drained:
@@ -693,7 +690,6 @@ class FluidEngine:
                 for link in st.links:
                     changed.update(link.users)
                 self._vacate(st)
-                st.r_int = st.r_srv = 0.0
                 self.events_executed += 1
             if drained:
                 self._active = [st for st in self._active if st.active]
@@ -709,8 +705,13 @@ class FluidEngine:
                 st.active = True
                 self._active.append(st)
                 self._occupy(st)
+                if st.links:  # a fresh window: line rate (tau = 0 snaps to target)
+                    rate = min(link.cap for link in st.links)
+                    if st.params.cap_bytes_per_ns is not None:
+                        rate = min(rate, st.params.cap_bytes_per_ns)
+                    st.r_int = st.params.start_fraction * rate
                 changed[st.fid] = st
-                fresh.append(st)
+                fresh = True
                 self.events_executed += 1
 
             # Link flaps due now: toggle state and re-path every active flow
@@ -731,28 +732,17 @@ class FluidEngine:
                     self._occupy(st)
                     changed[st.fid] = st
 
+            if prof is not None:
+                prof.push("fluid.relax")
             if changed:
-                self._refresh_busy()
-                if prof is None:
-                    self._recompute_targets(changed.values())
-                else:
-                    prof.push("fluid.relax")
-                    self._recompute_targets(changed.values())
-                    prof.pop()
-                self._snap_new_flows(fresh)
-            if now >= self._next_relax:
-                self.events_executed += 1
-            self._rescale(commit=bool(fresh) or flapped)
+                self._busy = [link for link in self._links.values() if link.users]
+                self._mixed = len({st.tau for st in self._active if st.tau > 0.0}) > 1
+                self._recompute_targets(changed.values())
+            self._rescale(commit=fresh or flapped)
+            if prof is not None:
+                prof.pop()
 
-            if now >= self._next_rate_sample:
-                self._take_rate_sample()
-                self._next_rate_sample += self._rate_interval
-                self.events_executed += 1
-            if now >= self._next_queue_sample:
-                self._take_queue_sample()
-                self._next_queue_sample += self._queue_interval
-                self.events_executed += 1
-
+        self._write_samples(self.now, inclusive=True)
         if prof is not None:
             prof.pop()
         self._emit_series_trace()

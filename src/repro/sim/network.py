@@ -93,6 +93,8 @@ class Network:
         self.completed_flows: List[Flow] = []
         #: Links currently administratively/physically down, as (lo, hi) pairs.
         self._down_links: Set[Tuple[int, int]] = set()
+        #: (src, dst) -> node path, valid for the current effective adjacency.
+        self._paths: Dict[Tuple[int, int], List[int]] = {}
 
     # -- topology construction --------------------------------------------------
 
@@ -160,6 +162,7 @@ class Network:
         b.attach_port(port_ba, a.node_id)
         self._adjacency[a.node_id].append(b.node_id)
         self._adjacency[b.node_id].append(a.node_id)
+        self._paths.clear()
         return port_ab, port_ba
 
     def build_routing(self) -> None:
@@ -215,6 +218,7 @@ class Network:
             self._down_links.discard(key)
         else:
             self._down_links.add(key)
+        self._paths.clear()
         changed = port_ab.link_up != up
         port_ab.link_up = up
         port_ba.link_up = up
@@ -285,6 +289,11 @@ class Network:
         return rate / 8.0 * self.path_rtt_ns(src, dst) / 1e9
 
     def _shortest_path(self, src: int, dst: int) -> List[int]:
+        """Node path, lowest distance first; remembered (do not mutate) until
+        the effective adjacency changes."""
+        path = self._paths.get((src, dst))
+        if path is not None:
+            return path
         adjacency = self._effective_adjacency()
         dist = bfs_distances(adjacency, dst)
         if src not in dist:
@@ -297,6 +306,7 @@ class Network:
                 key=lambda v: dist[v],
             )
             path.append(node)
+        self._paths[src, dst] = path
         return path
 
     # -- flows ---------------------------------------------------------------------

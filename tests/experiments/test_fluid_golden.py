@@ -1,12 +1,12 @@
 """Flow-backend parity with a committed golden fixture.
 
-``data/fluid_golden.json`` was recorded from the commit *before* the fluid
-kernels were rebuilt (PR 12's parent), with ``python
-tests/experiments/test_fluid_golden.py --record`` run against that tree.
-The rebuilt engine must reproduce it: incast runs bit-for-bit (digest,
-event count and both sample series), fat-tree runs to float-summation
-noise (per-link loads are summed in a different, still deterministic,
-order).  Re-record only for a PR that changes the fluid physics on purpose.
+``data/fluid_golden.json`` was recorded at PR 22, which changed the fluid
+physics on purpose (closed-form drain between rate changes, solved
+departures, passive samplers; DESIGN.md sec 13), with ``python
+tests/experiments/test_fluid_golden.py --record``.  The engine must
+reproduce it: incast runs bit-for-bit (digest, event and wake-up counts and
+both sample series), fat-tree runs to float-summation noise.  Re-record
+only for a PR that changes the fluid physics on purpose.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ def observe(name: str) -> Dict[str, Any]:
     seen: Dict[str, Any] = {
         "fct_digest": fct_digest(result),
         "events_executed": result.events_executed,
+        "wakeups": engine.wakeups,
         "rate_times": list(rate_times),
         "rate_rows": [list(row) for row in rate_rows],
         "queue_times": list(queue_times),
@@ -115,6 +116,7 @@ def golden() -> Dict[str, Any]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_parent_commit(name: str, golden: Dict[str, Any]) -> None:
     want, got = golden[name], observe(name)
+    assert got["wakeups"] == want["wakeups"]
     if name.startswith("incast"):
         assert got["fct_digest"] == want["fct_digest"]
         assert got["events_executed"] == want["events_executed"]
@@ -137,6 +139,17 @@ def test_matches_parent_commit(name: str, golden: Dict[str, Any]) -> None:
         assert got_util.keys() == want_util.keys()
         for link, util in want_util.items():
             assert abs(got_util[link] - util) <= UTIL_ABS, f"utilization of {link}"
+
+
+@pytest.mark.parametrize("senders", [16, 32])
+def test_fig8_pair_wakes_only_when_rates_change(senders: int) -> None:
+    """Samples are events written, not loop iterations (~850 a run before PR 22)."""
+    pair = [observe(f"incast{senders}/{variant}") for variant in ("hpcc", "hpcc-vai-sf")]
+    assert sum(seen["wakeups"] for seen in pair) <= 120
+    for seen in pair:
+        written = len(seen["rate_times"]) + len(seen["queue_times"])
+        assert written > 20 * seen["wakeups"]
+        assert seen["events_executed"] == 2 * senders + written  # arrivals, departures
 
 
 def test_runs_repeat_exactly() -> None:

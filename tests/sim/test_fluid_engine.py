@@ -3,10 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.metrics.fct import ideal_fct_ns
 from repro.sim.flow import Flow
-from repro.sim.fluid import GOODPUT_FRACTION, FluidEngine, FluidFlowParams
+from repro.sim.fluid import GOODPUT_FRACTION, FluidEngine, FluidFlowParams, drain_time_ns
 from repro.topology.fattree import build_fattree, scaled_fattree_params
 from repro.topology.star import build_star
 
@@ -98,25 +100,35 @@ class TestCompletion:
         assert not flow.completed
 
     def test_run_resumes_after_timeout(self):
-        """Stopping the clock mid-flow and running on changes no FCT."""
+        """Stopping the clock mid-flow and running on changes no FCT or sample."""
 
-        def fcts(*timeouts):
+        def observed(tau_ns, *timeouts):
             topo = _star()
             net = topo.network
             recv = topo.hosts[-1].node_id
-            engine = FluidEngine(net)
+            engine = FluidEngine(
+                net,
+                monitored_ports=topo.bottleneck_ports,
+                queue_sample_interval_ns=3_000.0,
+                rate_sample_interval_ns=7_000.0,
+                md_delay_ns=8_000.0,
+            )
             flows = [
-                Flow(net.next_flow_id(), topo.hosts[i].node_id, recv, size, 0.0)
+                Flow(net.next_flow_id(), topo.hosts[i].node_id, recv, size, 10_000.0 * i)
                 for i, size in enumerate((1_000_000, 400_000))
             ]
             for f in flows:
-                engine.add_flow(f, FluidFlowParams())
+                engine.add_flow(f, FluidFlowParams(tau_ns=tau_ns))
             for timeout_ns in timeouts:
                 status = engine.run(timeout_ns)
             assert status.completed
-            return [f.fct for f in flows]
+            rates = [v for row in engine.rate_series()[1] for v in row]
+            return [f.fct for f in flows] + engine.queue_series()[1] + rates
 
-        assert fcts(30_000.0, 30_000.0, 1e9) == pytest.approx(fcts(1e9), rel=1e-12)
+        for tau_ns in (0.0, 60_000.0):
+            assert observed(tau_ns, 30_000.0, 30_000.0, 90_000.0, 1e9) == pytest.approx(
+                observed(tau_ns, 1e9), rel=1e-12, abs=1e-6
+            )
 
 
 class TestRelaxation:
@@ -188,12 +200,6 @@ class TestRelaxation:
         assert last_both[0] == pytest.approx(g_bps / 2, rel=0.01)
         assert last_both[1] == pytest.approx(g_bps / 2, rel=0.01)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the relax tick re-arms from `now` at every event, so a 2 us "
-        "queue sampler starves it and becomes the integration step "
-        "(sim/fluid.py 'Integration step'; fix is ROADMAP item 1)",
-    )
     def test_fct_independent_of_queue_sample_interval(self):
         """A sampler observes; how often it looks must not move any FCT."""
 
@@ -218,6 +224,132 @@ class TestRelaxation:
 
         assert fcts(2_000.0) == pytest.approx(fcts(8_000.0), rel=1e-6)
 
+    @given(
+        sizes=st.lists(st.integers(50_000, 2_000_000), min_size=1, max_size=6),
+        gap_ns=st.floats(0.0, 60_000.0),
+        tau_ns=st.sampled_from([0.0, 7_000.0, 90_000.0, 1_500_000.0]),
+        queue_ns=st.one_of(st.none(), st.floats(500.0, 50_000.0)),
+        rate_ns=st.one_of(st.none(), st.floats(500.0, 50_000.0)),
+        flap_at_ns=st.one_of(st.none(), st.floats(0.0, 400_000.0)),
+    )
+    def test_fcts_invariant_under_observation(
+        self, sizes, gap_ns, tau_ns, queue_ns, rate_ns, flap_at_ns
+    ):
+        """Samplers at any interval and events that change no rate move no FCT.
+
+        The no-op event is a flap of the idle sender's uplink: it wakes the
+        loop, re-paths every flow onto the path it had and commits rates
+        that are already feasible.
+        """
+
+        def fcts(queue_ns, rate_ns, flap_at_ns):
+            topo = _star(len(sizes) + 1)
+            net = topo.network
+            recv = topo.hosts[-1].node_id
+            engine = FluidEngine(
+                net,
+                monitored_ports=topo.bottleneck_ports,
+                queue_sample_interval_ns=queue_ns,
+                rate_sample_interval_ns=rate_ns,
+                md_delay_ns=8_000.0,
+            )
+            flows = [
+                Flow(net.next_flow_id(), topo.hosts[i].node_id, recv, size, gap_ns * i)
+                for i, size in enumerate(sizes)
+            ]
+            for f in flows:
+                engine.add_flow(f, FluidFlowParams(tau_ns=tau_ns))
+            if flap_at_ns is not None:
+                idle = topo.hosts[len(sizes)]
+                engine.schedule_link_flap(
+                    idle.node_id,
+                    idle.ports[0].peer_node.node_id,
+                    down_at_ns=flap_at_ns,
+                    down_for_ns=25_000.0,
+                )
+            assert engine.run(1e12).completed
+            return [f.fct for f in flows], engine
+
+        alone, quiet = fcts(None, None, None)
+        watched, busy = fcts(queue_ns, rate_ns, flap_at_ns)
+        assert watched == pytest.approx(alone, rel=1e-9)
+        # An irrational interval shares no instant with any event.
+        assert fcts(1_000.0 * math.sqrt(2.0), 1_000.0 * math.pi, None)[0] == alone
+        # Samples are counted as events but never as loop iterations.
+        written = len(busy.rate_series()[0]) + len(busy.queue_series()[0])
+        flaps = 0  # toggles the run lasted long enough to see
+        if flap_at_ns is not None:
+            flaps = sum(t <= busy.now for t in (flap_at_ns, flap_at_ns + 25_000.0))
+        assert busy.events_executed == quiet.events_executed + written + flaps
+        assert busy.wakeups <= quiet.wakeups + flaps
+
+
+    def test_unequal_tau_on_one_link_is_sub_stepped_and_sampler_blind(self):
+        """A fast riser beside a slow faller can overshoot: no closed form."""
+
+        def run(**samplers):
+            topo = _star(3)
+            net = topo.network
+            recv = topo.hosts[-1].node_id
+            engine = FluidEngine(net, **samplers)
+            flows = [
+                Flow(net.next_flow_id(), topo.hosts[i].node_id, recv, 4_000_000, start)
+                for i, start in enumerate((0.0, 0.0, 50_000.0))
+            ]
+            for f, tau_ns in zip(flows, (10_000.0, 10_000.0, 400_000.0)):
+                engine.add_flow(f, FluidFlowParams(tau_ns=tau_ns))
+            assert engine.run(1e9).completed
+            return [f.fct for f in flows], engine
+
+        alone, quiet = run()
+        watched, busy = run(rate_sample_interval_ns=1_300.0, queue_sample_interval_ns=700.0)
+        assert watched == alone  # the grid hangs off rate changes, not off `now`
+        assert busy.wakeups == quiet.wakeups > 6  # 2 arrival instants + 3 departures + sub-steps
+        times, rows = busy.rate_series()
+        g_bps = _goodput() * 8e9
+        # Scale factors are held across a sub-step, so served rates exceed
+        # capacity by no more than the overshoot one sub-step builds.
+        assert g_bps < max(sum(row) for row in rows) <= 1.05 * g_bps
+        last = max(f + s for f, s in zip(alone, (0.0, 0.0, 50_000.0)))
+        assert last >= 3 * 4_000_000 / _goodput()
+
+
+class TestDepartureSolve:
+    @pytest.mark.parametrize(
+        "rate, target, tau, need",
+        [
+            (12.0, 3.0, 40_000.0, 200_000.0),  # falling onto its share
+            (12.0, 3.0, 40_000.0, 5_000_000.0),  # ... and long converged when it leaves
+            (0.5, 6.0, 300_000.0, 800_000.0),  # rising
+            (0.0, 6.0, 300_000.0, 100_000.0),  # rising from a standstill
+            (4.0, 0.0, 100_000.0, 399_000.0),  # decaying: leaves just before it stalls
+            (5.0, 5.0, 1_000.0, 1_234.0),  # on target
+        ],
+    )
+    def test_agrees_with_explicit_integration(self, rate, target, tau, need):
+        """The solved time is where a tau/1000-step RK4 run of the model crosses."""
+        solved = drain_time_ns(need, rate, target, tau)
+
+        def slope(r):
+            return (target - r) / tau
+
+        h = tau / 1000.0
+        t, r, moved = 0.0, rate, 0.0
+        while True:  # RK4 on (dr/dt, d moved/dt) = ((target - r) / tau, r)
+            k1 = slope(r)
+            k2 = slope(r + 0.5 * h * k1)
+            k3 = slope(r + 0.5 * h * k2)
+            k4 = slope(r + h * k3)
+            step = h * (r + (r + 0.5 * h * k1) * 2.0 + (r + 0.5 * h * k2) * 2.0 + r + h * k3) / 6.0
+            if moved + step >= need:
+                break
+            t, r, moved = t + h, r + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0, moved + step
+        stepped = t + h * (need - moved) / step
+        assert solved == pytest.approx(stepped, rel=1e-6)
+
+    def test_never_when_the_rate_decays_away_first(self):
+        assert drain_time_ns(400_001.0, 4.0, 0.0, 100_000.0) == math.inf
+        assert drain_time_ns(1.0, 0.0, 0.0, 100_000.0) == math.inf
 
 
 class TestLinkFlaps:
@@ -322,7 +454,7 @@ class TestSamplingAndFatTree:
         net = topo.network
         recv = topo.hosts[-1].node_id
         flow = Flow(net.next_flow_id(), topo.hosts[0].node_id, recv, 1_000_000, 0.0)
-        engine = FluidEngine(net, track_link_utilization=True)
+        engine = FluidEngine(net)
         engine.add_flow(flow, FluidFlowParams())
         engine.run(1e9)
         util = engine.link_utilization()

@@ -87,6 +87,44 @@ class TestPathUtilities:
         assert path[0] == h0.node_id and path[-1] == h1.node_id
         assert len(path) == 3
 
+    def test_shortest_path_costs_one_bfs_per_pair(self, monkeypatch):
+        """RTTs and ideal FCTs are asked per flow; the graph search is not."""
+        from repro.metrics.fct import ideal_fct_ns
+        from repro.sim import network as network_module
+
+        net, h0, h1 = two_host_net()
+        searches = []
+        bfs = network_module.bfs_distances
+        monkeypatch.setattr(
+            network_module,
+            "bfs_distances",
+            lambda adj, dst: searches.append(dst) or bfs(adj, dst),
+        )
+        first = (net.path_rtt_ns(h0.node_id, h1.node_id), ideal_fct_ns(net, h0.node_id, h1.node_id, 5000))
+        again = (net.path_rtt_ns(h0.node_id, h1.node_id), ideal_fct_ns(net, h0.node_id, h1.node_id, 5000))
+        assert again == first  # same operands in the same order: same bits
+        assert searches == [h1.node_id]
+        net.path_rtt_ns(h1.node_id, h0.node_id)
+        assert searches == [h1.node_id, h0.node_id]
+
+    def test_link_flap_invalidates_remembered_paths(self):
+        from repro.topology.fattree import build_fattree, scaled_fattree_params
+
+        net = build_fattree(scaled_fattree_params(), seed=1).network
+        src, dst = net.hosts[0].node_id, net.hosts[-1].node_id
+        before = list(net._shortest_path(src, dst))
+        rtt = net.path_rtt_ns(src, dst)
+        a, b = before[2], before[3]  # an aggregation-to-spine hop: there are others
+        net.set_link_state(a, b, False)
+        detour = list(net._shortest_path(src, dst))
+        assert detour != before and (a, b) not in zip(detour, detour[1:])
+        assert len(detour) == len(before) and net.path_rtt_ns(src, dst) == rtt
+        net.set_link_state(a, b, True)
+        assert list(net._shortest_path(src, dst)) == before
+        net.set_link_state(src, before[1], False)  # the only way out of src
+        with pytest.raises(RuntimeError, match="no path"):
+            net._shortest_path(src, dst)
+
 
 class TestFlowTransfer:
     def test_single_flow_completes_with_correct_fct(self):
