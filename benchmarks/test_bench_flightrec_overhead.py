@@ -2,10 +2,9 @@
 
 The flight recorder's contract (DESIGN.md §15) mirrors the profiler's
 (§14): when the recorder is off, instrumented code paths cost one
-module-global ``None`` test at their entry points and the engine's inner
-event loop is not touched at all — ``Simulator._run_fast`` compiles to
-the same bytecode as before the recorder existed.  The first test pins
-that structurally; the second measures recorder-on against recorder-off
+``probe.PROBE is None`` test at their sites and the engine's inner event
+loop is not touched at all.  ``tests/sim/test_engine_hotpath.py`` pins
+that structurally; this measures recorder-on against recorder-off
 on a real packet incast (the hooks live on the per-packet enqueue/
 dequeue/send/ack paths, so a tick loop would not exercise them) and
 records the ratio into ``BENCH_results.json`` for the regression gate.
@@ -17,11 +16,6 @@ import time
 from repro.experiments.config import scaled_incast
 from repro.experiments.runner import run_incast
 from repro.obs import flightrec as obs_flightrec
-from repro.sim import Simulator
-
-#: Names that would appear in the inner event loop's bytecode if any
-#: recorder logic leaked into the per-event path.
-_FLIGHTREC_NAMES = {"obs_flightrec", "RECORDER", "on_run_extent", "fr"}
 
 #: Ceiling for recorder-on overhead on a packet incast.  The hooks touch
 #: every enqueue/dequeue/send/ack, so the cost is real but bounded; this
@@ -33,25 +27,6 @@ MAX_FLIGHTREC_OVERHEAD_RATIO = 2.5
 def _incast(seed: int):
     cfg = dataclasses.replace(scaled_incast("hpcc", 8), seed=seed)
     return run_incast(cfg)
-
-
-def test_event_loop_bytecode_is_flightrec_free():
-    """Recorder-off adds zero instructions to the engine's inner loop.
-
-    ``Simulator.run`` consults the recorder global once per invocation
-    (to report the run extent after the loop returns), but the loop it
-    dispatches to must not: its compiled bytecode references no recorder
-    symbol, so the disabled cost inside the hot loop is exactly zero —
-    not "a cheap check per event".
-    """
-    fast_names = set(Simulator._run_fast.__code__.co_names)
-    assert not (fast_names & _FLIGHTREC_NAMES), (
-        f"flight-recorder symbols leaked into the fast path: "
-        f"{sorted(fast_names & _FLIGHTREC_NAMES)}"
-    )
-    # The dispatcher is the one that pays: once per run(), never per event.
-    run_names = set(Simulator.run.__code__.co_names)
-    assert {"obs_flightrec", "RECORDER", "on_run_extent"} <= run_names
 
 
 def test_flightrec_overhead(benchmark, bench_extra):

@@ -35,10 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from .. import probe
 from ..core.sampling_frequency import SamplingFrequency
 from ..core.variable_ai import VariableAI, VariableAIConfig
-from ..obs import registry as obs_registry
-from ..obs import tracer as obs_tracer
 from ..sim.packet import AckContext, HopRecord
 from ..units import mbps
 from .base import CCEnv, CongestionControl
@@ -197,32 +196,28 @@ class HpccCC(CongestionControl):
                     self.reference_decreases += 1
                     if sf is not None:
                         self._sf_credit = False
-                    reg = obs_registry.STATS
-                    if reg is not None:
-                        reg.counter("cc.hpcc.reference_decreases").inc()
-                    tr = obs_tracer.TRACER
-                    if tr is not None:
-                        tr.instant(
-                            f"hpcc md flow {self.flow_id}",
+                    pr = probe.PROBE
+                    if pr is not None:
+                        pr.cc_decrease(
+                            "hpcc",
+                            self.flow_id,
                             ctx.now,
-                            cat="cc",
-                            tid=self.flow_id,
-                            args={"norm": norm, "ref_window": self.reference_window},
+                            {"norm": norm, "ref_window": self.reference_window},
                         )
                 else:
                     self.reference_increases += 1
-                    reg = obs_registry.STATS
-                    if reg is not None:
-                        reg.counter("cc.hpcc.reference_increases").inc()
+                    pr = probe.PROBE
+                    if pr is not None:
+                        pr.cc_increase("hpcc", self.flow_id, ctx.now)
         else:
             w = self.reference_window + w_ai
             if update_ref:
                 self.inc_stage += 1
                 self.reference_window = lo if w < lo else hi if w > hi else w
                 self.reference_increases += 1
-                reg = obs_registry.STATS
-                if reg is not None:
-                    reg.counter("cc.hpcc.reference_increases").inc()
+                pr = probe.PROBE
+                if pr is not None:
+                    pr.cc_increase("hpcc", self.flow_id, ctx.now)
 
         self.window_bytes = w = lo if w < lo else hi if w > hi else w
         self.pacing_rate_bps = w * 8.0 / env.base_rtt_ns * 1e9

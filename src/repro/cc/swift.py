@@ -42,10 +42,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .. import probe
 from ..core.sampling_frequency import SamplingFrequency
 from ..core.variable_ai import VariableAI, VariableAIConfig
-from ..obs import registry as obs_registry
-from ..obs import tracer as obs_tracer
 from ..sim.packet import AckContext
 from ..units import mbps, us
 from .base import CCEnv, CongestionControl
@@ -231,18 +230,9 @@ class SwiftCC(CongestionControl):
 
     def _record_decrease(self, now: float, mdf: float) -> None:
         """Observability for one taken multiplicative decrease."""
-        reg = obs_registry.STATS
-        if reg is not None:
-            reg.counter("cc.swift.decreases").inc()
-        tr = obs_tracer.TRACER
-        if tr is not None:
-            tr.instant(
-                f"swift md flow {self.flow_id}",
-                now,
-                cat="cc",
-                tid=self.flow_id,
-                args={"mdf": mdf, "cwnd": self.cwnd},
-            )
+        pr = probe.PROBE
+        if pr is not None:
+            pr.cc_decrease("swift", self.flow_id, now, {"mdf": mdf, "cwnd": self.cwnd})
 
     def _end_rtt(self, ctx: AckContext) -> None:
         self.last_rtt_seq = max(self.snd_nxt, ctx.ack_seq)

@@ -8,17 +8,12 @@ cadence).  After the hot-path rewrites (fused delivery, lazy-cancel
 compaction) a latent break in any of these would silently skew every
 figure.  This module makes such breaks loud.
 
-Integration follows the :mod:`repro.obs.registry` idiom exactly: one
-module-level ``None``-able global (:data:`CHECKER`), consulted at each hook
-site as::
-
-    chk = check_invariants.CHECKER
-    if chk is not None:
-        chk.on_enqueue(self, pkt)
-
-so disabled checking costs a single attribute read, and an enabled checker
-only *reads* simulation state — it never schedules events or draws random
-numbers, so sanitized runs are byte-identical to bare ones
+The checker is one of the planes of :mod:`repro.probe`: the simulator
+raises typed events through ``probe.PROBE`` and every ``on_<event>`` method
+below subscribes to the event of that name, with that event's arguments.
+Disabled checking costs the site its one ``PROBE is None`` test, and an
+enabled checker only *reads* simulation state — it never schedules events
+or draws random numbers, so sanitized runs are byte-identical to bare ones
 (``tests/check/test_sanitize_identity.py``).
 
 A breach raises :class:`InvariantViolation` immediately, carrying the
@@ -54,15 +49,15 @@ Invariant catalog (names appear in violation messages and summaries):
                           shadow high-water mark says was sent
 ========================  ===================================================
 
-This module is stdlib-only on purpose: the sim core imports it, so it must
-not import the sim core back.
+This module reads the simulator's objects and imports none of its modules.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, ContextManager, Dict, Optional
+
+from .. import probe
 
 
 class InvariantViolation(RuntimeError):
@@ -148,9 +143,9 @@ class InvariantChecker:
     def begin_run(self, **context: Any) -> None:
         """Reset per-run shadow state and install the replay context.
 
-        The experiment runner calls this at the top of every run so that
-        violations name the config that can reproduce them and shadow state
-        from a previous run's (dead) ports cannot leak or accumulate.
+        The experiment runner raises ``run_begin`` at the top of every run,
+        so that violations name the config that can reproduce them and shadow
+        state from a previous run's (dead) ports cannot leak or accumulate.
         """
         self.context = context
         self._port_tally.clear()
@@ -158,6 +153,9 @@ class InvariantChecker:
         self._port_stamped.clear()
         self._sf_counts.clear()
         self._sent_hw.clear()
+
+    def on_run_begin(self, kind: str, cfg: Any) -> None:
+        self.begin_run(config=cfg.describe(), cache_key=cfg.cache_key()[:16], seed=cfg.seed)
 
     def total_checks(self) -> int:
         return sum(self.checks.values())
@@ -194,7 +192,7 @@ class InvariantChecker:
 
     # -- port ----------------------------------------------------------------
 
-    def on_enqueue(self, port: Any, pkt: Any) -> None:
+    def on_enqueue(self, port: Any, pkt: Any, now: float) -> None:
         """Port hook: ``pkt`` was appended and ``queue_bytes`` charged."""
         self._count("queue-conservation")
         tally = self._port_tally
@@ -209,7 +207,7 @@ class InvariantChecker:
                 "queue-conservation",
                 f"{port.name}: queue_bytes={port.queue_bytes!r} but shadow "
                 f"tally says {cur!r} after enqueue of {pkt.size}B",
-                time_ns=port.sim._now,
+                time_ns=now,
             )
         if not pkt.is_control:
             pid = id(pkt)
@@ -220,11 +218,10 @@ class InvariantChecker:
             fifo.append(pid)
             self._port_stamped[port].add(pid)
 
-    def on_dequeue(self, port: Any, pkt: Any) -> None:
+    def on_dequeue(self, port: Any, pkt: Any, now: float, ser_ns: float, fused: bool) -> None:
         """Port hook: ``pkt`` was popped and ``queue_bytes`` released."""
         self._count("queue-bytes-nonneg")
         qb = port.queue_bytes
-        now = port.sim._now
         if qb < 0:
             self._fail(
                 "queue-bytes-nonneg",
@@ -293,7 +290,7 @@ class InvariantChecker:
 
     # -- host (go-back-N) ----------------------------------------------------
 
-    def on_send(self, state: Any) -> None:
+    def on_send(self, state: Any, pkt: Any, now: float) -> None:
         """Host hook: sender emitted a data packet; ``next_seq`` advanced."""
         self._count("gbn-sequence")
         next_seq = state.next_seq
@@ -306,7 +303,7 @@ class InvariantChecker:
         if next_seq > self._sent_hw.get(state.flow, 0):
             self._sent_hw[state.flow] = next_seq
 
-    def on_ack(self, state: Any, pkt: Any) -> None:
+    def on_ack(self, state: Any, pkt: Any, now: float) -> None:
         """Host hook: cumulative ACK processed; ``state.acked`` updated.
 
         ``acked > next_seq`` is legitimate after a go-back-N rewind (ACKs
@@ -391,8 +388,9 @@ class InvariantChecker:
 
     # -- VAI / SF (the paper's mechanisms) -----------------------------------
 
-    def on_vai(self, vai: Any, multiplier: Optional[float] = None) -> None:
-        """VAI hook: after ``on_rtt_end`` or a spending ``ai_multiplier``."""
+    def on_vai(self, vai: Any, banked: Any, spent: float, multiplier: Optional[float]) -> None:
+        """VAI hook: after ``on_rtt_end`` or a spending ``ai_multiplier``
+        (the only one that passes a ``multiplier``)."""
         self._count("vai-bounds")
         cfg = vai.config
         bank = vai.ai_bank
@@ -460,35 +458,18 @@ class InvariantChecker:
             )
 
 
-#: The process-wide checker, or None when sanitizing is off (the default).
-#: Hot paths read this once per hook site; None short-circuits everything.
-CHECKER: Optional[InvariantChecker] = None
+_SLOT = probe.Slot("sanitizer")
+#: Remove the checker / whether one is attached / the attached one or None.
+disable, enabled, get = _SLOT.detach, _SLOT.enabled, _SLOT.get
 
 
 def enable(checker: Optional[InvariantChecker] = None) -> InvariantChecker:
-    """Install (and return) the process-wide invariant checker."""
-    global CHECKER
-    CHECKER = checker if checker is not None else InvariantChecker()
-    return CHECKER
+    """Attach (and return) the process-wide invariant checker."""
+    return _SLOT.attach(checker if checker is not None else InvariantChecker())
 
 
-def disable() -> None:
-    """Remove the checker; hook sites revert to a single None test."""
-    global CHECKER
-    CHECKER = None
-
-
-def enabled() -> bool:
-    return CHECKER is not None
-
-
-def get() -> Optional[InvariantChecker]:
-    return CHECKER
-
-
-@contextmanager
-def capture() -> Iterator[InvariantChecker]:
-    """Enable a fresh checker for a ``with`` block, restoring the old state.
+def capture() -> ContextManager[InvariantChecker]:
+    """Attach a fresh checker for a ``with`` block, restoring the old state.
 
     >>> from repro.check import invariants
     >>> with invariants.capture() as chk:
@@ -496,11 +477,4 @@ def capture() -> Iterator[InvariantChecker]:
     >>> invariants.enabled()
     False
     """
-    global CHECKER
-    prev = CHECKER
-    checker = InvariantChecker()
-    CHECKER = checker
-    try:
-        yield checker
-    finally:
-        CHECKER = prev
+    return _SLOT.capture(InvariantChecker())

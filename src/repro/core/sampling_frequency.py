@@ -16,8 +16,7 @@ Sec. V-B) live in the protocol implementations.
 
 from __future__ import annotations
 
-from ..check import invariants as check_invariants
-from ..obs import registry as obs_registry
+from .. import probe
 
 
 class SamplingFrequency:
@@ -41,12 +40,9 @@ class SamplingFrequency:
         if granted:
             self._count = 0
             self.decreases_granted += 1
-            reg = obs_registry.STATS
-            if reg is not None:
-                reg.counter("sf.decreases_granted").inc()
-        chk = check_invariants.CHECKER
-        if chk is not None:
-            chk.on_sf_ack(self, granted)
+        pr = probe.PROBE
+        if pr is not None:
+            pr.sf_ack(self, granted)
         return granted
 
     @property
@@ -55,9 +51,9 @@ class SamplingFrequency:
 
     def reset(self) -> None:
         self._count = 0
-        chk = check_invariants.CHECKER
-        if chk is not None:
-            chk.on_sf_reset(self)
+        pr = probe.PROBE
+        if pr is not None:
+            pr.sf_reset(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

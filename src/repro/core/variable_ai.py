@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..check import invariants as check_invariants
-from ..obs import registry as obs_registry
+from .. import probe
 
 
 @dataclass(frozen=True)
@@ -124,23 +123,22 @@ class VariableAI:
         """
         cfg = self.config
         measured = self._measured
+        banked = None  # no mint this RTT (a mint the cap truncates to 0.0 is one)
         if measured > cfg.token_thresh:
             before = self.ai_bank
             self.ai_bank = min(measured / cfg.ai_div + self.ai_bank, cfg.bank_cap)
             self.dampener += measured / cfg.token_thresh
-            reg = obs_registry.STATS
-            if reg is not None:
-                # Banked delta, not the raw mint: the cap truncation matters.
-                reg.counter("vai.tokens_banked").inc(self.ai_bank - before)
+            # Banked delta, not the raw mint: the cap truncation matters.
+            banked = self.ai_bank - before
         elif self.ai_bank == 0.0:
             if no_congestion:
                 self.dampener = 0.0
             elif measured < cfg.token_thresh:
                 self.dampener = max(self.dampener - 1.0, 0.0)
         self._measured = 0.0
-        chk = check_invariants.CHECKER
-        if chk is not None:
-            chk.on_vai(self)
+        pr = probe.PROBE
+        if pr is not None:
+            pr.vai(self, banked, 0.0, None)
 
     # -- Algorithm 2: token spending ------------------------------------------
 
@@ -160,13 +158,9 @@ class VariableAI:
         self.ai_bank = max(self.ai_bank - tokens, 0.0)
         divisor = self.dampener / cfg.dampener_constant + 1.0
         self._spent_multiplier = max(tokens / divisor, 1.0)
-        if tokens > 0.0:
-            reg = obs_registry.STATS
-            if reg is not None:
-                reg.counter("vai.tokens_spent").inc(tokens)
-        chk = check_invariants.CHECKER
-        if chk is not None:
-            chk.on_vai(self, multiplier=self._spent_multiplier)
+        pr = probe.PROBE
+        if pr is not None:
+            pr.vai(self, None, tokens, self._spent_multiplier)
         return self._spent_multiplier
 
     def reset(self) -> None:

@@ -280,18 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--profile-phases",
-        nargs="?",
-        const="phase",
-        default=None,
-        choices=("phase", "func"),
-        metavar="MODE",
+        action="store_true",
         help=(
             "attribute simulator wall time to hot-path phases (event loop, "
-            "port serialize/propagate, CC decision, PFC, fluid relax); "
-            "'phase' uses explicit engine hooks, 'func' adds a "
-            "sys.setprofile function profiler (slower, finer).  The "
-            "attribution lands in the manifest's 'profile' section "
-            "(default MODE: phase)"
+            "port serialize/propagate, CC decision, PFC, fluid relax).  The "
+            "attribution lands in the manifest's 'profile' section"
         ),
     )
     parser.add_argument(
@@ -1123,13 +1116,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.flightrec:
         recorder = obs_flightrec.enable()
     profiler = None
-    if args.profile_phases is not None:
-        profiler = obs_profiler.enable(args.profile_phases)
+    if args.profile_phases:
+        profiler = obs_profiler.enable()
     metrics_server = None
     metrics_port_bound: Optional[int] = None
     metrics_registry_owned = False
     if args.metrics_out is not None or args.metrics_port is not None:
-        if obs_registry.STATS is None:
+        if not obs_registry.enabled():
             obs_registry.enable()
             metrics_registry_owned = True
         if args.metrics_port is not None:
@@ -1346,9 +1339,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             argv=argv,
             store_stats=store.stats if store is not None else None,
             counters=(
-                obs_registry.STATS.snapshot()
-                if obs_registry.STATS is not None
-                else None
+                obs_registry.get().snapshot() if obs_registry.enabled() else None
             ),
             trace=tracer,
             analytics=(

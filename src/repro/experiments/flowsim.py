@@ -153,14 +153,14 @@ def run_incast_flow(cfg: IncastConfig) -> "IncastResult":  # noqa: F821
     """The fluid counterpart of the packet incast runner."""
     from .runner import (
         IncastResult,
-        _begin_sanitized_run,
+        _begin_run,
         _check_status,
         _phase,
         _record_run,
     )
 
     t_begin = time.perf_counter()
-    _begin_sanitized_run(cfg)
+    _begin_run(cfg, "incast")
     with _phase("build"):
         topo = build_star(
             cfg.n_senders,
@@ -310,13 +310,13 @@ def run_datacenter_flow(cfg: DatacenterConfig) -> "DatacenterResult":  # noqa: F
     """The fluid counterpart of the packet datacenter runner."""
     from .runner import (
         DatacenterResult,
-        _begin_sanitized_run,
+        _begin_run,
         _phase,
         _record_run,
     )
 
     t_begin = time.perf_counter()
-    _begin_sanitized_run(cfg)
+    _begin_run(cfg, "datacenter")
     with _phase("build"):
         topo = build_fattree(cfg.fattree, seed=cfg.seed)
         net = topo.network
@@ -362,7 +362,7 @@ def run_datacenter_hybrid(cfg: DatacenterConfig) -> "DatacenterResult":  # noqa:
     """
     from .runner import (
         DatacenterResult,
-        _begin_sanitized_run,
+        _begin_run,
         _phase,
         _record_run,
         get_default_budget,
@@ -376,7 +376,7 @@ def run_datacenter_hybrid(cfg: DatacenterConfig) -> "DatacenterResult":  # noqa:
             "backend='packet' or backend='flow'"
         )
     t_begin = time.perf_counter()
-    _begin_sanitized_run(cfg)
+    _begin_run(cfg, "datacenter")
     with _phase("build"):
         topo = build_fattree(cfg.fattree, seed=cfg.seed)
         net = topo.network

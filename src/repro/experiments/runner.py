@@ -38,8 +38,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from .. import probe
 from ..cc import CCEnv, make_cc, needs_red, uses_cnp
-from ..check import invariants as check_invariants
 from ..obs import analytics as obs_analytics
 from ..obs import flightrec as obs_flightrec
 from ..obs import profiler as obs_profiler
@@ -104,7 +104,7 @@ def _phase(name: str):
     engine's finer-grained attribution in the flamegraph output.
     """
     tel = obs_telemetry.TELEMETRY
-    prof = obs_profiler.PHASE_HOOKS
+    prof = obs_profiler.get()
     tel_ctx = tel.phase(name) if tel is not None else nullcontext()
     if prof is None:
         return tel_ctx
@@ -121,33 +121,17 @@ def _phase(name: str):
     return both()
 
 
-def _begin_sanitized_run(cfg: Any) -> None:
-    """Reset the sanitizer's shadow state and install the replay context.
+def _begin_run(cfg: Any, kind: str) -> None:
+    """Tell the attached planes that a run of ``cfg`` begins.
 
-    Called at the top of every run so an :class:`InvariantViolation` names
-    the exact config (description, content digest, seed) that reproduces
-    it, and shadow accounting from the previous run cannot leak into this
-    one.  No-op when sanitizing is off.
+    Per-run state resets (the sanitizer's shadow accounting, the recorder's
+    working set), so nothing leaks in from the previous run, and an
+    :class:`InvariantViolation` names the exact config (description, content
+    digest, seed) that reproduces it.
     """
-    chk = check_invariants.CHECKER
-    if chk is not None:
-        chk.begin_run(
-            config=cfg.describe(),
-            cache_key=cfg.cache_key()[:16],
-            seed=cfg.seed,
-        )
-
-
-def _begin_flightrec_run(cfg: Any, kind: str) -> None:
-    """Open a flight-recorder run labelled with this config.
-
-    Mirrors :func:`_begin_sanitized_run` — the recorder's working state is
-    per-run, so the label must be stamped before the first flow opens.
-    No-op when the recorder is off.
-    """
-    rec = obs_flightrec.RECORDER
-    if rec is not None:
-        rec.begin_run(kind, cfg.describe())
+    pr = probe.PROBE
+    if pr is not None:
+        pr.run_begin(kind, cfg)
 
 
 def _finish_flightrec(
@@ -161,7 +145,7 @@ def _finish_flightrec(
     sort by them) and the convergence instant for the timeline.  Returns
     ``None`` when the recorder is off.
     """
-    rec = obs_flightrec.RECORDER
+    rec = obs_flightrec.get()
     if rec is None:
         return None
     return rec.finalize_run(
@@ -412,8 +396,7 @@ def run_incast(cfg: IncastConfig) -> IncastResult:
 def _run_incast_packet(cfg: IncastConfig) -> IncastResult:
     """Run one staggered incast and collect fairness/queue series."""
     t_begin = time.perf_counter()
-    _begin_sanitized_run(cfg)
-    _begin_flightrec_run(cfg, "incast")
+    _begin_run(cfg, "incast")
     with _phase("build"):
         red = red_for_rate(cfg.rate_bps) if needs_red(cfg.variant) else None
         topo = build_star(
@@ -542,8 +525,7 @@ def run_datacenter(cfg: DatacenterConfig) -> DatacenterResult:
 def _run_datacenter_packet(cfg: DatacenterConfig) -> DatacenterResult:
     """Run one fat-tree trace: Poisson arrivals for ``duration``, then drain."""
     t_begin = time.perf_counter()
-    _begin_sanitized_run(cfg)
-    _begin_flightrec_run(cfg, "datacenter")
+    _begin_run(cfg, "datacenter")
     with _phase("build"):
         red = red_for_rate(cfg.fattree.host_rate_bps) if needs_red(cfg.variant) else None
         topo = build_fattree(cfg.fattree, seed=cfg.seed, red=red)

@@ -60,6 +60,7 @@ from multiprocessing import Pipe, Process, connection
 from pathlib import Path
 from typing import Any, Callable, Dict, IO, List, Optional, Sequence, Tuple
 
+from .. import probe
 from ..check import invariants as check_invariants
 from ..obs import analytics as obs_analytics
 from ..obs import flightrec as obs_flightrec
@@ -349,6 +350,28 @@ def load_journal(path: Path) -> JournalState:
 HEARTBEAT_INTERVAL_S = 0.25
 
 
+def _attach_worker_planes(
+    sanitize: bool, flightrec: bool, trace_capacity: Optional[int]
+) -> None:
+    """Start the worker from an empty probe, then attach what it ships home.
+
+    A forked child inherits the parent's planes; a registry or profiler
+    counting into a copy nobody reads only slows the worker down (the
+    profiler moves it onto the profiled run loop).  What goes home: a
+    sanitizer violation (raised here, an ``err`` like any other failure),
+    the recorder's finalized run section (on the result object; the parent
+    re-records it, as it does the analytics summary) and the tracer ring,
+    drained into each ``ok`` reply as that run's shard for ``obs stitch``.
+    """
+    probe.detach_all()
+    if sanitize:
+        check_invariants.enable()
+    if flightrec:
+        obs_flightrec.enable()
+    if trace_capacity:
+        obs_tracer.enable(capacity=trace_capacity)
+
+
 def _worker_main(
     conn: connection.Connection,
     inherited: Sequence[connection.Connection],
@@ -370,11 +393,8 @@ def _worker_main(
 
     The per-process switches are re-installed from the parent's first: the
     watchdog budget, the default backend (so unstamped configs simulate on
-    the backend their key was computed for), live analytics, the sanitizer
-    (a violation raises here and comes home as an ``err`` like any other
-    failure) and the flight recorder.  The worker's aggregator and recorder
-    die with it — the per-run summary and the finalized run section ride
-    home on the result object and the parent re-records them.
+    the backend their key was computed for), live analytics and the planes
+    (:func:`_attach_worker_planes`).
 
     The heartbeat thread starts *after* chaos injection so an injected
     hang looks to the parent exactly like a wedged worker (silence), not
@@ -391,15 +411,7 @@ def _worker_main(
     set_default_backend(default_backend)
     if analytics_config is not None:
         obs_analytics.enable(analytics_config)
-    if sanitize:
-        check_invariants.enable()
-    if flightrec:
-        obs_flightrec.enable()
-    if trace_capacity:
-        # Per-worker trace shard: the ring drains into each "ok" reply so
-        # the parent can persist one Chrome-trace shard per run for
-        # `obs stitch`.  Tracing is passive — results stay byte-identical.
-        obs_tracer.enable(capacity=trace_capacity)
+    _attach_worker_planes(sanitize, flightrec, trace_capacity)
     send_lock = threading.Lock()
 
     def send(message: Tuple[Any, ...]) -> bool:
@@ -435,7 +447,7 @@ def _worker_main(
         beater.start()
         try:
             envelope = _run_config_timed(cfg)
-            tr = obs_tracer.TRACER
+            tr = obs_tracer.get()
             shard = tr.drain_chrome() if trace_capacity and tr is not None else None
             reply = ("ok", key, attempt, envelope, shard)
         except BaseException as exc:
@@ -577,11 +589,11 @@ def _spawn_worker(
             budget,
             get_default_backend(),
             parent_agg.config if parent_agg is not None else None,
-            check_invariants.CHECKER is not None,
+            check_invariants.enabled(),
             sup.chaos,
             sup.heartbeat_interval_s,
             sup.trace_capacity if sup.trace_shard_dir is not None else None,
-            obs_flightrec.RECORDER is not None,
+            obs_flightrec.enabled(),
         ),
         daemon=True,
     )
@@ -814,7 +826,7 @@ def run_supervised(
             if agg is not None and live is not None:
                 agg.record(kind, _describe(task.cfg), live)
             frun = getattr(result, "flightrec", None)
-            rec = obs_flightrec.RECORDER
+            rec = obs_flightrec.get()
             if rec is not None and frun is not None:
                 rec.adopt_run(frun)
             tel = obs_telemetry.TELEMETRY
@@ -874,7 +886,7 @@ def run_supervised(
                     tel.heartbeat(
                         f"worker pid {message[2]} alive on {_describe(task.cfg)}"
                     )
-                reg = obs_registry.STATS
+                reg = obs_registry.get()
                 if reg is not None:
                     reg.counter("campaign.heartbeats").inc()
                 # Flushed but not fsync'd: advisory liveness for `obs top`,
@@ -916,7 +928,7 @@ def run_supervised(
 
     def update_campaign_gauges() -> None:
         """Campaign-level gauges for the OpenMetrics exporter (None = off)."""
-        reg = obs_registry.STATS
+        reg = obs_registry.get()
         if reg is None:
             return
         elapsed = time.perf_counter() - start

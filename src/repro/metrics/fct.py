@@ -23,10 +23,20 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..obs.analytics import SLOWDOWN_PERCENTILES, percentile_key
 from ..sim.flow import Flow
 from ..sim.network import Network
 from ..sim.packet import ACK_BYTES, HEADER_BYTES
+
+#: Percentiles every FCT-slowdown summary reports, exact (here) or streamed
+#: (:mod:`repro.obs.analytics`) — the paper's median and tail figures
+#: (50/99/99.9).  Keys via :func:`percentile_key`.
+SLOWDOWN_PERCENTILES = (50.0, 99.0, 99.9)
+
+
+def percentile_key(p: float) -> str:
+    """Canonical JSON key for a percentile: 50 -> 'p50', 99.9 -> 'p999'."""
+    text = f"{p:g}".replace(".", "")
+    return f"p{text}"
 
 
 def ideal_fct_ns(
@@ -148,9 +158,9 @@ def tail_slowdown_above(
 def summarize(records: Sequence[FlowRecord]) -> dict:
     """Overall summary statistics used by reports and tests.
 
-    Percentile keys come from the shared definitions in
-    :mod:`repro.obs.analytics` (``SLOWDOWN_PERCENTILES``), so this exact
-    NumPy path and the streaming P² path report under identical names —
+    Percentile keys come from ``SLOWDOWN_PERCENTILES`` above, which
+    :mod:`repro.obs.analytics` shares, so this exact NumPy path and the
+    streaming P² path report under identical names —
     the cross-validation tests and the regression gate compare them 1:1.
     """
     if not records:

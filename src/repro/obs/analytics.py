@@ -54,15 +54,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
-#: Percentiles the analytics layer reports for FCT slowdown — the paper's
-#: median and tail figures (50/99/99.9).  Keys via :func:`percentile_key`.
-SLOWDOWN_PERCENTILES = (50.0, 99.0, 99.9)
-
-
-def percentile_key(p: float) -> str:
-    """Canonical JSON key for a percentile: 50 -> 'p50', 99.9 -> 'p999'."""
-    text = f"{p:g}".replace(".", "")
-    return f"p{text}"
+from ..metrics.fct import SLOWDOWN_PERCENTILES, percentile_key
 
 
 class P2Quantile:

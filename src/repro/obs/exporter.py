@@ -143,7 +143,7 @@ def snapshot_families(snapshot: Dict[str, Any]) -> List[MetricFamily]:
 
 def registry_families() -> List[MetricFamily]:
     """Families for the live registry (empty list when obs is off)."""
-    reg = obs_registry.STATS
+    reg = obs_registry.get()
     if reg is None:
         return []
     return snapshot_families(reg.snapshot())

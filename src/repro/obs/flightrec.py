@@ -37,14 +37,14 @@ exactly ``finish - start``:
   serialization, and pause shares, so each split sums to the interval
   length exactly rather than within float error.
 
-The recorder follows the obs-plane contract: a module global consulted
-through a hoisted ``is not None`` test at every hook site, zero extra
-instructions in ``Simulator._run_fast`` (enforced by the flightrec overhead
-benchmark's ``co_names`` assertion), and byte-identical simulation output
-when enabled — it never schedules events, draws randomness, or mutates
-simulation state.  Completion additionally cross-validates against the
-sanitizer's shadow tallies when both layers are on (see
-``InvariantChecker.on_flow_decomposition``).
+The recorder is one of the planes of :mod:`repro.probe`: its ``on_<event>``
+methods subscribe to the simulator's events, a bare run pays one ``PROBE is
+None`` test per site and nothing per event in ``Simulator._run_fast``
+(``tests/sim/test_engine_hotpath.py``), and simulation output is
+byte-identical when enabled — it never schedules events, draws randomness,
+or mutates simulation state beyond its own ``fr`` stamps.  Completion
+additionally cross-validates against the sanitizer's shadow tallies when
+both planes are on (see ``InvariantChecker.on_flow_decomposition``).
 
 On top of the decomposition the recorder keeps, per run:
 
@@ -59,9 +59,9 @@ On top of the decomposition the recorder keeps, per run:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
 
+from .. import probe
 from ..check import invariants as check_invariants
 from . import tracer as obs_tracer
 
@@ -285,10 +285,10 @@ def dominant_component(components: Dict[str, float]) -> str:
 class FlightRecorder:
     """Per-run flight data: flow decompositions, link series, timeline.
 
-    Hooks are called by the sim layer only after a ``RECORDER is not None``
-    test, so every method here may assume it is live.  One recorder instance
-    accumulates finalized run sections across a campaign (mirroring
-    ``AnalyticsAggregator``); per-run working state resets in ``begin_run``.
+    The ``on_*`` methods are probe events, raised only while this recorder
+    is attached.  One recorder instance accumulates finalized run sections
+    across a campaign (mirroring ``AnalyticsAggregator``); per-run working
+    state resets in ``begin_run``.
     """
 
     def __init__(self) -> None:
@@ -315,21 +315,37 @@ class FlightRecorder:
         self.conservation_failures = 0
         self.max_residual_ns = 0.0
 
-    # -- sim hooks (hot path; called only when the recorder is enabled) ----
+    def on_run_begin(self, kind: str, cfg: Any) -> None:
+        self.begin_run(kind, cfg.describe())
 
-    def open_flow(self, state: Any) -> _FlowTrack:
-        track = _FlowTrack(state.flow)
+    # -- probe events (hot path) -------------------------------------------
+    #
+    # A flow that started before the recorder was attached has no track
+    # (``state.fr is None``) and is passed over.
+
+    def on_flow_start(self, state: Any) -> None:
+        track = state.fr = _FlowTrack(state.flow)
         self._tracks.append(track)
-        return track
 
-    def on_send(self, track: _FlowTrack, pkt: Any, now: float) -> None:
+    def on_send(self, state: Any, pkt: Any, now: float) -> None:
+        track = state.fr
+        if track is None:
+            return
+        # Closes [cursor, now] as CC-throttle (pacing idle) and stamps the
+        # packet before the NIC enqueue sees it.
         gap = now - track.cursor
         if gap > 0.0:
             track.cc_throttle += gap
             track.cursor = now
         pkt.fr = _Stamp()
 
-    def on_ack(self, track: _FlowTrack, stamp: Any, acked: float, now: float) -> None:
+    def on_ack(self, state: Any, pkt: Any, now: float) -> None:
+        track = state.fr
+        if track is None:
+            return
+        # Every ACK (duplicates included) closes [cursor, now] using the
+        # round-trip breakdown echoed on the packet's stamp.
+        stamp = pkt.fr
         gap = now - track.cursor
         if gap > 0.0:
             if stamp is not None:
@@ -360,15 +376,24 @@ class FlightRecorder:
                 track.propagation += gap
             track.cursor = now
         track.acks += 1
-        track.point(now, acked)
+        track.point(now, state.acked)
 
-    def on_retx(self, track: _FlowTrack, now: float) -> None:
+    def on_retx(self, state: Any, now: float) -> None:
+        track = state.fr
+        if track is None:
+            return
+        # The stall this timeout ends is retransmission recovery.
         gap = now - track.cursor
         if gap > 0.0:
             track.retx_recovery += gap
             track.cursor = now
 
-    def on_complete(self, track: _FlowTrack, state: Any, now: float) -> None:
+    def on_flow_complete(self, state: Any, now: float) -> None:
+        track = state.fr
+        if track is None:
+            return
+        # The final ACK just closed the last interval, so the six components
+        # now telescope to exactly the FCT; this checks conservation.
         flow = track.flow
         fct = now - flow.start_time
         total = track.total()
@@ -381,7 +406,7 @@ class FlightRecorder:
             self.max_residual_ns = magnitude
         if magnitude > CONSERVATION_TOLERANCE_NS:
             self.conservation_failures += 1
-        chk = check_invariants.CHECKER
+        chk = check_invariants.get()
         if chk is not None:
             chk.on_flow_decomposition(
                 state, fct_ns=fct, components_ns=total, residual_ns=residual
@@ -401,7 +426,10 @@ class FlightRecorder:
             rec.queue_max_bytes = depth
         rec.queue.sample(now, depth)
 
-    def on_dequeue(self, port: Any, pkt: Any, now: float, ser: float) -> None:
+    def on_dequeue(self, port: Any, pkt: Any, now: float, ser_ns: float, fused: bool) -> None:
+        # One event covers both delivery paths: the per-hop wait /
+        # serialization / propagation / pause breakdown accumulates on the
+        # packet's stamp here, at serialization start.
         rec = self._ports.get(port)
         if rec is None:
             rec = _PortRec(port, self._meter(port.pfc_egress))
@@ -413,31 +441,64 @@ class FlightRecorder:
             paused = paused_cum - stamp.pause_base
             stamp.pause += paused
             stamp.q += wait - paused
-            stamp.ser += ser
+            stamp.ser += ser_ns
             stamp.prop += port.spec.prop_delay_ns
-            tr = obs_tracer.TRACER
+            tr = obs_tracer.get()
             if tr is not None:
                 tr.complete(
                     f"hop {rec.label()}",
                     stamp.enq_ts,
-                    wait + ser,
+                    wait + ser_ns,
                     cat="hop",
                     tid=pkt.flow_id,
                 )
             stamp.enq_ts = -1.0
         rec.queue.sample(now, port.queue_bytes)
 
-    def on_pause(self, egress: Any, now: float, duration_ns: float) -> None:
-        meter = self._meter(egress)
-        meter.on_pause(now, duration_ns)
+    def on_pause(self, port: Any, now: float, duration_ns: float) -> None:
+        self._meter(port.pfc_egress).on_pause(now, duration_ns)
 
-    def on_resume(self, egress: Any, now: float) -> None:
-        meter = self._meter(egress)
-        meter.on_resume(now)
+    def on_resume(self, port: Any, now: float) -> None:
+        self._meter(port.pfc_egress).on_resume(now)
 
-    def on_run_extent(self, now: float) -> None:
+    def on_run_end(
+        self,
+        now: float,
+        executed: int,
+        scheduled: int,
+        cancelled: int,
+        compactions: int,
+        heap_len: int,
+    ) -> None:
+        # Max virtual time reached: the denominator for link-utilization
+        # parity with the fluid backend and the virtual-time extent that
+        # `obs stitch` rescales against.
         if now > self.extent_ns:
             self.extent_ns = now
+
+    def on_fluid_series(self, engine: Any, flow_ids: List[int]) -> None:
+        """Mirror a fluid run's sampled series onto the tracer as counters.
+
+        Parity with :meth:`finalize_run` on the packet backend: with the
+        tracer on too, the queue / rate series land in the trace shard as
+        virtual-time counters (``cat`` ``flightrec``), so ``obs stitch``
+        rescales them with every other shard event.
+        """
+        tr = obs_tracer.get()
+        if tr is None:
+            return
+        for ts, depth in zip(*engine.queue_series()):
+            tr.counter("queue fluid", ts, {"bytes": depth}, cat="flightrec")
+        # Per-flow rate lanes are capped like the timeline — a datacenter-
+        # scale run would otherwise emit thousands of tracks.
+        shown = flow_ids[:TIMELINE_FLOWS_CAP]
+        for ts, row in zip(*engine.rate_series()):
+            for fid, bps in zip(shown, row):
+                tr.counter(f"rate flow {fid}", ts, {"bps": bps}, cat="flightrec")
+        for (u, v), util in sorted(engine.link_utilization().items()):
+            tr.counter(
+                f"util {u}->{v}", engine.now, {"utilization": util}, cat="flightrec"
+            )
 
     def _meter(self, egress: Any) -> _PauseMeter:
         meter = self._meters.get(egress)
@@ -535,7 +596,7 @@ class FlightRecorder:
             decomps.sort(key=lambda e: e.get("slowdown") or 0.0, reverse=True)
 
         links: List[Dict[str, Any]] = []
-        tr = obs_tracer.TRACER
+        tr = obs_tracer.get()
         for rec in sorted(self._ports.values(), key=lambda r: r.label()):
             port = rec.port
             label = rec.label()
@@ -635,37 +696,16 @@ class FlightRecorder:
         )
 
 
-#: Module-global hook: ``None`` keeps every recorder branch untaken.
-RECORDER: Optional[FlightRecorder] = None
+_SLOT = probe.Slot("recorder")
+#: Remove the recorder / whether one is attached / the attached one or None.
+disable, enabled, get = _SLOT.detach, _SLOT.enabled, _SLOT.get
 
 
 def enable() -> FlightRecorder:
-    """Install (or return) the process-wide flight recorder."""
-    global RECORDER
-    if RECORDER is None:
-        RECORDER = FlightRecorder()
-    return RECORDER
+    """Attach (or return the already attached) process-wide flight recorder."""
+    return get() or _SLOT.attach(FlightRecorder())
 
 
-def disable() -> None:
-    global RECORDER
-    RECORDER = None
-
-
-def enabled() -> bool:
-    return RECORDER is not None
-
-
-def get() -> Optional[FlightRecorder]:
-    return RECORDER
-
-
-@contextmanager
-def capture() -> Iterator[FlightRecorder]:
+def capture() -> ContextManager[FlightRecorder]:
     """Enable for the duration of a block; restore the prior state after."""
-    previous = RECORDER
-    recorder = enable()
-    try:
-        yield recorder
-    finally:
-        globals()["RECORDER"] = previous
+    return _SLOT.capture(get() or FlightRecorder())

@@ -1,16 +1,10 @@
 """Opt-in hot-path phase profiler (zero overhead when off).
 
-Same contract as the registry/tracer/sanitizer: a module-level global that
-instrumented code tests against ``None``.  Two globals, not one:
-
-* :data:`PROFILER` — the active profiler, whatever its mode.  Lifecycle
-  owners (CLI, bench harness) read this to collect results.
-* :data:`PHASE_HOOKS` — the *hook target* consulted by the hot paths in
-  :mod:`repro.sim.engine`, :mod:`repro.sim.port`, :mod:`repro.sim.fluid`
-  and the runner's phase timers.  It aliases :data:`PROFILER` only in
-  ``phase`` mode; in ``func`` mode (the :func:`sys.setprofile` fallback)
-  it stays ``None`` so the interpreter-driven call/return stream is the
-  single writer of the phase stack — mixing both would corrupt it.
+Same contract as the registry / tracer / sanitizer: one of the planes of
+:mod:`repro.probe`.  The hot paths in :mod:`repro.sim.engine`,
+:mod:`repro.sim.port` and :mod:`repro.sim.fluid` raise ``phase_push`` /
+``phase_pop`` (and the engine asks ``phase_of`` per event); the runner's
+phase timers and lifecycle owners (CLI, bench harness) ask :func:`get`.
 
 Attribution is *exclusive* (self) time with a settle-on-transition clock:
 ``push``/``pop`` charge the wall-time elapsed since the previous transition
@@ -23,41 +17,16 @@ speedscope ingest).
 The engine's event loop never calls :func:`classify_callback` when the
 profiler is off — the dispatch in :meth:`Simulator.run` selects a separate
 ``_run_profiled`` loop, keeping the fast path's bytecode free of profiler
-references entirely (asserted by a benchmark guard).
+references entirely (``tests/sim/test_engine_hotpath.py``).
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
-#: Phase names the built-in hooks emit.  Informational; user pushes may
-#: introduce new names freely.
-PHASES = (
-    "engine.loop",      # event-loop bookkeeping (heap ops, cancelled discards)
-    "port.serialize",   # Port.try_drain / _tx_done / _wake transmit work
-    "port.propagate",   # switch/node packet receive + forwarding
-    "cc.decision",      # every Host event: receive (data -> ACK out, ACK in ->
-                        # cc.on_ack -> send loop), _start_flow, pacing and RTO
-                        # timers.  cc.on_ack itself is the smaller part: 13% of
-                        # an hpcc-vai-sf incast by cProfile where this phase is
-                        # 34% of the traced hot path (measured at PR 12).
-    "pfc",              # PFC pause/resume application
-    "monitor.sample",   # periodic samplers (queue/goodput/analytics)
-    "fault.inject",     # fault-schedule callbacks
-    "fluid.run",        # flow-level engine main loop (closed-form advance, samples)
-    "fluid.relax",      # fluid water-filling, rescale and departure solve
-    "engine.other",     # anything not classified above
-)
-
-#: Active profiler (any mode); None when profiling is off.
-PROFILER: Optional["PhaseProfiler"] = None
-
-#: Hook target for the manual phase hooks; aliases PROFILER in ``phase``
-#: mode only.  Hot paths test THIS against None.
-PHASE_HOOKS: Optional["PhaseProfiler"] = None
+from .. import probe
 
 # -- event-callback classification -----------------------------------------
 
@@ -117,10 +86,7 @@ def _classify(qn: str, fn: Callable) -> str:
 class PhaseProfiler:
     """Wall-time attribution to named phases via an explicit phase stack.
 
-    ``phase`` mode records only what instrumented code pushes; ``func``
-    mode drives the same stack from :func:`sys.setprofile` call/return
-    events (every Python function becomes a phase — much slower, much
-    finer).  Both modes export the same three views:
+    Records only what instrumented code pushes, and exports three views:
 
     * :meth:`flat` — ``{phase: {"wall_s", "count"}}`` for bench records,
     * :meth:`section` — the manifest/bench ``profile`` section (flat
@@ -128,19 +94,17 @@ class PhaseProfiler:
     * :meth:`collapsed` — collapsed-stack flamegraph text.
     """
 
-    MODES = ("phase", "func")
-
     def __init__(
         self,
         mode: str = "phase",
         *,
         clock: Callable[[], float] = time.perf_counter,
-        max_depth: int = 64,
     ) -> None:
-        if mode not in self.MODES:
-            raise ValueError(f"unknown profiler mode {mode!r} (want one of {self.MODES})")
+        # The one mode there is; the manifest's ``profile.mode`` and the
+        # callers that name it (``capture("phase")``) predate its being alone.
+        if mode != "phase":
+            raise ValueError(f"unknown profiler mode {mode!r} (want 'phase')")
         self.mode = mode
-        self.max_depth = max_depth
         self._clock = clock
         #: phase -> [exclusive wall seconds, push count]
         self.phases: Dict[str, list] = {}
@@ -150,10 +114,8 @@ class PhaseProfiler:
         self._t0 = clock()
         self._t_last = self._t0
         self._t_stop: Optional[float] = None
-        # func mode: frames entered past max_depth await this many returns.
-        self._skip = 0
 
-    # -- hot-path hooks (phase mode) --
+    # -- hot-path hooks --
 
     def push(self, name: str) -> None:
         """Enter a phase; elapsed time is charged to the previous leaf."""
@@ -189,23 +151,10 @@ class PhaseProfiler:
         else:
             rec[0] += dt
 
-    # -- func-mode sys.setprofile hook --
-
-    def _func_hook(self, frame, event: str, arg) -> None:
-        if event == "call":
-            if len(self._stack) >= self.max_depth:
-                self._skip += 1
-                return
-            code = frame.f_code
-            self.push(getattr(code, "co_qualname", None) or code.co_name)
-        elif event == "return":
-            if self._skip:
-                self._skip -= 1
-            else:
-                # Returns from frames entered before enable() land on an
-                # empty stack; pop() tolerates that.
-                self.pop()
-        # c_call / c_return / c_exception: ignored (cost > signal here).
+    # Probe events: the simulator's phase brackets and per-event phase names.
+    on_phase_push = push
+    on_phase_pop = pop
+    on_phase_of = staticmethod(classify_callback)
 
     # -- results --
 
@@ -264,40 +213,28 @@ class PhaseProfiler:
 
 # -- lifecycle ---------------------------------------------------------------
 
+_SLOT = probe.Slot("profiler")
+#: The attached profiler or None.
+get = _SLOT.get
+
 
 def enable(mode: str = "phase", **kwargs) -> PhaseProfiler:
-    """Install a fresh profiler as the process-wide hook target."""
-    global PROFILER, PHASE_HOOKS
-    if PROFILER is not None:
-        disable()
-    prof = PhaseProfiler(mode, **kwargs)
-    PROFILER = prof
-    if mode == "phase":
-        PHASE_HOOKS = prof
-    else:
-        # func mode drives the stack from the interpreter; the manual hooks
-        # must stay dormant or the two writers would corrupt the stack.
-        PHASE_HOOKS = None
-        sys.setprofile(prof._func_hook)
-    return prof
+    """Attach a fresh profiler (stopping the one attached before, if any)."""
+    disable()
+    return _SLOT.attach(PhaseProfiler(mode, **kwargs))
 
 
 def disable() -> Optional[PhaseProfiler]:
-    """Uninstall and return the active profiler (results stay readable)."""
-    global PROFILER, PHASE_HOOKS
-    prof = PROFILER
-    PROFILER = None
-    PHASE_HOOKS = None
+    """Detach and return the active profiler (results stay readable)."""
+    prof = _SLOT.detach()
     if prof is not None:
-        if prof.mode == "func":
-            sys.setprofile(None)
         prof._settle()
         prof._t_stop = prof._clock()
     return prof
 
 
 @contextmanager
-def capture(mode: str = "phase", **kwargs):
+def capture(mode: str = "phase", **kwargs) -> Iterator[PhaseProfiler]:
     """``with capture() as prof:`` — enable for the block, then disable."""
     prof = enable(mode, **kwargs)
     try:

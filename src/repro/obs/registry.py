@@ -2,37 +2,30 @@
 
 Design goals, in priority order:
 
-1. **Disabled costs (almost) nothing.**  Instrumented call sites read one
-   module-level global (``STATS``) and test it against ``None`` — the same
-   idiom as ``Port.fault_hook``.  No objects are allocated, no dict is
-   touched, no callback fires.  The benchmark-guard test
-   (``tests/sim/test_obs_disabled.py``) locks in that simulation outputs are
-   byte-identical with instrumentation on or off; the overhead budget for
-   the *disabled* path is documented in DESIGN.md §9.
+1. **Disabled costs (almost) nothing.**  The registry is one of the planes
+   of :mod:`repro.probe`: with no plane attached an instrumented site reads
+   one global and tests it against ``None`` — no objects are allocated, no
+   dict is touched, no callback fires.  ``tests/sim/test_obs_disabled.py``
+   locks in that simulation outputs are byte-identical with instrumentation
+   on or off; the overhead budget for the *disabled* path is documented in
+   DESIGN.md §9.
 2. **Enabled is passive.**  Metrics record what happened; they never
    schedule events, draw random numbers, or touch simulation state, so a
    fully instrumented run is also byte-identical to a bare one.
 3. **Names are free-form dotted strings** (``"port.fused_deliveries"``).
    The registry creates metrics on first use, so layers never coordinate.
 
-Instrumented sites look like::
-
-    from ..obs import registry as obs_registry
-    ...
-    reg = obs_registry.STATS
-    if reg is not None:
-        reg.counter("port.fused_deliveries").inc()
-
-Hot loops that would otherwise look up the same counter thousands of times
-may hoist the :class:`Counter` object out of the loop — metric objects are
-stable for the lifetime of their registry.
+The simulator's metric names are all spelled in one place: the ``on_<event>``
+methods of :class:`Registry`, each subscribing to the probe event of that
+name.  Code outside the simulator (the supervisor, the tracer's overflow
+counter) asks :func:`get` and counts directly.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Any, ContextManager, Dict, Optional
 
+from .. import probe
 from .analytics import P2Quantile, percentile_key
 
 #: Percentiles every histogram summary reports (P² streaming estimates).
@@ -139,6 +132,21 @@ class Histogram:
         return f"<Histogram {self.name} n={self.count} mean={self.mean:.3g}>"
 
 
+def _counts(name: str):
+    """An ``on_<event>`` that counts one of ``name``, whatever the event carries."""
+
+    def handler(self: "Registry", *args: Any) -> None:
+        self.counter(name).inc()
+
+    return handler
+
+
+#: A family counts ``cc.<family>.decreases`` / ``.increases`` unless named
+#: here: HPCC's are updates of its *reference* window and keep that name.
+_CC_DECREASES = {"hpcc": "cc.hpcc.reference_decreases"}
+_CC_INCREASES = {"hpcc": "cc.hpcc.reference_increases"}
+
+
 class Registry:
     """Create-on-first-use store of named metrics."""
 
@@ -180,46 +188,84 @@ class Registry:
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
 
+    # -- probe events (the simulator's metric names) -----------------------
 
-#: The process-wide registry instrumented sites consult.  ``None`` (the
-#: default) disables all instrumentation; hot paths pay one global read and
-#: one identity test.
-STATS: Optional[Registry] = None
+    def on_run_end(
+        self,
+        now: float,
+        executed: int,
+        scheduled: int,
+        cancelled: int,
+        compactions: int,
+        heap_len: int,
+    ) -> None:
+        self.counter("engine.events_executed").inc(executed)
+        self.counter("engine.events_scheduled").inc(scheduled)
+        self.counter("engine.events_cancelled").inc(cancelled)
+        self.counter("engine.heap_compactions").inc(compactions)
+        self.gauge("engine.heap_peak").update_max(heap_len)
+
+    def on_dequeue(self, port: Any, pkt: Any, now: float, ser_ns: float, fused: bool) -> None:
+        self.counter("port.fused_deliveries" if fused else "port.unfused_deliveries").inc()
+
+    def on_drop(self, port: Any, pkt: Any, ingress: Any, reason: str) -> None:
+        if reason == "tail":
+            self.counter("port.tail_drops").inc()
+        elif reason == "fault":
+            self.counter("faults.drops").inc()
+
+    def on_pause(self, port: Any, now: float, duration_ns: float) -> None:
+        self.counter("pfc.pauses_applied").inc()
+        self.histogram("pfc.pause_duration_ns").observe(duration_ns)
+
+    def on_pfc_xoff(self, occupancy: float) -> None:
+        self.counter("pfc.xoff_triggered").inc()
+        self.histogram("pfc.xoff_occupancy_bytes").observe(occupancy)
+
+    def on_retx(self, state: Any, now: float) -> None:
+        self.counter("host.retransmissions").inc()
+        self.counter("host.retransmitted_bytes").inc(state.next_seq - state.acked)
+
+    def on_cc_decrease(self, family: str, flow_id: int, now: float, detail: dict) -> None:
+        self.counter(_CC_DECREASES.get(family) or f"cc.{family}.decreases").inc()
+
+    def on_cc_increase(self, family: str, flow_id: int, now: float) -> None:
+        self.counter(_CC_INCREASES.get(family) or f"cc.{family}.increases").inc()
+
+    def on_vai(self, vai: Any, banked: Optional[float], spent: float, multiplier: Any) -> None:
+        if banked is not None:
+            self.counter("vai.tokens_banked").inc(banked)
+        if spent > 0.0:
+            self.counter("vai.tokens_spent").inc(spent)
+
+    def on_sf_ack(self, sf: Any, granted: bool) -> None:
+        if granted:
+            self.counter("sf.decreases_granted").inc()
+
+    on_resume = _counts("pfc.resumes_applied")
+    on_pfc_xon = _counts("pfc.xon_triggered")
+    on_flow_complete = _counts("host.flows_completed")
+    on_late_packet = _counts("host.late_packets")
+    on_corrupt_discard = _counts("host.corrupt_discards")
+    on_fault_corrupt = _counts("faults.corruptions")
+    on_link_state = _counts("faults.link_transitions")
+    on_switch_state = _counts("faults.switch_transitions")
+
+
+_SLOT = probe.Slot("registry")
+#: Remove the registry / whether one is attached / the attached one or None.
+disable, enabled, get = _SLOT.detach, _SLOT.enabled, _SLOT.get
 
 
 def enable(registry: Optional[Registry] = None) -> Registry:
-    """Install (and return) the process-wide registry, creating one if needed."""
-    global STATS
-    STATS = registry if registry is not None else Registry()
-    return STATS
+    """Attach (and return) the process-wide registry, creating one if needed."""
+    return _SLOT.attach(registry if registry is not None else Registry())
 
 
-def disable() -> None:
-    """Remove the process-wide registry; instrumentation reverts to no-ops."""
-    global STATS
-    STATS = None
+def capture() -> ContextManager[Registry]:
+    """Attach a fresh registry for the scope of a ``with`` block (tests).
 
-
-def enabled() -> bool:
-    return STATS is not None
-
-
-def get() -> Optional[Registry]:
-    return STATS
-
-
-@contextmanager
-def capture() -> Iterator[Registry]:
-    """Enable a fresh registry for the scope of a ``with`` block (tests).
-
-    The previous registry (usually ``None``) is restored on exit, so tests
+    The previous registry (usually none) is restored on exit, so tests
     never leak instrumentation into each other.
     """
-    global STATS
-    prev = STATS
-    reg = Registry()
-    STATS = reg
-    try:
-        yield reg
-    finally:
-        STATS = prev
+    return _SLOT.capture(Registry())

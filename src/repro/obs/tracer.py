@@ -6,10 +6,11 @@ bounded ring (:class:`collections.deque` with ``maxlen``), and exports them
 as Chrome ``trace_event`` JSON (loadable in Perfetto / ``chrome://tracing``)
 or CSV.
 
-Like the metric registry, the tracer is consulted through one module-level
-global (``TRACER``) tested against ``None``, and recording is strictly
-passive: no events are scheduled, no RNG is drawn, so traced runs are
-byte-identical to untraced ones.
+Like the metric registry, the tracer is one of the planes of
+:mod:`repro.probe`: its ``on_<event>`` methods subscribe to the simulator's
+events and are where every span / instant / counter name and argument dict
+is formatted.  Recording is strictly passive: no events are scheduled, no
+RNG is drawn, so traced runs are byte-identical to untraced ones.
 
 Record shape (one tuple per event, cheap to append)::
 
@@ -30,8 +31,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
+from .. import probe
+from ..sim.trace import rows_to_csv
 from . import registry as obs_registry
 
 #: Default ring capacity; ~65k events is a few MB and loads instantly in
@@ -67,7 +70,7 @@ class EventTracer:
             # so manifests/exports carry it and `obs report` can warn that
             # the trace was truncated.  Off the common path — only paid
             # once the ring is already full.
-            reg = obs_registry.STATS
+            reg = obs_registry.get()
             if reg is not None:
                 reg.counter("tracer.ring_dropped").inc()
         ring.append(record)
@@ -108,6 +111,73 @@ class EventTracer:
     ) -> None:
         """A counter sample (Chrome phase ``C``); plots as a track."""
         self._push((PH_COUNTER, name, cat, ts_ns, 0.0, 0, dict(values)))
+
+    # -- probe events ------------------------------------------------------
+
+    def on_queue_max(self, port: Any, now: float) -> None:
+        # Queue high-watermark: one counter sample per new maximum renders
+        # as a rising staircase track in Perfetto.
+        self.counter(
+            f"qmax {port.owner.name}.p{port.index}",
+            now,
+            {"bytes": port.max_qlen_seen},
+            cat="queue",
+        )
+
+    def on_pause(self, port: Any, now: float, duration_ns: float) -> None:
+        self.complete(
+            f"pfc pause {port.owner.name}.p{port.index}",
+            now,
+            duration_ns,
+            cat="pfc",
+            tid=port.owner.node_id,
+        )
+
+    def on_flow_complete(self, state: Any, now: float) -> None:
+        # Flow lifecycle as one complete span: start -> last ACK.
+        flow = state.flow
+        self.complete(
+            f"flow {flow.flow_id}",
+            flow.start_time,
+            now - flow.start_time,
+            cat="flow",
+            tid=flow.flow_id,
+            args={
+                "src": flow.src,
+                "dst": flow.dst,
+                "size_bytes": flow.size,
+                "retransmits": flow.retransmits,
+            },
+        )
+
+    def on_retx(self, state: Any, now: float) -> None:
+        flow_id = state.flow.flow_id
+        self.instant(
+            f"rto flow {flow_id}",
+            now,
+            cat="loss",
+            tid=flow_id,
+            args={"rewind_to": state.acked, "backoff": state.rto_backoff},
+        )
+
+    def on_cc_decrease(self, family: str, flow_id: int, now: float, detail: dict) -> None:
+        self.instant(f"{family} md flow {flow_id}", now, cat="cc", tid=flow_id, args=detail)
+
+    def on_link_state(self, now: float, a: int, b: int, up: bool) -> None:
+        self.instant(
+            f"link {a}-{b} {'up' if up else 'down'}",
+            now,
+            cat="fault",
+            args={"a": a, "b": b, "up": up},
+        )
+
+    def on_switch_state(self, now: float, switch_id: int, up: bool) -> None:
+        self.instant(
+            f"switch {switch_id} {'up' if up else 'down'}",
+            now,
+            cat="fault",
+            args={"switch": switch_id, "up": up},
+        )
 
     # -- access ------------------------------------------------------------
 
@@ -171,10 +241,6 @@ class EventTracer:
 
     def to_csv(self) -> str:
         """Retained records as deterministic CSV (args JSON-encoded)."""
-        # Lazy import: sim.trace pulls the simulator stack, which itself
-        # imports this package — resolving at call time breaks the cycle.
-        from ..sim.trace import rows_to_csv
-
         rows = [
             {
                 "ph": ph,
@@ -192,27 +258,13 @@ class EventTracer:
         )
 
 
-#: The process-wide tracer instrumented sites consult (``None`` = off).
-TRACER: Optional[EventTracer] = None
+_SLOT = probe.Slot("tracer")
+#: Remove the tracer / whether one is attached / the attached one or None.
+disable, enabled, get = _SLOT.detach, _SLOT.enabled, _SLOT.get
 
 
 def enable(
     tracer: Optional[EventTracer] = None, *, capacity: int = DEFAULT_CAPACITY
 ) -> EventTracer:
-    """Install (and return) the process-wide tracer."""
-    global TRACER
-    TRACER = tracer if tracer is not None else EventTracer(capacity)
-    return TRACER
-
-
-def disable() -> None:
-    global TRACER
-    TRACER = None
-
-
-def enabled() -> bool:
-    return TRACER is not None
-
-
-def get() -> Optional[EventTracer]:
-    return TRACER
+    """Attach (and return) the process-wide tracer."""
+    return _SLOT.attach(tracer if tracer is not None else EventTracer(capacity))

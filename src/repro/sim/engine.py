@@ -61,10 +61,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, List, Optional
 
-from ..check import invariants as check_invariants
-from ..obs import flightrec as obs_flightrec
-from ..obs import profiler as obs_profiler
-from ..obs import registry as obs_registry
+from .. import probe
 from .calendar import Calendar, heappop, heappush
 
 #: Compaction trigger: sweep the heap once at least this many cancelled
@@ -370,72 +367,38 @@ class Simulator:
             If given, stop after executing this many events (safety valve for
             runaway feedback loops in tests).  Zero or less executes nothing.
         """
+        global _TOTAL_EVENTS_EXECUTED
         # The loops test the limit after a callback, so an exhausted budget
-        # is turned away here: once per run(), for both loops.
+        # is turned away here.
         if max_events is not None and max_events <= 0:
             return
-        # Dispatch, not inline hooks: the fast loop below must carry zero
-        # profiler or flight-recorder instructions (benchmark guards assert
-        # its bytecode is clean of both), so the profiled variant is a
-        # separate twin loop and the recorder learns the run extent here,
-        # once per run() call, after the loop returns.
-        if obs_profiler.PHASE_HOOKS is not None:
-            self._run_profiled(until, max_events)
-        else:
-            self._run_fast(until, max_events)
-        fr = obs_flightrec.RECORDER
-        if fr is not None:
-            # Max virtual time reached: the denominator for link-utilization
-            # parity with the fluid backend and the virtual-time extent that
-            # `obs stitch` rescales against.
-            fr.on_run_extent(self._now)
-
-    def _run_fast(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        global _TOTAL_EVENTS_EXECUTED
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
         self._stopped = False
-        executed = 0
         heap = self._heap
-        # Instrumentation is flushed as per-run deltas at run() exit — the
-        # per-event hot loop below stays untouched whether obs is on or off.
-        reg = obs_registry.STATS
-        # Sanitizer: hoisted once per run() like the registry; when off the
-        # loop pays one local None test per event.
-        chk = check_invariants.CHECKER
-        if reg is not None:
-            seq_before = self._seq
-            cancels_before = self.cancellations
-            compactions_before = self.compactions
+        # The probe is read once per run(): the loops pay one local None test
+        # per event unless a plane subscribes to ``event``, and what the run
+        # did is reported as deltas at exit.  Dispatch, not inline hooks: the
+        # fast loop must carry zero profiler instructions
+        # (tests/sim/test_engine_hotpath.py asserts its bytecode is clean of
+        # them), so the profiled variant is a separate twin loop.
+        pr = probe.PROBE
+        on_event = pr.event if pr is not None and pr.handles("event") else None
+        profiled = pr is not None and pr.handles("phase_push")
+        executed_before = self._events_executed
+        seq_before = self._seq
+        cancels_before = self.cancellations
+        compactions_before = self.compactions
+        if profiled:
+            # Loop bookkeeping (heap ops, cancelled discards, the compaction
+            # sweep) accrues here; each callback runs under its own phase.
+            pr.phase_push("engine.loop")
         try:
-            while heap and not self._stopped:
-                entry = heap[0]
-                ev = entry[3]
-                if ev is not None and ev.cancelled:
-                    heappop(heap)
-                    self._cancelled -= 1
-                    ev.sim = None
-                    continue
-                t = entry[0]
-                if until is not None and t > until:
-                    break
-                heappop(heap)
-                if ev is not None:
-                    # Off the calendar: a late cancel() must not be counted.
-                    ev.sim = None
-                if chk is not None:
-                    chk.on_event(t, self._now)
-                self._now = t
-                self._cur_seq = entry[2]
-                entry[4](*entry[5])
-                executed += 1
-                if max_events is not None and executed >= max_events:
-                    break
+            if profiled:
+                self._run_profiled(until, max_events, heap, on_event, pr)
+            else:
+                self._run_fast(until, max_events, heap, on_event)
             if until is not None and not self._stopped and self._now < until:
                 # Advance the clock even if the heap drained early so that
                 # "run for 50 ms" semantics hold for monitors reading now().
@@ -443,52 +406,25 @@ class Simulator:
                     self._now = until
             self._maybe_compact()
         finally:
+            if profiled:
+                pr.phase_pop()
             self._running = False
-            self._events_executed += executed
+            executed = self._events_executed - executed_before
             _TOTAL_EVENTS_EXECUTED += executed
-            if reg is not None:
-                reg.counter("engine.events_executed").inc(executed)
-                reg.counter("engine.events_scheduled").inc(self._seq - seq_before)
-                reg.counter("engine.events_cancelled").inc(
-                    self.cancellations - cancels_before
+            if pr is not None:
+                pr.run_end(
+                    self._now,
+                    executed,
+                    self._seq - seq_before,
+                    self.cancellations - cancels_before,
+                    self.compactions - compactions_before,
+                    len(heap),  # the calendar the run started on, even if swept since
                 )
-                reg.counter("engine.heap_compactions").inc(
-                    self.compactions - compactions_before
-                )
-                reg.gauge("engine.heap_peak").update_max(len(heap))
 
-    def _run_profiled(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
+    def _run_fast(
+        self, until: Optional[float], max_events: Optional[int], heap: Any, on_event: Any
     ) -> None:
-        """Twin of :meth:`_run_fast` with per-event phase attribution.
-
-        Semantically identical — same heap discipline, same counters, same
-        clock advancement — so outputs stay byte-identical with profiling
-        on; the only additions are the profiler push/pop pairs.  Loop
-        bookkeeping (heap ops, cancelled discards) accrues to
-        ``engine.loop``; each callback runs under the phase
-        :func:`classify_callback` assigns to it.
-        """
-        global _TOTAL_EVENTS_EXECUTED
-        if self._running:
-            raise SimulationError("Simulator.run() is not reentrant")
-        self._running = True
-        self._stopped = False
         executed = 0
-        heap = self._heap
-        reg = obs_registry.STATS
-        chk = check_invariants.CHECKER
-        prof = obs_profiler.PHASE_HOOKS
-        classify = obs_profiler.classify_callback
-        prof_push = prof.push
-        prof_pop = prof.pop
-        if reg is not None:
-            seq_before = self._seq
-            cancels_before = self.cancellations
-            compactions_before = self.compactions
-        prof_push("engine.loop")
         try:
             while heap and not self._stopped:
                 entry = heap[0]
@@ -505,8 +441,54 @@ class Simulator:
                 if ev is not None:
                     # Off the calendar: a late cancel() must not be counted.
                     ev.sim = None
-                if chk is not None:
-                    chk.on_event(t, self._now)
+                if on_event is not None:
+                    on_event(t, self._now)
+                self._now = t
+                self._cur_seq = entry[2]
+                entry[4](*entry[5])
+                executed += 1
+                if max_events is not None and executed >= max_events:
+                    break
+        finally:
+            self._events_executed += executed
+
+    def _run_profiled(
+        self,
+        until: Optional[float],
+        max_events: Optional[int],
+        heap: Any,
+        on_event: Any,
+        pr: "probe.Probe",
+    ) -> None:
+        """Twin of :meth:`_run_fast` with per-event phase attribution.
+
+        Semantically identical — same heap discipline, same counters — so
+        outputs stay byte-identical with profiling on; the only addition is
+        the push/pop pair around each callback, under the phase the
+        profiler's ``phase_of`` assigns to it.
+        """
+        classify = pr.phase_of
+        prof_push = pr.phase_push
+        prof_pop = pr.phase_pop
+        executed = 0
+        try:
+            while heap and not self._stopped:
+                entry = heap[0]
+                ev = entry[3]
+                if ev is not None and ev.cancelled:
+                    heappop(heap)
+                    self._cancelled -= 1
+                    ev.sim = None
+                    continue
+                t = entry[0]
+                if until is not None and t > until:
+                    break
+                heappop(heap)
+                if ev is not None:
+                    # Off the calendar: a late cancel() must not be counted.
+                    ev.sim = None
+                if on_event is not None:
+                    on_event(t, self._now)
                 self._now = t
                 self._cur_seq = entry[2]
                 fn = entry[4]
@@ -518,25 +500,8 @@ class Simulator:
                 executed += 1
                 if max_events is not None and executed >= max_events:
                     break
-            if until is not None and not self._stopped and self._now < until:
-                if not heap or heap[0][0] > until:
-                    self._now = until
-            self._maybe_compact()
         finally:
-            prof_pop()
-            self._running = False
             self._events_executed += executed
-            _TOTAL_EVENTS_EXECUTED += executed
-            if reg is not None:
-                reg.counter("engine.events_executed").inc(executed)
-                reg.counter("engine.events_scheduled").inc(self._seq - seq_before)
-                reg.counter("engine.events_cancelled").inc(
-                    self.cancellations - cancels_before
-                )
-                reg.counter("engine.heap_compactions").inc(
-                    self.compactions - compactions_before
-                )
-                reg.gauge("engine.heap_peak").update_max(len(heap))
 
     def run_until_idle(self, max_events: Optional[int] = None) -> None:
         """Run until no events remain (or ``max_events`` executed)."""

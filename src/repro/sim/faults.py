@@ -39,8 +39,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..obs import registry as obs_registry
-from ..obs import tracer as obs_tracer
+from .. import probe
 from .packet import DATA, Packet
 from .port import FAULT_CORRUPT, FAULT_DROP, FAULT_NONE, Port
 
@@ -98,9 +97,6 @@ class PacketFaultHook:
             self._counter += 1
             if self._counter % self.every_nth == 0:
                 self.drops += 1
-                reg = obs_registry.STATS
-                if reg is not None:
-                    reg.counter("faults.drops").inc()
                 return FAULT_DROP
             return FAULT_NONE
         # One draw per candidate packet keeps the random stream aligned no
@@ -108,15 +104,9 @@ class PacketFaultHook:
         r = self.rng.random()
         if r < self.drop_prob:
             self.drops += 1
-            reg = obs_registry.STATS
-            if reg is not None:
-                reg.counter("faults.drops").inc()
             return FAULT_DROP
         if r < self.drop_prob + self.corrupt_prob:
             self.corruptions += 1
-            reg = obs_registry.STATS
-            if reg is not None:
-                reg.counter("faults.corruptions").inc()
             return FAULT_CORRUPT
         return FAULT_NONE
 
@@ -131,33 +121,17 @@ class FaultInjector:
 def _set_link_state_traced(net: "Network", a: int, b: int, up: bool) -> None:
     """``Network.set_link_state`` plus observability (same event shape)."""
     net.set_link_state(a, b, up)
-    reg = obs_registry.STATS
-    if reg is not None:
-        reg.counter("faults.link_transitions").inc()
-    tr = obs_tracer.TRACER
-    if tr is not None:
-        tr.instant(
-            f"link {a}-{b} {'up' if up else 'down'}",
-            net.sim.now(),
-            cat="fault",
-            args={"a": a, "b": b, "up": up},
-        )
+    pr = probe.PROBE
+    if pr is not None:
+        pr.link_state(net.sim.now(), a, b, up)
 
 
 def _set_switch_state_traced(net: "Network", switch_id: int, up: bool) -> None:
     """``Network.set_switch_state`` plus observability (same event shape)."""
     net.set_switch_state(switch_id, up)
-    reg = obs_registry.STATS
-    if reg is not None:
-        reg.counter("faults.switch_transitions").inc()
-    tr = obs_tracer.TRACER
-    if tr is not None:
-        tr.instant(
-            f"switch {switch_id} {'up' if up else 'down'}",
-            net.sim.now(),
-            cat="fault",
-            args={"switch": switch_id, "up": up},
-        )
+    pr = probe.PROBE
+    if pr is not None:
+        pr.switch_state(net.sim.now(), switch_id, up)
 
 
 def _resolve_ports(net: "Network", selector: PortSelector) -> List[Port]:

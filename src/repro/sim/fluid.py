@@ -86,11 +86,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .. import probe
 from ..core.fluid_model import max_min_allocation
 from ..metrics.fct import ideal_fct_ns
-from ..obs import flightrec as obs_flightrec
-from ..obs import profiler as obs_profiler
-from ..obs import tracer as obs_tracer
 from .flow import Flow
 from .network import CompletionStatus, Network
 from .packet import HEADER_BYTES
@@ -605,34 +603,6 @@ class FluidEngine:
                 out[dlink] = min(1.0, link.bytes / (cap * elapsed))
         return out
 
-    def _emit_series_trace(self) -> None:
-        """Mirror the sampled series onto the tracer as counter events.
-
-        Parity with the packet backend's flight recorder: when both the
-        recorder and the tracer are on, the fluid run's queue/rate series
-        land in the trace shard as virtual-time counters (``cat``
-        ``flightrec``), so ``obs stitch`` rescales them with every other
-        shard event and merged Perfetto timelines stay aligned.
-        """
-        tr = obs_tracer.TRACER
-        if tr is None or obs_flightrec.RECORDER is None:
-            return
-        for ts, depth in zip(self._queues.times, self._queues.values):
-            tr.counter("queue fluid", ts, {"bytes": depth}, cat="flightrec")
-        # Per-flow rate lanes are capped like the recorder's timeline —
-        # a datacenter-scale run would otherwise emit thousands of tracks.
-        shown = list(self._flows.values())[: obs_flightrec.TIMELINE_FLOWS_CAP]
-        for row_idx, ts in enumerate(self._rates.times):
-            row = self._rates.values[row_idx]
-            for col, st in enumerate(shown):
-                tr.counter(
-                    f"rate flow {st.fid}", ts, {"bps": row[col]}, cat="flightrec"
-                )
-        for (u, v), util in sorted(self.link_utilization().items()):
-            tr.counter(
-                f"util {u}->{v}", self.now, {"utilization": util}, cat="flightrec"
-            )
-
     # -- main loop ---------------------------------------------------------
 
     def run(self, timeout_ns: float) -> CompletionStatus:
@@ -642,11 +612,11 @@ class FluidEngine:
         self._flaps.sort()
         arrivals, flaps = self._arrivals, self._flaps
         stop_reason = "completed"
-        # Hoisted once per run, same idiom as the packet engine's registry
-        # hook: off costs one local None test per loop iteration.
-        prof = obs_profiler.PHASE_HOOKS
-        if prof is not None:
-            prof.push("fluid.run")
+        # Hoisted once per run, as in the packet engine's loops: off costs
+        # one local None test per loop iteration.
+        pr = probe.PROBE
+        if pr is not None:
+            pr.phase_push("fluid.run")
         while True:
             have_arrival = self._arrival_idx < len(arrivals)
             if not self._active and not have_arrival:
@@ -732,20 +702,21 @@ class FluidEngine:
                     self._occupy(st)
                     changed[st.fid] = st
 
-            if prof is not None:
-                prof.push("fluid.relax")
+            if pr is not None:
+                pr.phase_push("fluid.relax")
             if changed:
                 self._busy = [link for link in self._links.values() if link.users]
                 self._mixed = len({st.tau for st in self._active if st.tau > 0.0}) > 1
                 self._recompute_targets(changed.values())
             self._rescale(commit=fresh or flapped)
-            if prof is not None:
-                prof.pop()
+            if pr is not None:
+                pr.phase_pop()
 
         self._write_samples(self.now, inclusive=True)
-        if prof is not None:
-            prof.pop()
-        self._emit_series_trace()
+        if pr is not None:
+            pr.phase_pop()
+            # The sampled series, for whoever mirrors them onto a trace.
+            pr.fluid_series(self, list(self._flows))
         incomplete = tuple(
             sorted(fid for fid, st in self._flows.items() if not st.flow.completed)
         )

@@ -31,10 +31,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
-from ..check import invariants as check_invariants
-from ..obs import flightrec as obs_flightrec
-from ..obs import registry as obs_registry
-from ..obs import tracer as obs_tracer
+from .. import probe
 from .engine import Simulator
 from .flow import Flow, ReceiverState, SenderState
 from .node import Node
@@ -164,9 +161,9 @@ class Host(Node):
         if self.loss_recovery:
             state.rto_ns = self._rto_for(state)
         flow.started = True
-        fr = obs_flightrec.RECORDER
-        if fr is not None:
-            state.fr = fr.open_flow(state)
+        pr = probe.PROBE
+        if pr is not None:
+            pr.flow_start(state)
         state.cc.on_flow_start(self.sim._now)
         self._try_send(state)
         if self.loss_recovery:
@@ -195,16 +192,10 @@ class Host(Node):
             )
             state.next_seq += payload
             flow.packets_sent += 1
-            chk = check_invariants.CHECKER
-            if chk is not None:
-                chk.on_send(state)
-            fr = obs_flightrec.RECORDER
-            if fr is not None:
-                track = state.fr
-                if track is not None:
-                    # Closes [cursor, now] as CC-throttle (pacing idle) and
-                    # stamps the packet before the NIC enqueue sees it.
-                    fr.on_send(track, pkt, now)
+            pr = probe.PROBE
+            if pr is not None:
+                # Before the NIC enqueue sees the packet (the recorder stamps it).
+                pr.send(state, pkt, now)
             nic.enqueue(pkt)
             rate = cc.pacing_rate_bps
             if rate is not None and rate > 0.0:
@@ -259,26 +250,11 @@ class Host(Node):
         # Go-back-N: rewind to the last cumulative ACK and resend from there.
         flow.retransmits += 1
         flow.retransmitted_bytes += state.next_seq - state.acked
-        reg = obs_registry.STATS
-        if reg is not None:
-            reg.counter("host.retransmissions").inc()
-            reg.counter("host.retransmitted_bytes").inc(state.next_seq - state.acked)
-        tr = obs_tracer.TRACER
-        if tr is not None:
-            tr.instant(
-                f"rto flow {flow.flow_id}",
-                self.sim._now,
-                cat="loss",
-                tid=flow.flow_id,
-                args={"rewind_to": state.acked, "backoff": state.rto_backoff},
-            )
-        fr = obs_flightrec.RECORDER
-        if fr is not None:
-            track = state.fr
-            if track is not None:
-                # The stall this timeout ends is retransmission recovery; the
-                # benign re-arm branch above deliberately has no hook.
-                fr.on_retx(track, self.sim._now)
+        pr = probe.PROBE
+        if pr is not None:
+            # Before the rewind and the backoff doubling; the benign re-arm
+            # branch above deliberately raises nothing.
+            pr.retx(state, self.sim._now)
         state.next_seq = state.acked
         state.rto_backoff = min(state.rto_backoff * 2.0, self.max_rto_backoff)
         state.cc.on_timeout(self.sim._now)
@@ -306,9 +282,9 @@ class Host(Node):
             # CRC failure: the packet (data, ACK or CNP alike) is discarded
             # silently; sender-side loss recovery covers the gap.
             self.corrupt_discards += 1
-            reg = obs_registry.STATS
-            if reg is not None:
-                reg.counter("host.corrupt_discards").inc()
+            pr = probe.PROBE
+            if pr is not None:
+                pr.corrupt_discard(self, pkt)
             return
         if kind == DATA:
             self._receive_data(pkt)
@@ -331,9 +307,9 @@ class Host(Node):
         end = pkt.seq + pkt.payload
         if pkt.seq <= state.received and end > state.received:
             state.received = end
-        chk = check_invariants.CHECKER
-        if chk is not None:
-            chk.on_data(state, pkt)
+        pr = probe.PROBE
+        if pr is not None:
+            pr.data(state, pkt)
         now = self.sim._now
         nic = self.ports[0]
         if state.flow.use_cnp and pkt.ece:
@@ -355,9 +331,10 @@ class Host(Node):
         else:
             state.acked = pkt.seq
         state.last_ack_time = now
-        chk = check_invariants.CHECKER
-        if chk is not None:
-            chk.on_ack(state, pkt)
+        pr = probe.PROBE
+        if pr is not None:
+            # Every ACK, duplicates included, after ``acked`` moved.
+            pr.ack(state, pkt, now)
         if self.loss_recovery and newly > 0:
             # Forward progress: reset the backoff and restart the RTO clock,
             # and leave stop-and-wait probing (the phase-lock is broken).
@@ -365,13 +342,6 @@ class Host(Node):
             state.probe_mode = False
             state.last_rto_acked = -1
             self._arm_rto(state, reset=True)
-        fr = obs_flightrec.RECORDER
-        if fr is not None:
-            track = state.fr
-            if track is not None:
-                # Every ACK (duplicates included) closes [cursor, now] using
-                # the round-trip breakdown echoed on the packet's stamp.
-                fr.on_ack(track, pkt.fr, state.acked, now)
         ctx = self._ack_ctx
         ctx.now = now
         ctx.ack_seq = pkt.seq
@@ -386,32 +356,8 @@ class Host(Node):
             if state.rto_timer is not None:
                 state.rto_timer.cancel()
                 state.rto_timer = None
-            reg = obs_registry.STATS
-            if reg is not None:
-                reg.counter("host.flows_completed").inc()
-            tr = obs_tracer.TRACER
-            if tr is not None:
-                # Flow lifecycle as one complete span: start -> last ACK.
-                tr.complete(
-                    f"flow {flow.flow_id}",
-                    flow.start_time,
-                    now - flow.start_time,
-                    cat="flow",
-                    tid=flow.flow_id,
-                    args={
-                        "src": flow.src,
-                        "dst": flow.dst,
-                        "size_bytes": flow.size,
-                        "retransmits": flow.retransmits,
-                    },
-                )
-            if fr is not None:
-                track = state.fr
-                if track is not None:
-                    # The final ACK just closed the last interval, so the
-                    # six components now telescope to exactly the FCT; this
-                    # checks conservation (and the sanitizer cross-check).
-                    fr.on_complete(track, state, now)
+            if pr is not None:
+                pr.flow_complete(state, now)
             # Retire: the totals live on ``flow``; with the CC's back-pointer
             # cut, dropping ours frees state, CC and the INT records it kept.
             self.senders[flow.flow_id] = None
@@ -434,6 +380,6 @@ class Host(Node):
         if pkt.flow_id not in self.senders:
             raise RuntimeError(f"{self.name}: {what} for unknown flow {pkt.flow_id}")
         self.late_packets += 1
-        reg = obs_registry.STATS
-        if reg is not None:
-            reg.counter("host.late_packets").inc()
+        pr = probe.PROBE
+        if pr is not None:
+            pr.late_packet(self, pkt)

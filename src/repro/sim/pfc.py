@@ -24,9 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..check import invariants as check_invariants
-from ..obs import flightrec as obs_flightrec
-from ..obs import registry as obs_registry
+from .. import probe
 
 
 @dataclass(frozen=True)
@@ -72,10 +70,9 @@ class PfcIngress:
             and self.occupancy >= self.config.xoff
         ):
             self.paused_upstream = True
-            reg = obs_registry.STATS
-            if reg is not None:
-                reg.counter("pfc.xoff_triggered").inc()
-                reg.histogram("pfc.xoff_occupancy_bytes").observe(self.occupancy)
+            pr = probe.PROBE
+            if pr is not None:
+                pr.pfc_xoff(self.occupancy)
             return True
         return False
 
@@ -87,9 +84,9 @@ class PfcIngress:
             # The sanitizer sees the pre-clamp value — a release exceeding
             # what was charged is a real bookkeeping bug even though the
             # clamp keeps the state machine serviceable.
-            chk = check_invariants.CHECKER
-            if chk is not None:
-                chk.on_pfc_occupancy(self.occupancy)
+            pr = probe.PROBE
+            if pr is not None:
+                pr.pfc_occupancy(self.occupancy)
             self.occupancy = 0.0
         if (
             self.config is not None
@@ -97,9 +94,9 @@ class PfcIngress:
             and self.occupancy <= self.config.xon
         ):
             self.paused_upstream = False
-            reg = obs_registry.STATS
-            if reg is not None:
-                reg.counter("pfc.xon_triggered").inc()
+            pr = probe.PROBE
+            if pr is not None:
+                pr.pfc_xon()
             return True
         return False
 
@@ -115,9 +112,6 @@ class PfcEgressState:
     def pause(self, now: float, duration_ns: float) -> None:
         """Apply a PAUSE frame received at ``now``."""
         self.paused_until = max(self.paused_until, now + duration_ns)
-        fr = obs_flightrec.RECORDER
-        if fr is not None:
-            fr.on_pause(self, now, duration_ns)
 
     def resume(self) -> None:
         """Apply a RESUME frame (clears any remaining pause)."""

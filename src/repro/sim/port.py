@@ -39,11 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from ..check import invariants as check_invariants
-from ..obs import flightrec as obs_flightrec
-from ..obs import profiler as obs_profiler
-from ..obs import registry as obs_registry
-from ..obs import tracer as obs_tracer
+from .. import probe
 from .calendar import heappush
 from .engine import Simulator
 from .link import LinkSpec
@@ -224,24 +220,24 @@ class Port:
                 action = hook.on_packet(pkt)
                 if action == FAULT_DROP:
                     self.fault_drops += 1
-                    chk = check_invariants.CHECKER
-                    if chk is not None:
-                        chk.on_drop(self, pkt, ingress, "fault")
+                    pr = probe.PROBE
+                    if pr is not None:
+                        pr.drop(self, pkt, ingress, "fault")
                     self._release_dropped(pkt, ingress)
                     return False
                 if action == FAULT_CORRUPT:
                     pkt.corrupt = True
+                    pr = probe.PROBE
+                    if pr is not None:
+                        pr.fault_corrupt(self, pkt)
             if (
                 self.max_queue_bytes is not None
                 and self.queue_bytes + pkt.size > self.max_queue_bytes
             ):
                 self.drops += 1
-                reg = obs_registry.STATS
-                if reg is not None:
-                    reg.counter("port.tail_drops").inc()
-                chk = check_invariants.CHECKER
-                if chk is not None:
-                    chk.on_drop(self, pkt, ingress, "tail")
+                pr = probe.PROBE
+                if pr is not None:
+                    pr.drop(self, pkt, ingress, "tail")
                 self._release_dropped(pkt, ingress)
                 return False
             if self.red is not None and pkt.kind == DATA:
@@ -250,24 +246,13 @@ class Port:
                     pkt.ece = True
             self.queue.append((pkt, ingress))
             self.queue_bytes += pkt.size
-        chk = check_invariants.CHECKER
-        if chk is not None:
-            chk.on_enqueue(self, pkt)
-        fr = obs_flightrec.RECORDER
-        if fr is not None:
-            fr.on_enqueue(self, pkt, self.sim._now)
+        pr = probe.PROBE
+        if pr is not None:
+            pr.enqueue(self, pkt, self.sim._now)
         if self.queue_bytes > self.max_qlen_seen:
             self.max_qlen_seen = self.queue_bytes
-            tr = obs_tracer.TRACER
-            if tr is not None:
-                # Queue high-watermark: one counter sample per new maximum
-                # renders as a rising staircase track in Perfetto.
-                tr.counter(
-                    f"qmax {self.owner.name}.p{self.index}",
-                    self.sim._now,
-                    {"bytes": self.max_qlen_seen},
-                    cat="queue",
-                )
+            if pr is not None:
+                pr.queue_max(self, self.sim._now)
         if not self._tx_pending:  # else that packet's _tx_done drains
             self.try_drain()
         return True
@@ -308,15 +293,12 @@ class Port:
         # Past the early-outs a transmission definitely starts; everything
         # below is serializer work.  Single fall-through exit, so one
         # push/pop pair brackets it.
-        prof = obs_profiler.PHASE_HOOKS
-        if prof is not None:
-            prof.push("port.serialize")
+        pr = probe.PROBE
+        if pr is not None:
+            pr.phase_push("port.serialize")
         pkt, ingress = self.queue.popleft()
         size = pkt.size
         self.queue_bytes -= size
-        chk = check_invariants.CHECKER
-        if chk is not None:
-            chk.on_dequeue(self, pkt)
         spec = self.spec
         if self.stamp_int and pkt.kind == DATA and pkt.int_records is not None:
             pkt.int_records.append(
@@ -327,20 +309,19 @@ class Port:
         # spec.serialization_ns(size): units.serialization_time_ns's own
         # expression, operand for operand (LinkSpec guarantees rate > 0).
         ser = size * 8.0 / spec.rate_bps * 1e9
-        fr = obs_flightrec.RECORDER
-        if fr is not None:
-            # One hook covers both delivery paths below: the per-hop wait /
-            # serialization / propagation / pause breakdown accumulates on
-            # the packet's stamp here, at serialization start.
-            fr.on_dequeue(self, pkt, now, ser)
         deliver = self._deliver
-        if (
+        fused = (
             ingress is None
             and not self.queue
             and self.allow_fusion
             and self.link_up
             and deliver is not None
-        ):
+        )
+        if pr is not None:
+            # One event covers both delivery paths below: queue accounting
+            # is settled and the serialization that starts now is known.
+            pr.dequeue(self, pkt, now, ser, fused)
+        if fused:
             # Fused path: single delivery event, occupancy via busy_until.
             # Only taken for locally-originated packets (no forwarding or
             # PFC-release bookkeeping owed at serialization end) with an
@@ -354,24 +335,18 @@ class Port:
             t_end = now + ser
             self.busy_until = t_end
             self.tx_bytes += size
-            reg = obs_registry.STATS
-            if reg is not None:
-                reg.counter("port.fused_deliveries").inc()
             seq = sim._seq
             sim._seq = seq + 1
             entry = (t_end + spec.prop_delay_ns, t_end, seq, None, deliver, (pkt, self.peer_port))
             heappush(sim._heap, entry)
         else:
             self._tx_pending = True
-            reg = obs_registry.STATS
-            if reg is not None:
-                reg.counter("port.unfused_deliveries").inc()
             # schedule_detached(ser, self._tx_done, pkt, ingress) written out.
             seq = sim._seq
             sim._seq = seq + 1
             heappush(sim._heap, (now + ser, now, seq, None, self._on_tx_done, (pkt, ingress)))
-        if prof is not None:
-            prof.pop()
+        if pr is not None:
+            pr.phase_pop()
 
     def _tx_done(self, pkt: Packet, ingress: Optional["Port"]) -> None:
         self._tx_pending = False
@@ -393,9 +368,9 @@ class Port:
                 # Link is down: the queue keeps draining (carrier loss), every
                 # serialized packet is lost on the wire.
                 self.fault_drops += 1
-                chk = check_invariants.CHECKER
-                if chk is not None:
-                    chk.on_drop(self, pkt, ingress, "link-down")
+                pr = probe.PROBE
+                if pr is not None:
+                    pr.drop(self, pkt, ingress, "link-down")
         if self.queue:
             self.try_drain()
 
@@ -421,38 +396,21 @@ class Port:
 
     def apply_pause(self, pkt: Packet) -> None:
         """Apply a received PFC frame to this (egress) port."""
-        prof = obs_profiler.PHASE_HOOKS
-        if prof is not None:
-            prof.push("pfc")
+        pr = probe.PROBE
+        if pr is not None:
+            pr.phase_push("pfc")
         if pkt.kind == PAUSE:
             now = self.sim.now()
             self.pfc_egress.pause(now, pkt.pause_duration)
-            reg = obs_registry.STATS
-            if reg is not None:
-                reg.counter("pfc.pauses_applied").inc()
-                reg.histogram("pfc.pause_duration_ns").observe(pkt.pause_duration)
-            tr = obs_tracer.TRACER
-            if tr is not None:
-                tr.complete(
-                    f"pfc pause {self.owner.name}.p{self.index}",
-                    now,
-                    pkt.pause_duration,
-                    cat="pfc",
-                    tid=self.owner.node_id,
-                )
+            if pr is not None:
+                pr.pause(self, now, pkt.pause_duration)
         elif pkt.kind == RESUME:
             self.pfc_egress.resume()
-            fr = obs_flightrec.RECORDER
-            if fr is not None:
-                # resume() carries no timestamp, so the pause-time integrator
-                # is settled here rather than inside PfcEgressState.
-                fr.on_resume(self.pfc_egress, self.sim.now())
-            reg = obs_registry.STATS
-            if reg is not None:
-                reg.counter("pfc.resumes_applied").inc()
+            if pr is not None:
+                pr.resume(self, self.sim.now())
             self.try_drain()
-        if prof is not None:
-            prof.pop()
+        if pr is not None:
+            pr.phase_pop()
 
     # -- introspection -------------------------------------------------------
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..check import invariants as check_invariants
+from .. import probe
 from .engine import Simulator
 from .node import Node
 from .packet import PAUSE, Packet
@@ -96,9 +96,9 @@ class Switch(Node):
                     self.send_pfc(in_port, resume=True)
             return
         self.packets_forwarded += 1
-        chk = check_invariants.CHECKER
-        if chk is not None:
-            chk.on_switch_forward(self, pkt, out)
+        pr = probe.PROBE
+        if pr is not None:
+            pr.switch_forward(self, pkt, out)
         out.enqueue(pkt, in_port)
 
     def on_forwarded(self, pkt: Packet, ingress: Port) -> None:

@@ -21,12 +21,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import probe
 from repro.cc import CCEnv, make_cc
 from repro.cc.dcqcn import DcqcnCC
 from repro.cc.hpcc import HpccCC
 from repro.cc.swift import SwiftCC
-from repro.obs import registry as obs_registry
-from repro.obs import tracer as obs_tracer
 from repro.sim.packet import AckContext, HopRecord
 from repro.units import gbps, us
 
@@ -87,23 +86,19 @@ class ReferenceHpccCC(HpccCC):
                     self.reference_decreases += 1
                     if self.sf is not None:
                         self._sf_credit = False
-                    reg = obs_registry.STATS
-                    if reg is not None:
-                        reg.counter("cc.hpcc.reference_decreases").inc()
-                    tr = obs_tracer.TRACER
-                    if tr is not None:
-                        tr.instant(
-                            f"hpcc md flow {self.flow_id}",
+                    pr = probe.PROBE
+                    if pr is not None:
+                        pr.cc_decrease(
+                            "hpcc",
+                            self.flow_id,
                             ctx.now,
-                            cat="cc",
-                            tid=self.flow_id,
-                            args={"norm": norm, "ref_window": self.reference_window},
+                            {"norm": norm, "ref_window": self.reference_window},
                         )
                 else:
                     self.reference_increases += 1
-                    reg = obs_registry.STATS
-                    if reg is not None:
-                        reg.counter("cc.hpcc.reference_increases").inc()
+                    pr = probe.PROBE
+                    if pr is not None:
+                        pr.cc_increase("hpcc", self.flow_id, ctx.now)
         else:
             update_ref = rtt_boundary
             w_ai = self._current_ai_bytes(spend=update_ref)
@@ -112,9 +107,9 @@ class ReferenceHpccCC(HpccCC):
                 self.inc_stage += 1
                 self.reference_window = self._clamp_window(w)
                 self.reference_increases += 1
-                reg = obs_registry.STATS
-                if reg is not None:
-                    reg.counter("cc.hpcc.reference_increases").inc()
+                pr = probe.PROBE
+                if pr is not None:
+                    pr.cc_increase("hpcc", self.flow_id, ctx.now)
 
         self.window_bytes = self._clamp_window(w)
         self.pacing_rate_bps = self.window_bytes * 8.0 / self.env.base_rtt_ns * 1e9

@@ -37,12 +37,12 @@ class FakePkt:
 def enqueue(chk, port, pkt, charge=None):
     """Mimic the real hook site: charge queue_bytes, then call the hook."""
     port.queue_bytes += pkt.size if charge is None else charge
-    chk.on_enqueue(port, pkt)
+    chk.on_enqueue(port, pkt, port.sim._now)
 
 
 def dequeue(chk, port, pkt, release=None):
     port.queue_bytes -= pkt.size if release is None else release
-    chk.on_dequeue(port, pkt)
+    chk.on_dequeue(port, pkt, port.sim._now, 0.0, False)
 
 
 def expect(invariant):
@@ -90,7 +90,7 @@ class TestQueueAccounting:
         port = FakePort()
         port.queue_bytes = -1.0
         with expect("queue-bytes-nonneg"):
-            chk.on_dequeue(port, FakePkt())
+            chk.on_dequeue(port, FakePkt(), 123.0, 0.0, False)
 
     def test_lazy_adoption_of_preexisting_occupancy(self):
         # A port first seen mid-stream with bytes already queued: the shadow
@@ -128,7 +128,7 @@ class TestFifoOrder:
         chk = InvariantChecker()
         port = FakePort()
         port.queue_bytes = 1000.0
-        chk.on_dequeue(port, FakePkt(1000))
+        chk.on_dequeue(port, FakePkt(1000), 123.0, 0.0, False)
         assert "fifo-order" not in chk.checks
 
     def test_control_frames_exempt(self):
@@ -206,15 +206,15 @@ class TestGoBackN:
         state = _FakeSender(size=5000)
         state.next_seq = 6000
         with expect("gbn-sequence"):
-            chk.on_send(state)
+            chk.on_send(state, None, 0.0)
 
     def test_ack_beyond_bytes_sent_fails(self):
         chk = InvariantChecker()
         state = _FakeSender()
         state.next_seq = 2000
-        chk.on_send(state)  # high-water mark: 2000
+        chk.on_send(state, None, 0.0)  # high-water mark: 2000
         with expect("gbn-sequence"):
-            chk.on_ack(state, _FakeAck(3000))
+            chk.on_ack(state, _FakeAck(3000), 0.0)
 
     def test_ack_after_gbn_rewind_ok(self):
         # The subtlety the checker must get right: a timeout rewinds
@@ -223,19 +223,19 @@ class TestGoBackN:
         chk = InvariantChecker()
         state = _FakeSender()
         state.next_seq = 4000
-        chk.on_send(state)
+        chk.on_send(state, None, 0.0)
         state.next_seq = 1000  # go-back-N rewind
         state.acked = 3000
-        chk.on_ack(state, _FakeAck(3000))  # > next_seq, <= high water: fine
+        chk.on_ack(state, _FakeAck(3000), 0.0)  # > next_seq, <= high water: fine
 
     def test_cumulative_ack_beyond_size_fails(self):
         chk = InvariantChecker()
         state = _FakeSender(size=5000)
         state.next_seq = 5000
-        chk.on_send(state)
+        chk.on_send(state, None, 0.0)
         state.acked = 6000
         with expect("gbn-sequence"):
-            chk.on_ack(state, _FakeAck(5000))
+            chk.on_ack(state, _FakeAck(5000), 0.0)
 
     def test_receiver_edge_beyond_size_fails(self):
         chk = InvariantChecker()
@@ -266,29 +266,29 @@ class _FakeVai:
 class TestVaiBounds:
     def test_in_bounds_ok(self):
         chk = InvariantChecker()
-        chk.on_vai(_FakeVai(bank=3.0, dampener=1.0))
-        chk.on_vai(_FakeVai(), multiplier=2.5)
+        chk.on_vai(_FakeVai(bank=3.0, dampener=1.0), None, 0.0, None)
+        chk.on_vai(_FakeVai(), None, 0.0, 2.5)
         assert chk.checks["vai-bounds"] == 2
 
     def test_negative_bank_fails(self):
         chk = InvariantChecker()
         with expect("vai-bounds"):
-            chk.on_vai(_FakeVai(bank=-0.5))
+            chk.on_vai(_FakeVai(bank=-0.5), None, 0.0, None)
 
     def test_bank_over_cap_fails(self):
         chk = InvariantChecker()
         with expect("vai-bounds"):
-            chk.on_vai(_FakeVai(bank=9.0, bank_cap=8.0))
+            chk.on_vai(_FakeVai(bank=9.0, bank_cap=8.0), None, 0.0, None)
 
     def test_negative_dampener_fails(self):
         chk = InvariantChecker()
         with expect("vai-bounds"):
-            chk.on_vai(_FakeVai(dampener=-1.0))
+            chk.on_vai(_FakeVai(dampener=-1.0), None, 0.0, None)
 
     def test_sub_unit_multiplier_fails(self):
         chk = InvariantChecker()
         with expect("vai-bounds"):
-            chk.on_vai(_FakeVai(), multiplier=0.5)
+            chk.on_vai(_FakeVai(), None, 0.0, 0.5)
 
 
 class _FakeSf:
@@ -398,7 +398,7 @@ class TestViolationAndLifecycle:
         assert chk._sf_counts == {}
 
     def test_enable_disable_and_capture(self):
-        assert invariants.CHECKER is None
+        assert invariants.get() is None
         chk = invariants.enable()
         try:
             assert invariants.enabled() and invariants.get() is chk
@@ -406,8 +406,8 @@ class TestViolationAndLifecycle:
             invariants.disable()
         assert not invariants.enabled()
         with invariants.capture() as inner:
-            assert invariants.CHECKER is inner
-        assert invariants.CHECKER is None
+            assert invariants.get() is inner
+        assert invariants.get() is None
 
     def test_summary_counts_checks(self):
         chk = InvariantChecker()

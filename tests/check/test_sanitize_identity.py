@@ -26,7 +26,7 @@ def _signature(result):
 
 
 def test_sanitizing_is_off_by_default():
-    assert invariants.CHECKER is None
+    assert invariants.get() is None
 
 
 def test_sanitized_run_byte_identical_including_event_count():
@@ -62,5 +62,5 @@ def test_runner_installs_replay_context():
 def test_injected_violation_is_silent_without_sanitizer():
     # The deliberate PFC-window drop is only a *violation* when someone is
     # checking; bare runs recover via go-back-N and complete.
-    assert invariants.CHECKER is None
+    assert invariants.get() is None
     run_injected_violation()

@@ -19,7 +19,7 @@ class TestSelftest:
         # inverts that exit code, so a silent sanitizer turns the build red.
         with pytest.raises(InvariantViolation, match=r"\[pfc-lossless\]"):
             cli.main(["check", "selftest"])
-        assert invariants.CHECKER is None  # disabled even on the raise path
+        assert invariants.get() is None  # disabled even on the raise path
 
 
 class TestCheckCli:
@@ -27,7 +27,7 @@ class TestCheckCli:
         assert cli.main(["check", "run", "--preset", "incast"]) == 0
         out = capsys.readouterr().out
         assert "[sanitize]" in out and "0 violations" in out
-        assert invariants.CHECKER is None
+        assert invariants.get() is None
 
     def test_check_digest_is_deterministic(self, capsys, tmp_path):
         out_file = tmp_path / "digests.txt"
@@ -57,4 +57,4 @@ class TestCheckCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "[sanitize]" in out and "0 violations" in out
-        assert invariants.CHECKER is None
+        assert invariants.get() is None

@@ -7,6 +7,10 @@ campaign worker and ledger child skips ~900 modules.  ``concurrent.futures``
 has no user at all since the supervisor became the only campaign executor.
 A module-level import sneaking back in fails this test, not a benchmark
 three PRs later.
+
+The second test is the layering the probe seam (:mod:`repro.probe`) buys:
+the simulator, the protocols, the paper's mechanisms and the metrics load
+without the planes that observe them.
 """
 
 import os
@@ -60,13 +64,32 @@ finally:
 """
 
 
-def test_cli_import_skips_scipy_networkx_http_server():
+_SCIENCE_CHILD = """
+import sys
+
+import repro.sim, repro.cc, repro.core, repro.metrics
+
+loaded = sorted(m for m in sys.modules if m.startswith(("repro.obs", "repro.check")))
+assert not loaded, f"the science imports its scaffolding: {loaded}"
+assert "repro.probe" in sys.modules
+"""
+
+
+def _run_child(code: str) -> None:
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     done = subprocess.run(
-        [sys.executable, "-c", _CHILD],
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_skips_scipy_networkx_http_server():
+    _run_child(_CHILD)
+
+
+def test_sim_cc_core_metrics_import_no_obs_and_no_check():
+    _run_child(_SCIENCE_CHILD)

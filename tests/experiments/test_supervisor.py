@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import probe
 from repro.check.differential import fct_digest
 from repro.experiments import runner
 from repro.experiments.config import scaled_incast
@@ -41,9 +42,11 @@ from repro.experiments.supervisor import (
     JournalState,
     RetryPolicy,
     SupervisorConfig,
+    _attach_worker_planes,
     load_journal,
     run_supervised,
 )
+from repro.obs import profiler, registry, tracer
 
 
 @pytest.fixture(autouse=True)
@@ -528,6 +531,45 @@ class TestOrphanedWorkers:
                 except OSError:
                     pass
             proc.wait(timeout=30)
+
+
+def _report_attached_planes(conn, sanitize, flightrec, trace_capacity):
+    _attach_worker_planes(sanitize, flightrec, trace_capacity)
+    conn.send(sorted(name for name in probe.PLANES if probe.Slot(name).enabled()))
+    conn.close()
+
+
+class TestForkInheritance:
+    @pytest.mark.parametrize(
+        "switches, shipped_home",
+        [
+            ((False, False, None), []),
+            ((True, True, 4096), ["recorder", "sanitizer", "tracer"]),
+        ],
+    )
+    def test_worker_attaches_only_what_it_ships_home(self, switches, shipped_home):
+        """A forked worker inherits the parent's planes.  The registry and
+        the profiler send nothing home, so a worker that keeps them counts
+        into a copy nobody reads -- on the slower profiled run loop."""
+        from multiprocessing import Pipe, Process
+
+        registry.enable()
+        tracer.enable()
+        profiler.enable()
+        try:
+            ours, theirs = Pipe()
+            child = Process(target=_report_attached_planes, args=(theirs, *switches))
+            child.start()
+            theirs.close()
+            assert ours.poll(30.0), "the child never reported"
+            assert ours.recv() == shipped_home
+            child.join(30.0)
+            assert not child.is_alive()
+        finally:
+            registry.disable()
+            tracer.disable()
+            profiler.disable()
+        assert probe.PROBE is None
 
 
 class _InterruptAfterFirst:

@@ -212,7 +212,7 @@ def test_series_counters_ride_the_stitch_rescale():
 
 
 def test_disabled_recorder_records_nothing():
-    assert flightrec.RECORDER is None
+    assert flightrec.get() is None
     result = run_incast(scaled_incast("hpcc", 8))
     assert result.flightrec is None
-    assert flightrec.RECORDER is None
+    assert flightrec.get() is None

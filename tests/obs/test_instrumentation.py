@@ -105,7 +105,7 @@ def test_pfc_counters_fire_when_pfc_triggers(reg):
 
 
 def test_disabled_instrumentation_records_nothing():
-    assert registry.STATS is None
+    assert registry.get() is None
     result = run_incast(scaled_incast("hpcc", 8))
     assert result.all_completed
-    assert registry.STATS is None
+    assert registry.get() is None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import probe
 from repro.obs import profiler
 
 
@@ -9,7 +10,7 @@ from repro.obs import profiler
 def _no_leak():
     yield
     profiler.disable()
-    assert profiler.PROFILER is None and profiler.PHASE_HOOKS is None
+    assert profiler.get() is None and probe.PROBE is None
 
 
 class FakeClock:
@@ -99,19 +100,15 @@ class TestClassification:
 
 class TestLifecycle:
     def test_phase_mode_sets_both_globals(self):
+        # What lifecycle owners ask and what the hot paths call are one object.
         prof = profiler.enable("phase")
-        assert profiler.PROFILER is prof
-        assert profiler.PHASE_HOOKS is prof
-
-    def test_func_mode_keeps_phase_hooks_none(self):
-        prof = profiler.enable("func")
-        assert profiler.PROFILER is prof
-        assert profiler.PHASE_HOOKS is None
+        assert profiler.get() is prof
+        assert probe.PROBE.phase_push == prof.push and probe.PROBE.phase_pop == prof.pop
 
     def test_capture_restores_disabled_state(self):
         with profiler.capture() as prof:
-            assert profiler.PROFILER is prof
-        assert profiler.PROFILER is None
+            assert profiler.get() is prof
+        assert profiler.get() is None
 
     def test_enable_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -132,13 +129,3 @@ class TestEngineIntegration:
         # Collapsed stacks frame engine phases under the runner's phases.
         assert "runner.simulate;engine.loop" in prof.collapsed()
 
-    def test_func_mode_records_function_stacks(self):
-        from repro.experiments.config import scaled_incast
-        from repro.experiments.runner import run_incast
-
-        with profiler.capture("func") as prof:
-            run_incast(scaled_incast("hpcc", 4))
-        assert prof.total_s() > 0.0
-        assert prof.section()["mode"] == "func"
-        # Some simulator frame must appear in the collapsed output.
-        assert "run" in prof.collapsed()

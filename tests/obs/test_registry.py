@@ -90,31 +90,31 @@ class TestRegistry:
 
 class TestModuleGlobals:
     def test_disabled_by_default(self):
-        assert registry.STATS is None
+        assert registry.get() is None
         assert not registry.enabled()
 
     def test_enable_disable_roundtrip(self):
         reg = registry.enable()
         try:
-            assert registry.STATS is reg
+            assert registry.get() is reg
             assert registry.get() is reg
             assert registry.enabled()
         finally:
             registry.disable()
-        assert registry.STATS is None
+        assert registry.get() is None
 
     def test_capture_restores_previous(self):
-        assert registry.STATS is None
+        assert registry.get() is None
         with registry.capture() as reg:
-            assert registry.STATS is reg
+            assert registry.get() is reg
             reg.counter("x").inc()
-        assert registry.STATS is None
+        assert registry.get() is None
 
     def test_capture_nested(self):
         with registry.capture() as outer:
             with registry.capture() as inner:
-                assert registry.STATS is inner
-            assert registry.STATS is outer
+                assert registry.get() is inner
+            assert registry.get() is outer
 
     def test_enable_accepts_existing_registry(self):
         mine = Registry()
@@ -133,4 +133,4 @@ def test_counter_rejects_nothing_but_histogram_capacity_errors():
 @pytest.fixture(autouse=True)
 def _no_leak():
     yield
-    assert registry.STATS is None, "a test leaked an enabled registry"
+    assert registry.get() is None, "a test leaked an enabled registry"

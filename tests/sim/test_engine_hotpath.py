@@ -1,6 +1,8 @@
 """Engine hot-path tests: lazy-cancel accounting, compaction, Event-free
 detached entries, and the ordering contract of ``schedule_delivery``."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -256,3 +258,99 @@ class TestScheduleDelivery:
         sim.schedule_delivery(1.0, 0.0, None, _noop)
         ev = sim.schedule(1.0, _noop)
         assert ev.seq == 1
+
+
+class TestOneInstrumentationSeam:
+    """The hot paths know ``probe.PROBE`` and no plane.
+
+    Bytecode guards (moved here from ``benchmarks/``, which keeps the
+    timing halves): a plane's name, or a profiler symbol in the fast loop,
+    showing up in ``co_names`` means a second hook crept back in beside the
+    seam.  The C-side twin is in ``tests/sim/test_calendar.py``.
+    """
+
+    #: The module globals the planes used to be reached through.
+    OLD_GLOBALS = {"STATS", "TRACER", "CHECKER", "RECORDER", "PHASE_HOOKS", "PROFILER"}
+    #: What would name the profiler in a run loop.
+    PROFILER_NAMES = {"phase_push", "phase_pop", "phase_of", "classify_callback", "push", "pop"}
+
+    def test_per_packet_paths_reference_no_plane_global(self):
+        from repro.sim.host import Host
+        from repro.sim.port import Port
+
+        for fn in (
+            Simulator._run_fast,
+            Port.enqueue,
+            Port.try_drain,
+            Port._tx_done,
+            Host._try_send,
+            Host._receive_ack,
+            Host._receive_data,
+        ):
+            leaked = set(fn.__code__.co_names) & self.OLD_GLOBALS
+            assert not leaked, f"{fn.__qualname__} references {sorted(leaked)}"
+
+    def test_fast_loop_is_profiler_free_and_its_twin_is_not(self):
+        fast = set(Simulator._run_fast.__code__.co_names)
+        assert not fast & self.PROFILER_NAMES, sorted(fast & self.PROFILER_NAMES)
+        # run() picks the loop once per call; the twin is the one that pays.
+        assert "handles" in Simulator.run.__code__.co_names
+        assert {"phase_push", "phase_pop", "phase_of"} <= set(
+            Simulator._run_profiled.__code__.co_names
+        )
+
+    def test_probe_is_the_only_instrumentation_global_under_sim_cc_core(self):
+        import repro
+
+        def walk(code):
+            yield code
+            for const in code.co_consts:
+                if hasattr(const, "co_names"):
+                    yield from walk(const)
+
+        root = Path(repro.__file__).parent
+        sources = [p for pkg in ("sim", "cc", "core") for p in sorted((root / pkg).glob("*.py"))]
+        assert len(sources) > 20
+        probed = 0
+        for path in sources:
+            for code in walk(compile(path.read_text(), str(path), "exec")):
+                names = set(code.co_names)
+                leaked = names & (self.OLD_GLOBALS | {"obs", "check", "check_invariants"})
+                leaked |= {n for n in names if n.startswith("obs_")}
+                assert not leaked, f"{path.name}:{code.co_name} references {sorted(leaked)}"
+                probed += "PROBE" in names
+        assert probed >= 20  # the instrumented functions are still instrumented
+
+    def test_every_plane_handler_takes_its_events_arguments(self):
+        import inspect
+
+        from repro import probe
+        from repro.check.invariants import InvariantChecker
+        from repro.obs.flightrec import FlightRecorder
+        from repro.obs.profiler import PhaseProfiler
+        from repro.obs.registry import Registry
+        from repro.obs.tracer import EventTracer
+
+        subscribed = set()
+        for plane in (InvariantChecker, Registry, EventTracer, FlightRecorder, PhaseProfiler):
+            for name, handler in inspect.getmembers(plane(), callable):
+                if not name.startswith("on_"):
+                    continue
+                event = name[3:]
+                if event == "flow_decomposition":  # recorder -> sanitizer, not a probe event
+                    continue
+                assert event in probe.EVENTS, f"{plane.__name__}.{name} handles no probe event"
+                want = [a for a in probe.EVENTS[event].split(", ") if a]
+                params = list(inspect.signature(handler).parameters)
+                # Named as the event names them, unless it is an alias of
+                # push / pop / classify_callback or ignores them all (*args).
+                if params != ["args"] and not event.startswith("phase_"):
+                    assert params == want, (plane, name)
+                inspect.signature(handler).bind(*want)
+                subscribed.add(event)
+        assert subscribed == set(probe.EVENTS)  # no event without a subscriber
+        # ... and with no subscriber attached, every event is callable as raised.
+        nobody = probe.Probe([])
+        for event, args in probe.EVENTS.items():
+            assert not nobody.handles(event)
+            getattr(nobody, event)(*(a for a in args.split(", ") if a))

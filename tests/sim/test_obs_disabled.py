@@ -2,7 +2,7 @@
 
 Two guarantees, same mechanism as ``test_port_fusion.py``:
 
-1. **Disabled is the default** — a bare run leaves every obs global None.
+1. **Disabled is the default** — a bare run attaches no plane to the probe.
 2. **Enabled is passive** — a run with the registry, tracer, and telemetry
    all enabled produces byte-identical series, flow times, and convergence
    points, because recording never schedules events or draws RNG.
@@ -100,29 +100,27 @@ def test_flightrec_enabled_run_byte_identical():
 
 
 def test_enable_all_leaves_flightrec_off():
-    assert flightrec.RECORDER is None
+    assert flightrec.get() is None
     obs.enable_all()
     try:
-        assert flightrec.RECORDER is None
+        assert flightrec.get() is None
     finally:
         obs.disable_all()
 
 
 def test_profiler_output_byte_identical_both_modes():
-    # The profiler only *times* callbacks — push/pop around dispatch, a
-    # sys.setprofile hook in func mode — so flow times, series, and event
-    # counts must not move by a byte in either mode.
+    # The profiler only *times* callbacks — push/pop around dispatch on the
+    # profiled twin of the run loop — so flow times, series, and event
+    # counts must not move by a byte whichever of the two loops runs.
     cfg = scaled_incast("hpcc-vai-sf", 8)
     bare = run_incast(cfg)
-    for mode in ("phase", "func"):
-        with profiler.capture(mode) as prof:
-            profiled = run_incast(cfg)
-        assert profiled.all_completed
-        assert _signature(bare) == _signature(profiled)
-        # The run really executed under the profiler (no silent cache hit).
-        assert prof.total_s() > 0.0
-        if mode == "phase":
-            assert prof.flat()["cc.decision"]["count"] > 0
+    with profiler.capture() as prof:
+        profiled = run_incast(cfg)
+    assert profiled.all_completed
+    assert _signature(bare) == _signature(profiled)
+    # The run really executed under the profiler (no silent cache hit).
+    assert prof.total_s() > 0.0
+    assert prof.flat()["cc.decision"]["count"] > 0
 
 
 def test_full_observability_plane_output_byte_identical():
