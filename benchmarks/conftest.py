@@ -1,4 +1,4 @@
-"""Shared helpers for the figure-reproduction benchmarks.
+"""Shared helper for the figure-reproduction benchmarks.
 
 Every benchmark runs its figure exactly once (``pedantic(rounds=1)``): these
 are simulations, not microbenchmarks, and their value is the *reproduction*
@@ -9,103 +9,19 @@ figures that share data (2/3 reuse 1's incast runs; 12/13 reuse 10/11's
 fat-tree runs) only pay once — mirroring how the paper's figures were
 produced from shared simulation campaigns.
 
-Besides pytest-benchmark's own output, the session writes
-``BENCH_results.json`` into the working directory: one record per benchmark
-with wall-clock seconds, simulator events executed, and events/s.  Cached
-figures legitimately record ~0 events (their simulations ran under an
-earlier benchmark in the same session), so the per-figure *events* column
-is attributed to whichever test pays for the simulation first.
+Nothing here records speed: the perf record is ``ledger/run.py``
+(``BENCHMARK.json``); the floors a few benchmarks assert inline are sanity
+checks on shape.
 """
-
-import json
-import time
-from pathlib import Path
 
 import pytest
 
-from repro.obs import profiler as obs_profiler
-from repro.sim import engine
-
-#: test node name -> {"wall_s", "events", "events_per_s"}
-_RESULTS = {}
-
-BENCH_RESULTS_PATH = Path("BENCH_results.json")
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Benchmark ``fn`` with a single round/iteration and return its result."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
 
 @pytest.fixture
-def bench_once(benchmark, request):
-    """Run ``fn`` once under the benchmark with hot-path phase attribution.
-
-    Besides the wall/event totals, each record carries a ``profile``
-    section — per-phase wall seconds from a fresh :class:`PhaseProfiler`
-    enabled around the benchmarked call — so ``obs diff`` gates phase-level
-    shifts (``bench.<name>.profile.<phase>.wall_s``), not just totals.
-    The profiler is byte-transparent to simulation output (see
-    ``tests/sim/test_obs_disabled.py``), so attribution does not perturb
-    what is being measured beyond its own (phase-hook) overhead.
-    """
+def bench_once(benchmark):
+    """Benchmark ``fn`` with a single round/iteration and return its result."""
 
     def _run(fn, *args, **kwargs):
-        events_before = engine.total_events_executed()
-        prof = obs_profiler.enable("phase")
-        start = time.perf_counter()
-        try:
-            result = run_once(benchmark, fn, *args, **kwargs)
-        finally:
-            wall = time.perf_counter() - start
-            obs_profiler.disable()
-        events = engine.total_events_executed() - events_before
-        record = {
-            "wall_s": round(wall, 4),
-            "events": events,
-            "events_per_s": round(events / wall) if wall > 0 else 0,
-        }
-        flat = prof.flat()
-        if flat:
-            record["profile"] = {
-                name: {"wall_s": entry["wall_s"]} for name, entry in flat.items()
-            }
-        _RESULTS.setdefault(request.node.name, {}).update(record)
-        return result
+        return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
     return _run
-
-
-@pytest.fixture
-def bench_extra(request):
-    """Attach extra numeric metrics to this benchmark's BENCH record.
-
-    Anything recorded here lands next to wall_s/events/events_per_s in
-    ``BENCH_results.json`` and flows into the ``obs diff`` regression gate
-    (every numeric field of a bench record becomes a metric).
-    """
-
-    def _record(**metrics):
-        rec = _RESULTS.setdefault(request.node.name, {})
-        for key, value in metrics.items():
-            rec[key] = round(float(value), 4)
-
-    return _record
-
-
-def pytest_sessionfinish(session):
-    if _RESULTS:
-        # Records written only via bench_extra carry no wall/event totals.
-        total_wall = sum(r.get("wall_s", 0.0) for r in _RESULTS.values())
-        total_events = sum(r.get("events", 0) for r in _RESULTS.values())
-        payload = {
-            "benchmarks": _RESULTS,
-            "total": {
-                "wall_s": round(total_wall, 4),
-                "events": total_events,
-                "events_per_s": (
-                    round(total_events / total_wall) if total_wall > 0 else 0
-                ),
-            },
-        }
-        BENCH_RESULTS_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True))

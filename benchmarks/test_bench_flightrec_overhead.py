@@ -6,8 +6,8 @@ The flight recorder's contract (DESIGN.md §15) mirrors the profiler's
 loop is not touched at all.  ``tests/sim/test_engine_hotpath.py`` pins
 that structurally; this measures recorder-on against recorder-off
 on a real packet incast (the hooks live on the per-packet enqueue/
-dequeue/send/ack paths, so a tick loop would not exercise them) and
-records the ratio into ``BENCH_results.json`` for the regression gate.
+dequeue/send/ack paths, so a tick loop would not exercise them) and holds
+the ratio under a ceiling.
 """
 
 import dataclasses
@@ -29,7 +29,7 @@ def _incast(seed: int):
     return run_incast(cfg)
 
 
-def test_flightrec_overhead(benchmark, bench_extra):
+def test_flightrec_overhead(benchmark):
     """Recorder-on stays within a bounded factor of the bare incast."""
     _incast(seed=100)  # warm allocator/caches outside the timed region
 
@@ -60,9 +60,6 @@ def test_flightrec_overhead(benchmark, bench_extra):
         obs_flightrec.disable()
 
     ratio = on_s / off_s if off_s > 0 else 1.0
-    bench_extra(
-        flightrec_off_s=off_s, flightrec_on_s=on_s, flightrec_overhead_ratio=ratio
-    )
     assert ratio < MAX_FLIGHTREC_OVERHEAD_RATIO, (
         f"flight recording costs {ratio:.1f}x the bare incast "
         f"(ceiling {MAX_FLIGHTREC_OVERHEAD_RATIO}x)"

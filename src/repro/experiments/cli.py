@@ -30,21 +30,20 @@ from ..obs import flightrec as obs_flightrec
 from ..obs import live as obs_live
 from ..obs import profiler as obs_profiler
 from ..obs import registry as obs_registry
-from ..obs import regress as obs_regress
 from ..obs import stitch as obs_stitch
 from ..obs import telemetry as obs_telemetry
 from ..obs import tracer as obs_tracer
-from ..obs.report import render_flows, render_report, render_why
+from ..obs.report import render_flows, render_layer_diff, render_report, render_why
 from ..sim import calendar as sim_calendar
 from ..sim import engine
 from ..sim.network import RunBudget
 from .extensions import ALL_EXTENSIONS
 from .figures import ALL_FIGURES
-from .config import BACKENDS, set_default_backend
+from .config import BACKENDS, get_default_backend, set_default_backend
 from .parallel import campaign_for_figures, run_campaign, run_config
 from .reporting import render
-from .runner import drain_incomplete_runs, run_with_retry, set_default_budget
-from .store import ResultStore, set_store
+from .runner import drain_incomplete_runs, get_default_budget, set_default_budget
+from .store import ResultStore, get_store, set_store
 from .supervisor import (
     CampaignIncomplete,
     RetryPolicy,
@@ -112,13 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="per-run event-count watchdog (abort a run exceeding N events)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="retry a failing figure/extension up to N times (default: 0)",
     )
     parser.add_argument(
         "--jobs",
@@ -330,60 +322,17 @@ def _read_json(path: str, what: str) -> Optional[dict]:
 
 
 def obs_diff_main(args: "argparse.Namespace") -> int:
-    """``obs diff``: compare two observability artifacts, exit 1 on regression."""
-    baseline_doc = _read_json(args.baseline, "baseline")
-    current_doc = _read_json(args.current, "current")
-    if baseline_doc is None or current_doc is None:
-        return 2
+    """``obs diff``: name the layer that moved between two ledger reports."""
     try:
-        base_metrics, tolerances, directions = obs_regress.load_comparable(
-            baseline_doc
+        text = render_layer_diff(args.a, args.b)
+    except (OSError, ValueError) as exc:
+        print(
+            f"error: {exc} (obs diff reads two reports written by "
+            "'python ledger/run.py --json OUT')",
+            file=sys.stderr,
         )
-        current_metrics = obs_regress.extract_metrics(current_doc)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
-    for spec in args.tolerances or ():
-        name, _, frac = spec.partition("=")
-        try:
-            tolerances[name] = float(frac)
-        except ValueError:
-            print(f"error: bad --tolerance {spec!r} (want NAME=FRACTION)",
-                  file=sys.stderr)
-            return 2
-    deltas = obs_regress.compare(
-        base_metrics,
-        current_metrics,
-        tolerances=tolerances,
-        directions=directions,
-        default_tolerance=args.default_tolerance,
-    )
-    print(obs_regress.render_diff(deltas, verbose=args.verbose))
-    if args.append_trajectory is not None:
-        record = obs_regress.trajectory_record(
-            current_doc,
-            label=args.current,
-            extra={
-                "regressed": sum(1 for d in deltas if d.status == "regressed")
-            },
-        )
-        obs_regress.append_trajectory(args.append_trajectory, record)
-        print(f"[trajectory] appended -> {args.append_trajectory}")
-    if args.update_baseline is not None:
-        baseline = obs_regress.make_baseline(
-            current_doc,
-            tolerances=tolerances,
-            default_tolerance=args.default_tolerance,
-            source=args.current,
-        )
-        Path(args.update_baseline).write_text(
-            json.dumps(baseline, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"[baseline] refreshed -> {args.update_baseline}")
-    if obs_regress.has_regression(deltas, fail_on_missing=args.fail_on_missing):
-        print("regression gate: FAIL", file=sys.stderr)
-        return 1
-    print("regression gate: ok")
+    print(text)
     return 0
 
 
@@ -452,10 +401,8 @@ def obs_stitch_main(args: "argparse.Namespace") -> int:
 
 def _read_manifest(path: str) -> Optional[Any]:
     """Load + schema-warn a telemetry manifest, or None on read failure."""
-    try:
-        manifest = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read manifest {path}: {exc}", file=sys.stderr)
+    manifest = _read_json(path, "manifest")
+    if manifest is None:
         return None
     errors = obs_telemetry.validate_manifest(manifest)
     if errors:
@@ -532,71 +479,17 @@ def obs_main(argv: List[str]) -> int:
         metavar="MANIFEST",
         help="telemetry manifest JSON file(s) written by --telemetry",
     )
-    rep.add_argument(
-        "--bench",
-        default=None,
-        metavar="PATH",
-        help="include benchmark results (BENCH_results.json) in the report",
-    )
     diff = sub.add_parser(
         "diff",
         help=(
-            "compare two telemetry manifests / BENCH_results.json / baseline "
-            "files; exit 1 when any metric regressed beyond tolerance"
+            "compare two 'python ledger/run.py --json OUT' reports layer by "
+            "layer: per workload, every per_layer metric sorted by how far "
+            "its median moved, starred where the quartile intervals are "
+            "disjoint (verdicts and exit status: ledger/compare.py)"
         ),
     )
-    diff.add_argument(
-        "baseline",
-        metavar="BASELINE",
-        help=(
-            "baseline artifact: a baselines file (benchmarks/baselines.json), "
-            "a telemetry manifest, or BENCH_results.json"
-        ),
-    )
-    diff.add_argument(
-        "current",
-        metavar="CURRENT",
-        help="current artifact: a telemetry manifest or BENCH_results.json",
-    )
-    diff.add_argument(
-        "--tolerance",
-        action="append",
-        dest="tolerances",
-        metavar="NAME=FRACTION",
-        help="override one metric's relative tolerance (repeatable)",
-    )
-    diff.add_argument(
-        "--default-tolerance",
-        type=float,
-        default=obs_regress.DEFAULT_TOLERANCE,
-        metavar="FRACTION",
-        help=(
-            "tolerance for metrics without an explicit entry "
-            f"(default: {obs_regress.DEFAULT_TOLERANCE})"
-        ),
-    )
-    diff.add_argument(
-        "--fail-on-missing",
-        action="store_true",
-        help="also fail when a baseline metric is absent from CURRENT",
-    )
-    diff.add_argument(
-        "--verbose",
-        action="store_true",
-        help="list every metric, not just regressions/improvements",
-    )
-    diff.add_argument(
-        "--update-baseline",
-        default=None,
-        metavar="PATH",
-        help="write a fresh baselines file derived from CURRENT to PATH",
-    )
-    diff.add_argument(
-        "--append-trajectory",
-        default=None,
-        metavar="PATH",
-        help="append CURRENT's metrics as one JSON line to PATH (BENCH trajectory)",
-    )
+    diff.add_argument("a", metavar="A.json", help="ledger report of the parent")
+    diff.add_argument("b", metavar="B.json", help="ledger report of the change")
     top = sub.add_parser(
         "top",
         help=(
@@ -749,25 +642,11 @@ def obs_main(argv: List[str]) -> int:
 
     pairs = []
     for path in args.manifests:
-        try:
-            manifest = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read manifest {path}: {exc}", file=sys.stderr)
+        manifest = _read_manifest(path)
+        if manifest is None:
             return 2
-        errors = obs_telemetry.validate_manifest(manifest)
-        if errors:
-            print(f"warning: {path} fails schema validation:", file=sys.stderr)
-            for err in errors[:5]:
-                print(f"  - {err}", file=sys.stderr)
         pairs.append((Path(path).name, manifest))
-    bench = None
-    if args.bench is not None:
-        try:
-            bench = json.loads(Path(args.bench).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read bench file {args.bench}: {exc}", file=sys.stderr)
-            return 2
-    print(render_report(pairs, bench))
+    print(render_report(pairs))
     return 0
 
 
@@ -1063,6 +942,40 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv[:1] == ["check"]:
         return check_main(argv[1:])
     args = build_parser().parse_args(argv)
+    figs = sorted(ALL_FIGURES, key=int) if args.all else list(args.figs or [])
+    exts = list(args.exts or [])
+    # A typo must not cost a campaign: every id is checked before anything
+    # is enabled or run.
+    for kind, ids, known in (("figure", figs, ALL_FIGURES), ("extension", exts, ALL_EXTENSIONS)):
+        for job_id in ids:
+            if job_id not in known:
+                print(f"error: unknown {kind} {job_id!r}", file=sys.stderr)
+                return 2
+    backend, store, budget = get_default_backend(), get_store(), get_default_budget()
+    registry_was_on = obs_registry.enabled()
+    try:
+        return _run(args, argv, figs, exts)
+    finally:
+        # Leave the process as we found it for in-process callers (tests),
+        # whichever way _run left.
+        set_default_backend(backend)
+        set_store(store)
+        set_default_budget(budget)
+        for ours, plane in (
+            (args.sanitize, check_invariants),
+            (args.flightrec, obs_flightrec),
+            (args.trace_out is not None, obs_tracer),
+            (args.profile_phases, obs_profiler),
+            (args.analytics, obs_analytics),
+            (args.telemetry is not None, obs_telemetry),
+            (args.telemetry is not None or not registry_was_on, obs_registry),
+        ):
+            if ours:
+                plane.disable()
+
+
+def _run(args: "argparse.Namespace", argv: List[str], figs: List[str], exts: List[str]) -> int:
+    """What ``main`` does between taking and restoring the process defaults."""
     if args.backend != "packet":
         # Process-wide default: the figure functions spell packet-backend
         # configs, and the cache boundary rewrites them (campaign workers
@@ -1071,10 +984,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"[backend] running simulations on the [{args.backend}] backend")
     wall_start = time.perf_counter()
     events_start = engine.total_events_executed()
-    figs = list(args.figs or [])
-    exts = list(args.exts or [])
-    if args.all:
-        figs = sorted(ALL_FIGURES, key=int)
 
     store: Optional[ResultStore] = None
     if not args.no_store:
@@ -1120,11 +1029,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         profiler = obs_profiler.enable()
     metrics_server = None
     metrics_port_bound: Optional[int] = None
-    metrics_registry_owned = False
     if args.metrics_out is not None or args.metrics_port is not None:
         if not obs_registry.enabled():
             obs_registry.enable()
-            metrics_registry_owned = True
         if args.metrics_port is not None:
             metrics_server = obs_exporter.MetricsServer(
                 port=args.metrics_port, producer=obs_exporter.render_registry
@@ -1190,7 +1097,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             _print_supervision(outcome)
             exit_code = 1
         except Exception as exc:
-            # Figures retry failing runs individually below; the campaign
+            # Figures run what they miss themselves below; the campaign
             # failing wholesale (e.g. workers that cannot be spawned) only
             # loses parallelism.
             print(
@@ -1215,18 +1122,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     jobs = [("figure", str(f), ALL_FIGURES) for f in figs]
     jobs += [("extension", str(e), ALL_EXTENSIONS) for e in exts]
     for kind, job_id, registry in jobs:
-        fn = registry.get(job_id)
-        if fn is None:
-            print(f"error: unknown {kind} {job_id!r}", file=sys.stderr)
-            return 2
         start = time.perf_counter()
         events_before = engine.total_events_executed()
         try:
-            result = run_with_retry(fn, scale=args.scale, retries=args.retries)
+            result = registry[job_id](scale=args.scale)
         except Exception as exc:
             print(
-                f"error: {kind} {job_id} failed after {args.retries + 1} "
-                f"attempt(s): {type(exc).__name__}: {exc}",
+                f"error: {kind} {job_id} failed: {type(exc).__name__}: {exc}",
                 file=sys.stderr,
             )
             exit_code = 1
@@ -1368,20 +1270,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # parent's tally.
         note = " (+ per-worker checks)" if args.jobs > 1 else ""
         print(f"[sanitize] {sanitizer.summary()}{note}")
-    # Leave the process as we found it for in-process callers (tests).
-    if sanitizer is not None:
-        check_invariants.disable()
-    if recorder is not None:
-        obs_flightrec.disable()
-    if tracer is not None:
-        obs_tracer.disable()
-    if analytics_agg is not None:
-        obs_analytics.disable()
-    if collector is not None:
-        obs_telemetry.disable()
-        obs_registry.disable()
-    elif metrics_registry_owned:
-        obs_registry.disable()
     return exit_code
 
 

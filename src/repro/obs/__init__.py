@@ -11,13 +11,12 @@ attribute read on hot paths (the ``Port.fault_hook`` idiom):
   exportable as Chrome ``trace_event`` JSON (Perfetto) or CSV;
 * :mod:`repro.obs.telemetry` — run/campaign manifests (wall time, event
   counts, phase timings, store hit rates, heartbeats) validated against a
-  checked-in JSON schema, rendered by :mod:`repro.obs.report`;
+  checked-in JSON schema, rendered by :mod:`repro.obs.report` (which also
+  holds ``obs diff``: two ``ledger/run.py --json`` reports, layer by layer);
 * :mod:`repro.obs.analytics` — **live** convergence/tail-latency
   estimates: O(1)-memory streaming quantiles, per-flow rate EWMAs, an
   online Jain-index convergence detector, and FCT-slowdown percentiles
   updated as flows complete;
-* :mod:`repro.obs.regress` — the ``obs diff`` regression gate comparing
-  manifests/bench results against checked-in baselines;
 * :mod:`repro.obs.profiler` — opt-in hot-path phase profiler attributing
   simulator wall time to named phases (event loop, port serialize, CC
   decision, PFC, fluid relax) with collapsed-stack flamegraph export;
@@ -51,7 +50,6 @@ from . import (
     live,
     profiler,
     registry,
-    regress,
     stitch,
     telemetry,
     tracer,
@@ -68,7 +66,6 @@ __all__ = [
     "live",
     "profiler",
     "registry",
-    "regress",
     "stitch",
     "tracer",
     "telemetry",

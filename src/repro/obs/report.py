@@ -1,9 +1,11 @@
-"""Text dashboard over telemetry manifests and benchmark results.
+"""Text dashboards over telemetry manifests and perf-ledger reports.
 
-``repro-experiments obs report m1.json m2.json --bench BENCH_results.json``
-renders everything the observability layer knows about past runs as aligned
-text tables: per-manifest totals, aggregated phase timings, individual run
-records, campaign/cache effectiveness, and the benchmark baseline.
+``repro-experiments obs report m1.json m2.json`` renders everything the
+observability layer knows about past runs as aligned text tables:
+per-manifest totals, aggregated phase timings, individual run records and
+campaign/cache effectiveness.  ``repro-experiments obs diff A.json B.json``
+(:func:`render_layer_diff`) reads two ``ledger/run.py --json`` reports and
+names the layer that moved between them.
 
 Rendering is deterministic for given inputs (sorted keys, fixed float
 formats) — the golden test in ``tests/experiments/test_obs_report.py``
@@ -12,6 +14,8 @@ asserts the exact output for fixture manifests.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 #: Manifest sections introduced at each schema version.  The report
@@ -86,11 +90,8 @@ def _fmt_conv(conv_ns: Any) -> str:
     return f"{conv_ns / 1e6:.3f}" if isinstance(conv_ns, (int, float)) else "never"
 
 
-def render_report(
-    manifests: Sequence[Tuple[str, Dict[str, Any]]],
-    bench: Optional[Dict[str, Any]] = None,
-) -> str:
-    """Render ``(label, manifest)`` pairs (+ optional bench data) as text."""
+def render_report(manifests: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
+    """Render ``(label, manifest)`` pairs as text."""
     # Local import: obs must stay importable from the simulator layers
     # without dragging in the experiments stack at module-import time.
     from ..experiments.reporting import format_table
@@ -469,31 +470,71 @@ def render_report(
             f"{incomplete} incomplete run(s)"
         )
 
-    if bench:
-        out.append("\n-- benchmarks (BENCH_results.json)")
-        bench_rows = [
-            (
-                name,
-                _fmt_s(rec.get("wall_s", 0.0)),
-                rec.get("events", 0),
-                _fmt_rate(rec.get("events_per_s", 0.0)),
-            )
-            for name, rec in sorted((bench.get("benchmarks") or {}).items())
-        ]
-        total = bench.get("total")
-        if total:
-            bench_rows.append(
-                (
-                    "TOTAL",
-                    _fmt_s(total.get("wall_s", 0.0)),
-                    total.get("events", 0),
-                    _fmt_rate(total.get("events_per_s", 0.0)),
-                )
-            )
-        out.append(
-            format_table(("benchmark", "wall_s", "events", "events/s"), bench_rows)
-        )
+    return "\n".join(out)
 
+
+def render_layer_diff(path_a: str, path_b: str) -> str:
+    """``obs diff A.json B.json``: which layer moved between two ledger reports.
+
+    Both files are ``python ledger/run.py --json OUT`` reports.  Per workload
+    present in both, every ``per_layer`` metric is listed with both sides'
+    ``median [q1, q3] n``, largest relative move of the median first; a row
+    is starred when the two [q1, q3] intervals do not overlap (a side with
+    ``n = 1`` has no interval, so its row is never starred).  Verdicts on the
+    end-to-end metrics are ``ledger/compare.py``'s, not this function's: it
+    only reads the JSON.  Raises ``OSError`` / ``ValueError`` on a file that
+    cannot be read or is not such a report.
+    """
+    from ..experiments.reporting import format_table
+
+    workloads = []
+    for path in (path_a, path_b):
+        doc = json.loads(Path(path).read_text())
+        found = doc.get("workloads") if isinstance(doc, dict) else None
+        if not isinstance(found, dict) or not all(
+            isinstance(w, dict) and isinstance(w.get("per_layer"), dict)
+            for w in found.values()
+        ):
+            raise ValueError(f"{path} is not a perf-ledger report (no workloads / per_layer)")
+        workloads.append(found)
+    a_wls, b_wls = workloads
+
+    def cell(seen: Dict[str, Any]) -> str:
+        return f"{seen['median']:.5g} [{seen['q1']:.5g}, {seen['q3']:.5g}] n={seen['n']}"
+
+    out = [f"=== obs diff: per-layer medians, A = {path_a}, B = {path_b} ==="]
+    for name in {**a_wls, **b_wls}:
+        if name not in a_wls or name not in b_wls:
+            only = path_a if name in a_wls else path_b
+            out.append(f"\n-- {name}: only in {only}, skipped")
+            continue
+        a_layers, b_layers = a_wls[name]["per_layer"], b_wls[name]["per_layer"]
+        rows = []
+        for metric in a_layers.keys() & b_layers.keys():
+            a, b = a_layers[metric], b_layers[metric]
+            if a["median"]:
+                change = (b["median"] - a["median"]) / abs(a["median"])
+            else:
+                change = float("inf") if b["median"] else 0.0
+            moved = min(a["n"], b["n"]) > 1 and (a["q3"] < b["q1"] or b["q3"] < a["q1"])
+            star = "*" if moved else ""
+            rows.append((-abs(change), metric, (star, metric, cell(a), cell(b), f"{change:+.1%}")))
+        table = [row for _, _, row in sorted(rows)]
+        starred = sum(1 for row in table if row[0])
+        out.append(f"\n-- {name} ({len(table)} metric(s), {starred} starred)")
+        out.append(
+            format_table(
+                ("", "metric", "A median [q1, q3] n", "B median [q1, q3] n", "change"), table
+            )
+        )
+        one_sided = sorted(a_layers.keys() ^ b_layers.keys())
+        if one_sided:
+            out.append(f"(on one side only, not compared: {', '.join(one_sided)})")
+    out.append(
+        "\n* = the two [q1, q3] intervals do not overlap (never for n=1: one "
+        "sample has no interval)\nend-to-end verdicts and exit status: "
+        f"python ledger/compare.py {path_a} {path_b}"
+    )
     return "\n".join(out)
 
 

@@ -14,7 +14,7 @@ The end product is a **telemetry manifest**: a JSON document validated
 against the checked-in schema (``telemetry_schema.json`` next to this
 module).  ``repro-experiments --telemetry out.json`` writes one per
 invocation; ``repro-experiments obs report`` renders any number of them
-(plus ``BENCH_results.json``) as a text dashboard.
+as a text dashboard.
 """
 
 from __future__ import annotations

@@ -295,8 +295,11 @@ class TestCliHardening:
         assert len(done) == 2 and {r["pid"] for r in done} == {os.getpid()}
         assert records[-1]["event"] == "end"
 
-    def test_failing_figure_is_retried_then_reported(self, capsys, monkeypatch):
+    def test_failing_figure_is_reported(self, capsys, monkeypatch):
+        """Rendering replays a deterministic simulator: one attempt, no
+        ``--retries`` (the campaign's ``--max-attempts`` owns retry)."""
         from repro.experiments import figures
+        from repro.experiments.cli import build_parser
 
         calls = []
 
@@ -305,11 +308,69 @@ class TestCliHardening:
             raise RuntimeError("no such figure data")
 
         monkeypatch.setitem(figures.ALL_FIGURES, "99", doomed)
-        rc = cli_main(["--fig", "99", "--retries", "2"])
+        rc = cli_main(["--fig", "99"])
         captured = capsys.readouterr()
         assert rc == 1
-        assert len(calls) == 3
-        assert "failed after 3 attempt(s)" in captured.err
+        assert len(calls) == 1
+        assert "figure 99 failed: RuntimeError: no such figure data" in captured.err
+        assert "--retries" not in build_parser().format_help()
+
+    @pytest.mark.parametrize(
+        "ids, expected_rc, expected_calls",
+        [
+            (["--fig", "98"], 0, ["98"]),
+            (["--fig", "98", "--fig", "nope"], 2, []),
+            (["--fig", "98", "--ext", "nope"], 2, []),
+            (["--fig", "99"], 1, ["99"]),
+        ],
+        ids=["ok", "unknown-figure", "unknown-extension", "failing-figure"],
+    )
+    def test_main_leaves_the_process_as_it_found_it(
+        self, ids, expected_rc, expected_calls, capsys, monkeypatch, tmp_path
+    ):
+        """A bad id runs nothing, and backend / store / budget / planes are
+        the caller's again on every way out of ``main``."""
+        from repro import probe
+        from repro.experiments import figures
+        from repro.experiments.config import get_default_backend
+        from repro.experiments.store import ResultStore, get_store, set_store
+
+        calls = []
+
+        def fake_fig(scale="scaled"):
+            calls.append("98")
+            assert get_default_backend() == "flow" and probe.PROBE is not None
+            run_incast(tiny_incast())
+            return figures.FigureResult(figure="98", title="fake")
+
+        def doomed(scale="scaled"):
+            calls.append("99")
+            raise RuntimeError("no such figure data")
+
+        monkeypatch.setitem(figures.ALL_FIGURES, "98", fake_fig)
+        monkeypatch.setitem(figures.ALL_FIGURES, "99", doomed)
+        outer_store = ResultStore(tmp_path / "outer")
+        outer_budget = RunBudget(max_events=10**9)
+        set_store(outer_store)
+        set_default_budget(outer_budget)
+        try:
+            rc = cli_main(
+                ids
+                + ["--backend", "flow", "--store", str(tmp_path / "inner")]
+                + ["--budget-seconds", "50", "--sanitize", "--flightrec"]
+            )
+            assert (rc, calls) == (expected_rc, expected_calls)
+            assert get_default_backend() == "packet"
+            assert get_store() is outer_store
+            assert get_default_budget() is outer_budget
+            assert probe.PROBE is None
+            if expected_rc == 2:
+                assert "unknown" in capsys.readouterr().err
+                assert not (tmp_path / "inner").exists()
+        finally:
+            set_store(None)
+            set_default_budget(None)
+            clear_caches()
 
     def test_budget_flags_install_watchdog(self, capsys, monkeypatch):
         """--budget-events propagates to the run and aborts it."""
