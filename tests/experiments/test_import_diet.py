@@ -76,10 +76,13 @@ assert "repro.probe" in sys.modules
 
 
 def _run_child(code: str) -> None:
+    # ``-S``: no ``site`` or ``.pth`` hook may load a module before the
+    # import under test; the parent's ``sys.path`` still finds the dependencies.
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join([src, *filter(None, sys.path)])
     done = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=120,

@@ -364,13 +364,31 @@ def test_a_fresh_checkout_builds_itself_on_first_import(tmp_path):
     assert not (tmp_path / "home" / ".cache").exists()  # beside the source was enough
 
 
+_WARM_IMPORT = """
+import sys
+before = set(sys.modules)
+import repro.sim.calendar
+added = set(sys.modules) - before
+build_only = ('subprocess', 'tempfile', 'shlex', 'shutil', 'sysconfig')
+print([m for m in build_only if m in added])
+"""
+
+
 def test_a_warm_import_loads_no_build_only_module():
-    code = (
-        "import sys; import repro.sim.calendar; "
-        "print([m for m in ('subprocess', 'tempfile', 'shlex', 'shutil') if m in sys.modules])"
+    """DESIGN sec 17: the build-only imports stay inside the build functions.
+
+    The child runs with ``-S`` so that no ``site`` or ``.pth`` hook runs
+    before the import under test (a ``.pth`` that imports ``certifi`` loads
+    ``tempfile`` and ``shutil`` at start-up); the parent's ``sys.path`` comes
+    in as ``PYTHONPATH`` so the dependencies still resolve.  It counts only
+    the modules ``import repro.sim.calendar`` adds to ``sys.modules``.
+    """
+    src = str(Path(calendar.__file__).resolve().parents[2])
+    path = os.pathsep.join([src, *filter(None, sys.path)])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _WARM_IMPORT],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
     )
-    done = _child(code)
-    out, err = done.communicate(timeout=60)
-    assert done.returncode == 0, err
+    assert done.returncode == 0, done.stderr
     if calendar.NATIVE:  # the parent built it, so the child's import was warm
-        assert out.strip() == "[]"
+        assert done.stdout.strip() == "[]"
