@@ -49,8 +49,6 @@ from dataclasses import replace
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..cc import make_cc, needs_red, uses_cnp
 from ..metrics.fairness import convergence_time_ns, jain_series
 from ..metrics.fct import FlowRecord, ideal_fct_ns
@@ -208,13 +206,8 @@ def run_incast_flow(cfg: IncastConfig) -> "IncastResult":  # noqa: F821
     _check_status(cfg.describe(), status)
 
     with _phase("collect"):
-        gt, rows = engine.rate_series()
-        gt = np.asarray(gt, dtype=float)
-        rates = np.asarray(rows, dtype=float).reshape(len(gt), len(flows))
-        jt, jv = jain_series(gt, rates, flows)
+        jt, jv = jain_series(*engine.rate_series(), flows)
         qt, qv = engine.queue_series()
-        qt = np.asarray(qt, dtype=float)
-        qv = np.asarray(qv, dtype=float)
         last_start = max(f.start_time for f in flows)
     _record_run(
         "incast",

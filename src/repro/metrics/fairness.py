@@ -73,13 +73,29 @@ def jain_series(
             f"rates must be (len(times), n_flows); got {rates.shape} for "
             f"{times_ns.shape[0]} times"
         )
+    members = rates > 0
     if flows is not None:
-        mask = active_mask(flows, times_ns)
-    else:
-        mask = rates > 0
-    out = np.empty(times_ns.shape[0])
-    for i in range(times_ns.shape[0]):
-        out[i] = jain_index(rates[i][mask[i]])
+        members &= active_mask(flows, times_ns)
+    # Rows sharing one membership pattern form a block whose member columns
+    # are gathered once.  Each row is still reduced on a fresh contiguous
+    # copy, as :func:`jain_index` reduces it: on a strided view numpy's sum
+    # and dot may round differently.
+    n = times_ns.shape[0]
+    starts = (np.flatnonzero((members[1:] != members[:-1]).any(axis=1)) + 1).tolist()
+    add, dot = np.add.reduce, np.dot
+    index: list = []
+    for lo, hi in zip([0, *starts], [*starts, n]) if n else ():
+        cols = np.flatnonzero(members[lo])
+        k = cols.size
+        if k == 0:
+            index += [1.0] * (hi - lo)
+            continue
+        for row in rates[lo:hi, cols]:
+            row = row.copy()
+            s = float(add(row))
+            sq = float(dot(row, row))
+            index.append(1.0 if sq == 0.0 else s * s / (k * sq))
+    out = np.array(index, dtype=float)
     return times_ns, out
 
 

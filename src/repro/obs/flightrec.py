@@ -487,12 +487,14 @@ class FlightRecorder:
         tr = obs_tracer.get()
         if tr is None:
             return
-        for ts, depth in zip(*engine.queue_series()):
+        times, depths = engine.queue_series()
+        for ts, depth in zip(times.tolist(), depths.tolist()):
             tr.counter("queue fluid", ts, {"bytes": depth}, cat="flightrec")
         # Per-flow rate lanes are capped like the timeline — a datacenter-
         # scale run would otherwise emit thousands of tracks.
         shown = flow_ids[:TIMELINE_FLOWS_CAP]
-        for ts, row in zip(*engine.rate_series()):
+        times, rows = engine.rate_series()
+        for ts, row in zip(times.tolist(), rows.tolist()):
             for fid, bps in zip(shown, row):
                 tr.counter(f"rate flow {fid}", ts, {"bps": bps}, cat="flightrec")
         for (u, v), util in sorted(engine.link_utilization().items()):

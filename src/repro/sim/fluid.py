@@ -63,10 +63,14 @@ While some flow is off its target such an interval is cut every
 each cut and held across the sub-step, inside which the integrals stay
 exact (DESIGN.md sec 13).
 
-Samplers are passive: each wake-up writes the samples whose instants have
-passed, from the closed form at those instants, so no FCT depends on a
-sampling interval.  ``events_executed`` counts arrivals, departures,
-flaps, sub-steps and samples *written*; ``wakeups`` counts loop iterations.
+Samplers are passive: each wake-up that finds samples due records their
+instants and one *segment*, the closed form then in force (per active flow
+its target, ``r_int - target``, ``tau`` and served scale; per monitored link
+its backlog, drift and decays).  :meth:`FluidEngine.rate_series` and
+:meth:`FluidEngine.queue_series` evaluate every segment at its instants in
+whole-array operations, so no FCT depends on a sampling interval.
+``events_executed`` counts arrivals, departures, flaps, sub-steps and
+samples *written*; ``wakeups`` counts loop iterations.
 
 Cost
 ----
@@ -75,16 +79,22 @@ One wake-up is two passes over the table of active flows
 (:meth:`FluidEngine._advance`, :meth:`FluidEngine._rescale`), each
 O(active flows x path length), plus one water-filling of the touched
 component.  Newton runs only for flows whose bound ``remaining / max(r, T)``
-beats the best departure so far; a sample costs one ``exp`` per distinct
-``tau`` in use.  Everything is deterministic: no RNG, and every sum runs
-over insertion-ordered tables (never a set, never ``id()`` order).
+beats the best departure so far.  A wake-up with samples due records one
+segment, O(active flows + monitored links); reading a series back costs one
+scalar ``exp`` per (sample, distinct ``tau``) -- numpy's ``exp`` is not
+libm's to the last bit -- and numpy does only ``+`` and ``*``, in the
+scalar closed form's operand order.  Everything is deterministic: no RNG,
+and every sum runs over insertion-ordered tables (never a set, never
+``id()`` order).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .. import probe
 from ..core.fluid_model import max_min_allocation
@@ -134,6 +144,20 @@ class FluidFlowParams:
             raise ValueError("cap_bytes_per_ns must be positive")
         if not 0.0 < self.start_fraction <= 1.0:
             raise ValueError("start_fraction must be in (0, 1]")
+
+
+def _libm(fn: Any, xs: np.ndarray) -> np.ndarray:
+    """``fn`` (a ``math`` function) at every element, one scalar call each:
+    numpy's own ``exp`` / ``expm1`` do not round like libm's."""
+    return np.array(list(map(fn, xs.tolist())), dtype=float)
+
+
+def _spread(first: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For each ``i``, the indexes ``first[i] .. first[i] + count[i] - 1``:
+    (which ``i``, index), concatenated."""
+    owner = np.repeat(np.arange(count.size), count)
+    offset = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    return owner, first[owner] + offset
 
 
 def drain_time_ns(need: float, rate: float, target: float, tau: float) -> float:
@@ -195,6 +219,7 @@ class _FlowState:
     remaining: float  # payload bytes left at the last wake-up
     latency_ns: float
     fid: int
+    col: int  # registration index: the flow's column in the rate series
     tau: float  # params.tau_ns, read once per flow per wake-up
     active: bool = False
     links: Tuple[_Link, ...] = ()  # empty while inactive or unroutable
@@ -210,7 +235,36 @@ class _Sampler:
     interval: Optional[float]
     due: float  # the next instant to write (inf when off)
     times: List[float] = field(default_factory=list)
-    values: List = field(default_factory=list)
+    #: (index of its first sample, wake-up time) per wake-up that wrote
+    #: samples: a segment runs up to the next one's first sample.
+    segments: List[Tuple[int, float]] = field(default_factory=list)
+    #: The closed forms in force, appended with each segment (see
+    #: :meth:`FluidEngine._write_samples` for what one holds).
+    forms: List[Any] = field(default_factory=list)
+
+    def record(self, until: float, now: float) -> int:
+        """Append the instants due before ``until``; if there are any, open a
+        segment at wake-up time ``now``.  Returns how many there were."""
+        due = self.due
+        if due >= until:
+            return 0
+        times = self.times
+        first = len(times)
+        while due < until:
+            times.append(due)
+            due += self.interval
+        self.due = due
+        self.segments.append((first, now))
+        return len(times) - first
+
+    def layout(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(times, each sample's offset from its wake-up, per segment its
+        first sample and its sample count)."""
+        times = np.array(self.times, dtype=float)
+        first = np.array([seg[0] for seg in self.segments], dtype=np.intp)
+        count = np.diff(np.append(first, times.size))
+        now = np.array([seg[1] for seg in self.segments], dtype=float)
+        return times, times - np.repeat(now, count), first, count
 
 
 class FluidEngine:
@@ -259,7 +313,11 @@ class FluidEngine:
         self._monitored: Tuple[_Link, ...] = tuple(
             self._link((p.owner.node_id, p.peer_node.node_id)) for p in monitored_ports
         )
-        self._rates = _Sampler(rate_sample_interval_ns, rate_sample_interval_ns or math.inf)
+        self._rates = _Sampler(
+            rate_sample_interval_ns,
+            rate_sample_interval_ns or math.inf,
+            forms=[[] for _ in range(6)],
+        )
         self._queues = _Sampler(queue_sample_interval_ns, queue_sample_interval_ns or math.inf)
         self._next_substep = math.inf
         self._next_departure = math.inf
@@ -285,6 +343,7 @@ class FluidEngine:
             remaining=float(flow.size),
             latency_ns=max(latency, 0.0),
             fid=flow.flow_id,
+            col=len(self._flows),
             tau=params.tau_ns,
         )
         self._flows[flow.flow_id] = st
@@ -531,53 +590,82 @@ class FluidEngine:
 
     # -- sampling ----------------------------------------------------------
 
-    def _rates_at(self, dt: float) -> List[float]:
-        """Served rates in bits/s ``dt`` ns after the last wake-up."""
-        decay: Dict[float, float] = {}
-        row = []
-        for st in self._flows.values():
-            # Served rates are zero before arrival and after departure.
-            rate = 0.0
-            if st.active:
-                rate = target = st.target
-                delta = st.r_int - target
-                if delta != 0.0:
-                    tau = st.tau
-                    if tau not in decay:
-                        decay[tau] = math.exp(-dt / tau)
-                    rate += delta * decay[tau]
-                rate *= st.factor * 8e9
-            row.append(rate)
-        return row
-
-    def _queue_at(self, dt: float) -> float:
-        return sum([link.depth(dt) for link in self._monitored])
-
     def _write_samples(self, until: float, inclusive: bool = False) -> None:
-        """Write the samples due before ``until`` (or at it, when ``inclusive``).
+        """Record the samples due before ``until`` (or at it, when ``inclusive``).
 
         A sample due exactly at a wake-up is written after it, so it sees
-        the rates that wake-up set.
+        the rates that wake-up set.  With the instants goes one segment:
+        for rates a term per active flow, ``(segment, column, target,
+        r_int - target, tau, bits/s scale)`` appended to six parallel
+        lists; for queues ``(backlog, drift, decays)`` per monitored link.
         """
         if inclusive:
             until = math.nextafter(until, math.inf)
-        now = self.now
-        for sampler, read in ((self._rates, self._rates_at), (self._queues, self._queue_at)):
-            due = sampler.due
-            while due < until:
-                sampler.times.append(due)
-                sampler.values.append(read(due - now))
-                due += sampler.interval
-                self.events_executed += 1
-            sampler.due = due
+        rates, queues = self._rates, self._queues
+        written = rates.record(until, self.now)
+        if written:
+            segment = len(rates.segments) - 1
+            terms = [
+                (segment, st.col, st.target, st.r_int - st.target, st.tau, st.factor * 8e9)
+                for st in self._active
+            ]
+            for column, values in zip(rates.forms, zip(*terms)):
+                column.extend(values)
+        queued = queues.record(until, self.now)
+        if queued:
+            queues.forms.append([(link.queue, link.drift, link.decays) for link in self._monitored])
+        self.events_executed += written + queued
 
-    def rate_series(self) -> Tuple[List[float], List[List[float]]]:
-        """(times, rates_bps rows) in flow registration order."""
-        return self._rates.times, self._rates.values
+    def rate_series(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(times, served rates in bits/s): one row per sample, one column per
+        flow in registration order, zero before arrival and after departure.
 
-    def queue_series(self) -> Tuple[List[float], List[float]]:
-        """(times, summed monitored queue depth in bytes)."""
-        return self._queues.times, self._queues.values
+        Each value is ``(target + delta * exp(-dt / tau)) * scale``, the
+        scalar closed form's operations in its order.
+        """
+        times, dt, first, count = self._rates.layout()
+        segment, col = (np.array(c, dtype=np.intp) for c in self._rates.forms[:2])
+        target, delta, tau, scale = (np.array(c, dtype=float) for c in self._rates.forms[2:])
+        # Pair every term with each sample of its segment.
+        term, sample = _spread(first[segment], count[segment])
+        # One exp per (sample, tau) that a decaying flow needs, in a table
+        # that every flow decaying with that tau reads.
+        taus, tau_id = np.unique(tau, return_inverse=True)
+        key = sample * taus.size + tau_id[term]
+        decays = delta[term] != 0.0
+        needed = np.zeros(times.size * taus.size, dtype=bool)
+        needed[key[decays]] = True
+        (slot,) = np.nonzero(needed)
+        exp = np.zeros(needed.size)
+        exp[slot] = _libm(math.exp, -dt[slot // taus.size] / taus[slot % taus.size])
+        rate = np.where(decays, target[term] + delta[term] * exp[key], target[term])
+        rows = np.zeros((times.size, len(self._flows)))
+        rows[sample, col[term]] = rate * scale[term]
+        return times, rows
+
+    def queue_series(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(times, summed monitored queue depth in bytes), as :meth:`_Link.depth`
+        computes it: decays subtracted in order, links summed in order."""
+        times, dt, _, count = self._queues.layout()
+        total = np.zeros(times.size)
+        forms = self._queues.forms
+        for i in range(len(self._monitored)):
+            links = [form[i] for form in forms]
+            depth = np.repeat([q for q, _, _ in links], count) + (
+                np.repeat([d for _, d, _ in links], count) * dt
+            )
+            for j in range(max((len(decays) for _, _, decays in links), default=0)):
+                # Each segment's j-th decay; a segment with fewer subtracts 0.
+                pairs = [decays[j] if j < len(decays) else (0.0, 0.0) for _, _, decays in links]
+                tau = np.repeat([t for t, _ in pairs], count)
+                weight = np.repeat([d * t for t, d in pairs], count)
+                em = np.zeros(times.size)
+                has = tau > 0.0
+                em[has] = _libm(math.expm1, -dt[has] / tau[has])
+                depth = depth - weight * em
+            depth = np.where(depth > 0.0, depth, 0.0)
+            total = depth if i == 0 else total + depth
+        return times, total
 
     def link_utilization(self, elapsed_ns: Optional[float] = None) -> Dict[DLink, float]:
         """Time-averaged served utilization per directed link in [0, 1].

@@ -27,7 +27,7 @@ from .link import LinkSpec
 from .packet import ACK_BYTES, HEADER_BYTES
 from .pfc import PfcConfig
 from .port import Port, RedConfig
-from .routing import bfs_distances, ecmp_next_hops
+from .routing import bfs_distances, next_hops
 from .switch import Switch
 
 
@@ -95,6 +95,9 @@ class Network:
         self._down_links: Set[Tuple[int, int]] = set()
         #: (src, dst) -> node path, valid for the current effective adjacency.
         self._paths: Dict[Tuple[int, int], List[int]] = {}
+        #: dst -> BFS hop distances toward it over the same adjacency; routing
+        #: tables, paths and hop counts all read it (one search per dst).
+        self._dist: Dict[int, Dict[int, int]] = {}
 
     # -- topology construction --------------------------------------------------
 
@@ -163,6 +166,7 @@ class Network:
         self._adjacency[a.node_id].append(b.node_id)
         self._adjacency[b.node_id].append(a.node_id)
         self._paths.clear()
+        self._dist.clear()
         return port_ab, port_ba
 
     def build_routing(self) -> None:
@@ -180,19 +184,28 @@ class Network:
             for u, nbrs in self._adjacency.items()
         }
 
+    def _distances(
+        self, dst: int, adjacency: Optional[Dict[int, List[int]]] = None
+    ) -> Dict[int, int]:
+        """Hop distances toward ``dst``, searched once per adjacency change."""
+        dist = self._dist.get(dst)
+        if dist is None:
+            if adjacency is None:
+                adjacency = self._effective_adjacency()
+            dist = self._dist[dst] = bfs_distances(adjacency, dst)
+        return dist
+
     def _rebuild_routing(self) -> None:
         adj = self._effective_adjacency()
         for sw in self.switches:
             sw.routes.clear()
         for host in self.hosts:
-            next_hops = ecmp_next_hops(adj, host.node_id)
+            dist = self._distances(host.node_id, adj)
             for sw in self.switches:
-                hops = next_hops.get(sw.node_id)
-                if hops is None:
+                if sw.node_id not in dist:
                     continue  # unreachable (disconnected test topologies)
-                sw.set_route(
-                    host.node_id, tuple(sw.port_to[h] for h in hops)
-                )
+                hops = next_hops(adj, dist, sw.node_id)
+                sw.set_route(host.node_id, tuple(sw.port_to[h] for h in hops))
 
     # -- fault handling -----------------------------------------------------------
 
@@ -219,6 +232,7 @@ class Network:
         else:
             self._down_links.add(key)
         self._paths.clear()
+        self._dist.clear()
         changed = port_ab.link_up != up
         port_ab.link_up = up
         port_ba.link_up = up
@@ -259,8 +273,7 @@ class Network:
 
     def hop_count(self, src: int, dst: int) -> int:
         """Links on a shortest path between two nodes (live links only)."""
-        dist = bfs_distances(self._effective_adjacency(), dst)
-        return dist[src]
+        return self._distances(dst)[src]
 
     def path_rtt_ns(self, src: int, dst: int, mtu_payload: int = 1000) -> float:
         """Unloaded round-trip estimate for CC base-RTT configuration.
@@ -295,7 +308,7 @@ class Network:
         if path is not None:
             return path
         adjacency = self._effective_adjacency()
-        dist = bfs_distances(adjacency, dst)
+        dist = self._distances(dst, adjacency)
         if src not in dist:
             raise RuntimeError(f"no path {src} -> {dst}")
         path = [src]

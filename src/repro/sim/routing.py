@@ -59,15 +59,24 @@ def ecmp_next_hops(
     """
     dist = bfs_distances(adjacency, destination)
     result: Dict[int, Tuple[int, ...]] = {}
-    for node, d in dist.items():
-        if node == destination:
-            continue
-        hops = tuple(
-            sorted(v for v in adjacency[node] if dist.get(v, -1) == d - 1)
-        )
+    for node in dist:
+        hops = next_hops(adjacency, dist, node)
         if hops:
             result[node] = hops
     return result
+
+
+def next_hops(
+    adjacency: Dict[int, List[int]], dist: Dict[int, int], node: int
+) -> Tuple[int, ...]:
+    """``node``'s neighbours one hop closer to the BFS root of ``dist``, sorted.
+
+    Empty for the root itself and for a node ``dist`` does not reach.
+    """
+    d = dist.get(node)
+    if not d:
+        return ()
+    return tuple(sorted(v for v in adjacency[node] if dist.get(v, -1) == d - 1))
 
 
 def path_hop_count(adjacency: Dict[int, List[int]], src: int, dst: int) -> int:

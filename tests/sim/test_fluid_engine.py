@@ -123,7 +123,7 @@ class TestCompletion:
                 status = engine.run(timeout_ns)
             assert status.completed
             rates = [v for row in engine.rate_series()[1] for v in row]
-            return [f.fct for f in flows] + engine.queue_series()[1] + rates
+            return [f.fct for f in flows] + list(engine.queue_series()[1]) + rates
 
         for tau_ns in (0.0, 60_000.0):
             assert observed(tau_ns, 30_000.0, 30_000.0, 90_000.0, 1e9) == pytest.approx(

@@ -87,12 +87,12 @@ class TestPathUtilities:
         assert path[0] == h0.node_id and path[-1] == h1.node_id
         assert len(path) == 3
 
-    def test_shortest_path_costs_one_bfs_per_pair(self, monkeypatch):
-        """RTTs and ideal FCTs are asked per flow; the graph search is not."""
+    def test_one_bfs_per_destination_shared_with_routing(self, monkeypatch):
+        """Routing, paths, RTTs, hop counts and ideal FCTs read one search
+        per destination, made again only after the topology changes."""
         from repro.metrics.fct import ideal_fct_ns
         from repro.sim import network as network_module
 
-        net, h0, h1 = two_host_net()
         searches = []
         bfs = network_module.bfs_distances
         monkeypatch.setattr(
@@ -100,12 +100,28 @@ class TestPathUtilities:
             "bfs_distances",
             lambda adj, dst: searches.append(dst) or bfs(adj, dst),
         )
-        first = (net.path_rtt_ns(h0.node_id, h1.node_id), ideal_fct_ns(net, h0.node_id, h1.node_id, 5000))
-        again = (net.path_rtt_ns(h0.node_id, h1.node_id), ideal_fct_ns(net, h0.node_id, h1.node_id, 5000))
-        assert again == first  # same operands in the same order: same bits
-        assert searches == [h1.node_id]
-        net.path_rtt_ns(h1.node_id, h0.node_id)
-        assert searches == [h1.node_id, h0.node_id]
+        net, h0, h1 = two_host_net()
+        sw = net.switches[0]
+        assert searches == [h0.node_id, h1.node_id]  # build_routing: one per host
+
+        def lookups():
+            return [
+                (net.path_rtt_ns(a, b), ideal_fct_ns(net, a, b, 5000), net.hop_count(a, b))
+                for a, b in ((h0.node_id, h1.node_id), (h1.node_id, h0.node_id))
+            ]
+
+        first = lookups()
+        assert lookups() == first  # same operands in the same order: same bits
+        assert searches == [h0.node_id, h1.node_id]  # toward a routed host: free
+        assert net.hop_count(h0.node_id, sw.node_id) == 1
+        assert net.hop_count(h1.node_id, sw.node_id) == 1
+        assert searches[2:] == [sw.node_id]  # a switch destination: once, on demand
+        del searches[:]
+        net.set_link_state(h0.node_id, sw.node_id, False)
+        net.set_link_state(h0.node_id, sw.node_id, True)
+        assert searches == [h0.node_id, h1.node_id] * 2  # each flap: one per host
+        assert lookups() == first
+        assert searches == [h0.node_id, h1.node_id] * 2
 
     def test_link_flap_invalidates_remembered_paths(self):
         from repro.topology.fattree import build_fattree, scaled_fattree_params
