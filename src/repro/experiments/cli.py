@@ -4,14 +4,17 @@
 figure 10-13 scale — see EXPERIMENTS.md); the default ``scaled`` presets run
 each figure in seconds to a couple of minutes.
 
-Campaign execution: the simulations behind the selected figures are
-collected up front and run as one deduplicated campaign — across ``--jobs``
-worker processes, backed by the persistent result store (``--store DIR``,
-on by default; ``--no-store`` opts out).  A store entry is valid only for
+Campaign execution: the simulations behind the selected figures and
+extensions are collected up front and run as one deduplicated campaign —
+across ``--jobs`` worker processes, backed by the persistent result store
+(``--store DIR``, on by default; ``--no-store`` opts out).  Each figure is
+then reduced from the campaign's results; one whose config the campaign
+quarantined or lost fails with an error naming it.  A store entry is valid only for
 the exact simulator code version that produced it (see
 :mod:`repro.experiments.store`); ``--store-gc`` deletes entries from older
-code versions.  ``--profile`` reports per-figure event counts and events/s
-from the simulator's global event counter.
+code versions.  ``--profile`` reports the campaign's event count and
+events/s from the simulator's global event counter (reducing a figure
+simulates nothing).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from ..sim.network import RunBudget
 from .extensions import ALL_EXTENSIONS
 from .figures import ALL_FIGURES
 from .config import BACKENDS, get_default_backend, set_default_backend
-from .parallel import campaign_for_figures, run_campaign, run_config
+from .parallel import EMPTY_OUTCOME, Results, run_campaign, run_config
 from .reporting import render
 from .runner import drain_incomplete_runs, get_default_budget, set_default_budget
 from .store import ResultStore, get_store, set_store
@@ -192,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="report per-figure simulator event counts and events/s",
+        help="report the campaign's simulator event count and events/s",
     )
     parser.add_argument(
         "--telemetry",
@@ -951,6 +954,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             if job_id not in known:
                 print(f"error: unknown {kind} {job_id!r}", file=sys.stderr)
                 return 2
+    if exts and args.scale != "scaled":
+        print("error: extensions run the scaled presets only", file=sys.stderr)
+        return 2
     backend, store, budget = get_default_backend(), get_store(), get_default_budget()
     registry_was_on = obs_registry.enabled()
     try:
@@ -1073,10 +1079,14 @@ def _run(args: "argparse.Namespace", argv: List[str], figs: List[str], exts: Lis
             file=sys.stderr,
         )
 
-    # Run the figures' simulations as one deduplicated campaign up front;
-    # the figure functions then replay them from the warm caches.
+    # Run every selected entry's simulations as one deduplicated campaign,
+    # then reduce each entry from its results.
     exit_code = 0
-    campaign = campaign_for_figures(figs, scale=args.scale, backend=args.backend)
+    entries = [("figure", str(f), ALL_FIGURES[str(f)]) for f in figs]
+    entries += [("extension", str(e), ALL_EXTENSIONS[str(e)]) for e in exts]
+    declared = {(kind, job_id): entry.configs(args.scale) for kind, job_id, entry in entries}
+    campaign = [cfg for configs in declared.values() for cfg in configs]
+    outcome = EMPTY_OUTCOME
     if campaign:
         campaign_events = engine.total_events_executed()
         try:
@@ -1089,43 +1099,27 @@ def _run(args: "argparse.Namespace", argv: List[str], figs: List[str], exts: Lis
             )
         except CampaignIncomplete as exc:
             # Without --partial-ok: the journal and partial results are
-            # intact; figures depending on missing configs fail individually
-            # below.
+            # intact; entries depending on missing configs fail below.
             outcome = exc.outcome
             print(f"error: {exc}", file=sys.stderr)
-            print(f"[campaign] {outcome.stats.summary()}")
-            _print_supervision(outcome)
             exit_code = 1
-        except Exception as exc:
-            # Figures run what they miss themselves below; the campaign
-            # failing wholesale (e.g. workers that cannot be spawned) only
-            # loses parallelism.
+        print(f"[campaign] {outcome.stats.summary()}")
+        _print_supervision(outcome)
+        if args.profile and not exit_code:
+            # Events executed by workers happen in other processes; this
+            # counter covers the in-process (jobs=1) campaign.
+            events = engine.total_events_executed() - campaign_events
+            rate = events / outcome.stats.wall_s if outcome.stats.wall_s else 0.0
             print(
-                f"warning: campaign failed ({type(exc).__name__}: {exc}); "
-                "falling back to serial per-figure runs",
-                file=sys.stderr,
+                f"[profile] campaign: events={events} "
+                f"wall={outcome.stats.wall_s:.2f}s events/s={rate:,.0f} "
+                f"calendar={_calendar_name()}"
             )
-        else:
-            print(f"[campaign] {outcome.stats.summary()}")
-            _print_supervision(outcome)
-            if args.profile:
-                # Events executed by workers happen in other processes; this
-                # counter covers the in-process (jobs=1) campaign.
-                events = engine.total_events_executed() - campaign_events
-                rate = events / outcome.stats.wall_s if outcome.stats.wall_s else 0.0
-                print(
-                    f"[profile] campaign: events={events} "
-                    f"wall={outcome.stats.wall_s:.2f}s events/s={rate:,.0f} "
-                    f"calendar={_calendar_name()}"
-                )
 
-    jobs = [("figure", str(f), ALL_FIGURES) for f in figs]
-    jobs += [("extension", str(e), ALL_EXTENSIONS) for e in exts]
-    for kind, job_id, registry in jobs:
+    for kind, job_id, entry in entries:
         start = time.perf_counter()
-        events_before = engine.total_events_executed()
         try:
-            result = registry[job_id](scale=args.scale)
+            result = entry.reduce(args.scale, Results(outcome, declared[kind, job_id]))
         except Exception as exc:
             print(
                 f"error: {kind} {job_id} failed: {type(exc).__name__}: {exc}",
@@ -1136,14 +1130,6 @@ def _run(args: "argparse.Namespace", argv: List[str], figs: List[str], exts: Lis
         elapsed = time.perf_counter() - start
         print(render(result))
         print(f"\n[{kind} {job_id} reproduced in {elapsed:.1f}s]\n")
-        if args.profile:
-            events = engine.total_events_executed() - events_before
-            rate = events / elapsed if elapsed > 0 else 0.0
-            print(
-                f"[profile] {kind} {job_id}: events={events} "
-                f"wall={elapsed:.2f}s events/s={rate:,.0f} "
-                f"calendar={_calendar_name()}"
-            )
     if store is not None:
         print(f"[store] {store.stats.summary()}")
     incomplete = drain_incomplete_runs()

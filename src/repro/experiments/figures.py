@@ -20,19 +20,23 @@ Fig    Content
 8, 9   16-1 incast start-vs-finish, default vs VAI+SF (HPCC / Swift)
 10-13  FCT slowdown vs flow size on datacenter traces (tail and median)
 =====  ====================================================================
+
+Each figure is an :class:`Entry`: the configs it simulates, declared once,
+and a pure reduce over their results.  ``fig1`` ... ``fig13`` are those
+entries, callable as ``fig1(scale="scaled")``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..core.fluid_model import FluidModelParams, fig4_series, initial_slope_condition
 from ..metrics.fct import slowdown_by_size, summarize, tail_slowdown_above
 from ..topology.fattree import FatTreeParams, build_fattree
-from ..units import ms, ns_to_us
+from ..units import ns_to_us
 from .config import (
     DATACENTER_VARIANTS,
     FIG1_HPCC_VARIANTS,
@@ -45,11 +49,8 @@ from .config import (
     scaled_datacenter,
     scaled_incast,
 )
-from .runner import (
-    IncastResult,
-    run_datacenter_cached,
-    run_incast_cached,
-)
+from .parallel import EMPTY_OUTCOME, AnyConfig, Results, run_campaign
+from .runner import IncastResult
 
 
 @dataclass
@@ -67,6 +68,27 @@ class FigureResult:
         self.columns[name] = columns
 
 
+@dataclass(frozen=True)
+class Entry:
+    """One figure or extension, declared once.
+
+    ``configs(scale)`` lists the simulations it needs and ``reduce(scale,
+    results)`` turns their results into the figure without simulating;
+    ``results`` is a :class:`~repro.experiments.parallel.Results` view that
+    refuses configs the entry did not declare.  Calling the entry runs it
+    alone: one in-process campaign, then the reduce.  The CLI instead runs
+    the union of the selected entries' configs as one campaign.
+    """
+
+    configs: Callable[[str], List[AnyConfig]]
+    reduce: Callable[[str, Results], FigureResult]
+
+    def __call__(self, scale: str = "scaled") -> FigureResult:
+        configs = self.configs(scale)
+        outcome = run_campaign(configs) if configs else EMPTY_OUTCOME
+        return self.reduce(scale, Results(outcome, configs))
+
+
 def _incast_cfg(variant: str, n_senders: int, scale: str):
     if scale == "paper":
         return paper_incast(variant, n_senders)
@@ -75,6 +97,17 @@ def _incast_cfg(variant: str, n_senders: int, scale: str):
 
 def _large_incast_degree(scale: str) -> int:
     return 96 if scale == "paper" else SCALED_LARGE_INCAST
+
+
+def _incasts(variants: Sequence[str], *, large: bool = False) -> Callable[[str], List[AnyConfig]]:
+    """``configs`` for each variant's 16-1 incast (and, with ``large``, the
+    large one)."""
+
+    def configs(scale: str) -> List[AnyConfig]:
+        degrees = (16, _large_incast_degree(scale)) if large else (16,)
+        return [_incast_cfg(v, n, scale) for n in degrees for v in variants]
+
+    return configs
 
 
 def _incast_summary_rows(results: Sequence[IncastResult]) -> List[tuple]:
@@ -125,49 +158,50 @@ def _queue_decimated(r: IncastResult, n_points: int = 40) -> List[tuple]:
     return [(round(ns_to_us(t[i]), 1), round(float(v[i]) / 1000.0, 2)) for i in idx]
 
 
-def _incast_figure(
-    figure: str,
-    title: str,
+def _add_incast(
+    fig: FigureResult,
+    prefix: str,
     variants: Sequence[str],
     n_senders: int,
     scale: str,
+    runs: Results,
     *,
     include_series: bool = True,
-) -> FigureResult:
-    results = [run_incast_cached(_incast_cfg(v, n_senders, scale)) for v in variants]
-    fig = FigureResult(figure=figure, title=title)
-    fig.add_table("summary", _INCAST_SUMMARY_COLUMNS, _incast_summary_rows(results))
+) -> None:
+    """Add the summary (and series) tables of each variant's incast under
+    ``prefix/``."""
+    results = [runs[_incast_cfg(v, n_senders, scale)] for v in variants]
+    fig.add_table(f"{prefix}/summary", _INCAST_SUMMARY_COLUMNS, _incast_summary_rows(results))
     if include_series:
         for r in results:
-            fig.add_table(
-                f"jain:{r.config.variant}", ("t (us)", "jain"), _jain_decimated(r)
-            )
-            fig.add_table(
-                f"queue:{r.config.variant}", ("t (us)", "KB"), _queue_decimated(r)
-            )
+            v = r.config.variant
+            fig.add_table(f"{prefix}/jain:{v}", ("t (us)", "jain"), _jain_decimated(r))
+            fig.add_table(f"{prefix}/queue:{v}", ("t (us)", "KB"), _queue_decimated(r))
     fig.notes.append(
         f"{n_senders}-1 staggered incast at {scale} scale; convergence time is "
         "measured from the last flow's start."
     )
-    return fig
 
 
-def _start_finish_figure(
-    figure: str, title: str, variants: Sequence[str], scale: str
-) -> FigureResult:
-    fig = FigureResult(figure=figure, title=title)
-    for v in variants:
-        r = run_incast_cached(_incast_cfg(v, 16, scale))
-        rows = [
-            (round(ns_to_us(s), 1), round(ns_to_us(f), 1))
-            for s, f in r.start_finish_pairs()
-        ]
-        fig.add_table(v, ("start (us)", "finish (us)"), rows)
-        fig.notes.append(
-            f"{v}: start-finish correlation {r.start_finish_correlation():+.3f}, "
-            f"finish spread {ns_to_us(r.finish_spread_ns()):.1f} us"
-        )
-    return fig
+def _start_finish(figure: str, title: str, variants: Sequence[str]) -> Entry:
+    """A start-vs-finish scatter of each variant's 16-1 incast."""
+
+    def reduce(scale: str, runs: Results) -> FigureResult:
+        fig = FigureResult(figure=figure, title=title)
+        for v in variants:
+            r = runs[_incast_cfg(v, 16, scale)]
+            rows = [
+                (round(ns_to_us(s), 1), round(ns_to_us(f), 1))
+                for s, f in r.start_finish_pairs()
+            ]
+            fig.add_table(v, ("start (us)", "finish (us)"), rows)
+            fig.notes.append(
+                f"{v}: start-finish correlation {r.start_finish_correlation():+.3f}, "
+                f"finish spread {ns_to_us(r.finish_spread_ns()):.1f} us"
+            )
+        return fig
+
+    return Entry(_incasts(variants), reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -175,43 +209,18 @@ def _start_finish_figure(
 # ---------------------------------------------------------------------------
 
 
-def fig1(scale: str = "scaled") -> FigureResult:
+def _fig1(scale: str, runs: Results) -> FigureResult:
     """Jain index & queue depth, 16-1 incast, HPCC and Swift baselines."""
-    fig = _incast_figure(
-        "1(a,b)",
-        "16-1 incast: Jain index and queue depth (HPCC baselines)",
-        FIG1_HPCC_VARIANTS,
-        16,
-        scale,
-    )
-    swift = _incast_figure(
-        "1(c,d)",
-        "16-1 incast: Jain index and queue depth (Swift baselines)",
-        FIG1_SWIFT_VARIANTS,
-        16,
-        scale,
-    )
-    merged = FigureResult(figure="1", title="Incast fairness and queues (baselines)")
-    for name, rows in fig.tables.items():
-        merged.add_table(f"hpcc/{name}", fig.columns[name], rows)
-    for name, rows in swift.tables.items():
-        merged.add_table(f"swift/{name}", swift.columns[name], rows)
-    merged.notes = fig.notes + swift.notes
-    return merged
+    fig = FigureResult(figure="1", title="Incast fairness and queues (baselines)")
+    _add_incast(fig, "hpcc", FIG1_HPCC_VARIANTS, 16, scale, runs)
+    _add_incast(fig, "swift", FIG1_SWIFT_VARIANTS, 16, scale, runs)
+    return fig
 
 
-def fig2(scale: str = "scaled") -> FigureResult:
-    """Start vs finish time, 16-1 staggered incast, HPCC baselines."""
-    return _start_finish_figure(
-        "2", "Start vs finish time (HPCC baselines)", FIG1_HPCC_VARIANTS, scale
-    )
-
-
-def fig3(scale: str = "scaled") -> FigureResult:
-    """Start vs finish time, 16-1 staggered incast, Swift baselines."""
-    return _start_finish_figure(
-        "3", "Start vs finish time (Swift baselines)", FIG1_SWIFT_VARIANTS, scale
-    )
+fig1 = Entry(_incasts(FIG1_HPCC_VARIANTS + FIG1_SWIFT_VARIANTS), _fig1)
+#: Start vs finish time, 16-1 staggered incast, HPCC / Swift baselines.
+fig2 = _start_finish("2", "Start vs finish time (HPCC baselines)", FIG1_HPCC_VARIANTS)
+fig3 = _start_finish("3", "Start vs finish time (Swift baselines)", FIG1_SWIFT_VARIANTS)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +228,7 @@ def fig3(scale: str = "scaled") -> FigureResult:
 # ---------------------------------------------------------------------------
 
 
-def fig4(scale: str = "scaled") -> FigureResult:
+def _fig4(scale: str, runs: Results) -> FigureResult:
     """Fluid-model fairness difference between the two MD schedules."""
     params = FluidModelParams()
     t, diff = fig4_series(params=params)
@@ -250,63 +259,30 @@ def fig4(scale: str = "scaled") -> FigureResult:
     return fig
 
 
+fig4 = Entry(lambda scale: [], _fig4)
+
+
 # ---------------------------------------------------------------------------
 # Figures 5, 6: VAI + SF incast (Sec. VI-B-1)
 # ---------------------------------------------------------------------------
 
 
-def fig5(scale: str = "scaled") -> FigureResult:
-    """HPCC incast with VAI+SF: 16-1 (a, b) and 96-1 (c, d)."""
-    small = _incast_figure(
-        "5(a,b)",
-        "16-1 incast with HPCC VAI SF",
-        FIG5_HPCC_VARIANTS,
-        16,
-        scale,
-    )
-    big_n = _large_incast_degree(scale)
-    large = _incast_figure(
-        "5(c,d)",
-        f"{big_n}-1 incast with HPCC VAI SF",
-        FIG5_HPCC_VARIANTS,
-        big_n,
-        scale,
-        include_series=False,
-    )
-    merged = FigureResult(figure="5", title="HPCC incast with VAI + SF")
-    for name, rows in small.tables.items():
-        merged.add_table(f"16-1/{name}", small.columns[name], rows)
-    for name, rows in large.tables.items():
-        merged.add_table(f"{big_n}-1/{name}", large.columns[name], rows)
-    merged.notes = small.notes + large.notes
-    return merged
+def _vai_sf_incast(figure: str, protocol: str, variants: Sequence[str]) -> Entry:
+    """16-1 (a, b) and large (c, d) incast of ``variants`` with VAI+SF."""
+
+    def reduce(scale: str, runs: Results) -> FigureResult:
+        big_n = _large_incast_degree(scale)
+        fig = FigureResult(figure=figure, title=f"{protocol} incast with VAI + SF")
+        _add_incast(fig, "16-1", variants, 16, scale, runs)
+        _add_incast(fig, f"{big_n}-1", variants, big_n, scale, runs, include_series=False)
+        return fig
+
+    return Entry(_incasts(variants, large=True), reduce)
 
 
-def fig6(scale: str = "scaled") -> FigureResult:
-    """Swift incast with VAI+SF: 16-1 (a, b) and 96-1 (c, d)."""
-    small = _incast_figure(
-        "6(a,b)",
-        "16-1 incast with Swift VAI SF",
-        FIG6_SWIFT_VARIANTS,
-        16,
-        scale,
-    )
-    big_n = _large_incast_degree(scale)
-    large = _incast_figure(
-        "6(c,d)",
-        f"{big_n}-1 incast with Swift VAI SF",
-        FIG6_SWIFT_VARIANTS,
-        big_n,
-        scale,
-        include_series=False,
-    )
-    merged = FigureResult(figure="6", title="Swift incast with VAI + SF")
-    for name, rows in small.tables.items():
-        merged.add_table(f"16-1/{name}", small.columns[name], rows)
-    for name, rows in large.tables.items():
-        merged.add_table(f"{big_n}-1/{name}", large.columns[name], rows)
-    merged.notes = small.notes + large.notes
-    return merged
+#: HPCC / Swift incast with VAI+SF: 16-1 (a, b) and 96-1 (c, d).
+fig5 = _vai_sf_incast("5", "HPCC", FIG5_HPCC_VARIANTS)
+fig6 = _vai_sf_incast("6", "Swift", FIG6_SWIFT_VARIANTS)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +290,7 @@ def fig6(scale: str = "scaled") -> FigureResult:
 # ---------------------------------------------------------------------------
 
 
-def fig7(scale: str = "scaled") -> FigureResult:
+def _fig7(scale: str, runs: Results) -> FigureResult:
     """Structural validation of the Fig. 7 fat-tree (paper-scale build)."""
     params = FatTreeParams()  # always the paper's shape; building is cheap
     topo = build_fattree(params)
@@ -353,23 +329,16 @@ def fig7(scale: str = "scaled") -> FigureResult:
     return fig
 
 
+fig7 = Entry(lambda scale: [], _fig7)
+
+
 # ---------------------------------------------------------------------------
 # Figures 8, 9: start vs finish with VAI + SF
 # ---------------------------------------------------------------------------
 
-
-def fig8(scale: str = "scaled") -> FigureResult:
-    """Start vs finish, 16-1 incast: HPCC default vs HPCC VAI SF."""
-    return _start_finish_figure(
-        "8", "Start vs finish (HPCC vs HPCC VAI SF)", ("hpcc", "hpcc-vai-sf"), scale
-    )
-
-
-def fig9(scale: str = "scaled") -> FigureResult:
-    """Start vs finish, 16-1 incast: Swift default vs Swift VAI SF."""
-    return _start_finish_figure(
-        "9", "Start vs finish (Swift vs Swift VAI SF)", ("swift", "swift-vai-sf"), scale
-    )
+#: Start vs finish, 16-1 incast: default vs VAI SF (HPCC / Swift).
+fig8 = _start_finish("8", "Start vs finish (HPCC vs HPCC VAI SF)", ("hpcc", "hpcc-vai-sf"))
+fig9 = _start_finish("9", "Start vs finish (Swift vs Swift VAI SF)", ("swift", "swift-vai-sf"))
 
 
 # ---------------------------------------------------------------------------
@@ -393,77 +362,62 @@ def _dc_figure(
     title: str,
     workload: str,
     percentile: float,
-    scale: str,
-) -> FigureResult:
-    fig = FigureResult(figure=figure, title=title)
-    threshold = _long_flow_threshold_bytes(scale)
-    tail_pct = percentile if scale == "paper" else min(percentile, 99.0)
-    n_buckets = 100 if scale == "paper" else 12
-    for variant in DATACENTER_VARIANTS:
-        result = run_datacenter_cached(_dc_cfg(variant, workload, scale))
-        buckets = slowdown_by_size(
-            result.records, percentile=tail_pct, n_buckets=n_buckets
-        )
-        fig.add_table(
-            variant,
-            ("size <= (KB)", f"p{tail_pct:g} slowdown", "flows"),
-            [
-                (round(b.size_max_bytes / 1000.0, 1), round(b.slowdown, 2), b.count)
-                for b in buckets
-            ],
-        )
-        long_tail = tail_slowdown_above(result.records, threshold, tail_pct)
-        stats = summarize(result.records)
-        fig.notes.append(
-            f"{variant}: {result.n_completed}/{result.n_offered} flows completed, "
-            f"long-flow (> {threshold / 1000:g} KB) p{tail_pct:g} slowdown = "
-            f"{long_tail if long_tail is None else round(long_tail, 2)}, "
-            f"overall p50 = {stats.get('p50_slowdown', float('nan')):.2f}"
-        )
-    if scale != "paper":
-        fig.notes.append(
-            f"Scaled run: 16-host fat-tree at 10/40 Gbps, sizes x0.1 "
-            f"(long flow = > {threshold / 1000:g} KB), percentile capped at "
-            f"p{tail_pct:g} for the available flow count."
-        )
-    return fig
+) -> Entry:
+    """Slowdown vs flow size of every datacenter variant on ``workload``."""
+
+    def configs(scale: str) -> List[AnyConfig]:
+        return [_dc_cfg(v, workload, scale) for v in DATACENTER_VARIANTS]
+
+    def reduce(scale: str, runs: Results) -> FigureResult:
+        fig = FigureResult(figure=figure, title=title)
+        threshold = _long_flow_threshold_bytes(scale)
+        tail_pct = percentile if scale == "paper" else min(percentile, 99.0)
+        n_buckets = 100 if scale == "paper" else 12
+        for variant in DATACENTER_VARIANTS:
+            result = runs[_dc_cfg(variant, workload, scale)]
+            buckets = slowdown_by_size(
+                result.records, percentile=tail_pct, n_buckets=n_buckets
+            )
+            fig.add_table(
+                variant,
+                ("size <= (KB)", f"p{tail_pct:g} slowdown", "flows"),
+                [
+                    (round(b.size_max_bytes / 1000.0, 1), round(b.slowdown, 2), b.count)
+                    for b in buckets
+                ],
+            )
+            long_tail = tail_slowdown_above(result.records, threshold, tail_pct)
+            stats = summarize(result.records)
+            fig.notes.append(
+                f"{variant}: {result.n_completed}/{result.n_offered} flows completed, "
+                f"long-flow (> {threshold / 1000:g} KB) p{tail_pct:g} slowdown = "
+                f"{long_tail if long_tail is None else round(long_tail, 2)}, "
+                f"overall p50 = {stats.get('p50_slowdown', float('nan')):.2f}"
+            )
+        if scale != "paper":
+            fig.notes.append(
+                f"Scaled run: 16-host fat-tree at 10/40 Gbps, sizes x0.1 "
+                f"(long flow = > {threshold / 1000:g} KB), percentile capped at "
+                f"p{tail_pct:g} for the available flow count."
+            )
+        return fig
+
+    return Entry(configs, reduce)
 
 
-def fig10(scale: str = "scaled") -> FigureResult:
-    """99.9% FCT slowdown vs flow size, Hadoop trace."""
-    return _dc_figure(
-        "10", "Tail FCT slowdown (Hadoop)", "hadoop", 99.9, scale
-    )
+#: 99.9% (tail) and median FCT slowdown vs flow size, Hadoop trace and
+#: WebSearch + Storage mix.
+fig10 = _dc_figure("10", "Tail FCT slowdown (Hadoop)", "hadoop", 99.9)
+fig11 = _dc_figure(
+    "11", "Tail FCT slowdown (WebSearch + Storage)", "websearch+storage", 99.9
+)
+fig12 = _dc_figure("12", "Median FCT slowdown (Hadoop)", "hadoop", 50.0)
+fig13 = _dc_figure(
+    "13", "Median FCT slowdown (WebSearch + Storage)", "websearch+storage", 50.0
+)
 
 
-def fig11(scale: str = "scaled") -> FigureResult:
-    """99.9% FCT slowdown vs flow size, WebSearch + Storage mix."""
-    return _dc_figure(
-        "11",
-        "Tail FCT slowdown (WebSearch + Storage)",
-        "websearch+storage",
-        99.9,
-        scale,
-    )
-
-
-def fig12(scale: str = "scaled") -> FigureResult:
-    """Median FCT slowdown vs flow size, Hadoop trace."""
-    return _dc_figure("12", "Median FCT slowdown (Hadoop)", "hadoop", 50.0, scale)
-
-
-def fig13(scale: str = "scaled") -> FigureResult:
-    """Median FCT slowdown vs flow size, WebSearch + Storage mix."""
-    return _dc_figure(
-        "13",
-        "Median FCT slowdown (WebSearch + Storage)",
-        "websearch+storage",
-        50.0,
-        scale,
-    )
-
-
-ALL_FIGURES = {
+ALL_FIGURES: Dict[str, Entry] = {
     "1": fig1,
     "2": fig2,
     "3": fig3,

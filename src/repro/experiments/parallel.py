@@ -1,13 +1,15 @@
 """Experiment campaigns: what to run, how one run is wrapped, what comes back.
 
-A *campaign* is the set of simulation configs a figure selection needs.
-:func:`run_campaign` is the one way to execute it: the configs are
+A *campaign* is a list of simulation configs.  :func:`run_campaign` is the
+one way any figure, extension or sweep gets its results: the configs are
 deduplicated by content key, what the in-memory LRU or the persistent
 :mod:`store` already holds is served from there, and the remainder goes
 through the task state machine in :mod:`repro.experiments.supervisor`
-(journal, retries, quarantine).  Results come back to the parent, which
-seeds the runner's caches — figure rendering afterwards is pure cache hits,
-so the sequential figure code needs no changes to benefit.
+(journal, retries, quarantine).  Each figure and extension declares the
+configs it needs and a pure reduce over their results
+(:class:`repro.experiments.figures.Entry`); the reduce reads them through a
+:class:`Results` view of the :class:`CampaignOutcome`, which refuses any
+config the entry did not declare.
 
 ``jobs`` alone decides where an attempt executes: ``jobs=1`` runs it in the
 calling process (nothing is forked, so tracers, profilers and coverage tools
@@ -19,8 +21,8 @@ worker process is byte-identical to one computed in-process or replayed from
 the store — ``tests/experiments/test_parallel_store.py`` locks this in.
 
 This module holds the pieces both sides of the pipe share (the work
-function, the result envelope, the outcome types) and the figure -> config
-registry; the executor itself lives in :mod:`supervisor`.
+function, the result envelope, the outcome types); the executor itself
+lives in :mod:`supervisor`.
 """
 
 from __future__ import annotations
@@ -28,25 +30,10 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..sim.network import RunBudget
-from .config import (
-    DATACENTER_VARIANTS,
-    FIG1_HPCC_VARIANTS,
-    FIG1_SWIFT_VARIANTS,
-    FIG5_HPCC_VARIANTS,
-    FIG6_SWIFT_VARIANTS,
-    SCALED_LARGE_INCAST,
-    DatacenterConfig,
-    IncastConfig,
-    apply_default_backend,
-    paper_datacenter,
-    paper_incast,
-    scaled_datacenter,
-    scaled_incast,
-    with_backend,
-)
+from .config import DatacenterConfig, IncastConfig, apply_default_backend
 from .runner import run_datacenter, run_incast
 
 AnyConfig = Union[IncastConfig, DatacenterConfig]
@@ -157,7 +144,60 @@ class CampaignOutcome:
     quarantines: List[Any] = field(default_factory=list)
 
     def result_for(self, cfg: AnyConfig) -> Any:
-        return self.results[cfg.cache_key()]
+        return self.results[campaign_key(cfg)]
+
+
+#: What an entry that simulates nothing (figures 4, 7) reduces over.
+EMPTY_OUTCOME = CampaignOutcome(results={}, stats=CampaignStats(), failures=[])
+
+
+def campaign_key(cfg: AnyConfig) -> str:
+    """The key a campaign files ``cfg``'s result under.
+
+    Configs are normalized to the process-default backend first, so a
+    packet-default config spelled by a figure finds its ``--backend flow``
+    result.
+    """
+    return apply_default_backend(cfg).cache_key()
+
+
+class Results:
+    """One entry's view of a campaign: results looked up by config.
+
+    Only the configs the entry declared can be looked up, so a figure's
+    ``configs`` and ``reduce`` cannot drift apart.  ``results[cfg]`` raises
+    a :class:`LookupError` naming the config when the campaign has no
+    result for it (quarantined or lost); ``get`` returns ``None`` instead,
+    for sweeps that aggregate over whatever survived.
+    """
+
+    def __init__(self, outcome: CampaignOutcome, declared: Iterable[AnyConfig]) -> None:
+        self.outcome = outcome
+        self._declared = {campaign_key(cfg) for cfg in declared}
+
+    def _key(self, cfg: AnyConfig) -> str:
+        key = campaign_key(cfg)
+        if key not in self._declared:
+            raise LookupError(f"{_describe(cfg)} is not among the declared configs")
+        return key
+
+    def get(self, cfg: AnyConfig) -> Any:
+        return self.outcome.results.get(self._key(cfg))
+
+    def error(self, cfg: AnyConfig) -> str:
+        """Why the campaign has no result for ``cfg``."""
+        return dict(self.outcome.failures).get(self._key(cfg), "not run")
+
+    def __getitem__(self, cfg: AnyConfig) -> Any:
+        result = self.get(cfg)
+        if result is None:
+            raise LookupError(f"no result for {_describe(cfg)}: {self.error(cfg)}")
+        return result
+
+
+def _describe(cfg: Any) -> str:
+    describe = getattr(cfg, "describe", None)
+    return describe() if callable(describe) else type(cfg).__name__
 
 
 def run_campaign(
@@ -191,75 +231,3 @@ def run_campaign(
     return run_supervised(
         configs, jobs=jobs, budget=budget, progress=progress, sup=supervisor
     )
-
-
-# ---------------------------------------------------------------------------
-# Figure -> config registry (what to prefetch for a figure selection)
-# ---------------------------------------------------------------------------
-
-
-def _incast_cfg(variant: str, n_senders: int, scale: str) -> IncastConfig:
-    if scale == "paper":
-        return paper_incast(variant, n_senders)
-    return scaled_incast(variant, n_senders)
-
-
-def _dc_cfg(variant: str, workload: str, scale: str) -> DatacenterConfig:
-    if scale == "paper":
-        return paper_datacenter(variant, workload)
-    return scaled_datacenter(variant, workload)
-
-
-def figure_configs(fig_id: str, scale: str = "scaled") -> List[AnyConfig]:
-    """The simulation configs figure ``fig_id`` consumes (possibly empty).
-
-    Must stay in lockstep with :mod:`repro.experiments.figures` — the
-    campaign prefetches these, then the figure functions replay them from
-    cache.  Listing a config here that a figure does not use wastes a
-    simulation; omitting one merely makes the figure simulate it serially,
-    so drift is a performance bug, never a correctness bug.  Figures 4
-    (fluid model) and 7 (topology structure) run no simulations.
-    """
-    large = 96 if scale == "paper" else SCALED_LARGE_INCAST
-    incasts = {
-        "1": [(v, 16) for v in FIG1_HPCC_VARIANTS + FIG1_SWIFT_VARIANTS],
-        "2": [(v, 16) for v in FIG1_HPCC_VARIANTS],
-        "3": [(v, 16) for v in FIG1_SWIFT_VARIANTS],
-        "5": [(v, n) for n in (16, large) for v in FIG5_HPCC_VARIANTS],
-        "6": [(v, n) for n in (16, large) for v in FIG6_SWIFT_VARIANTS],
-        "8": [(v, 16) for v in ("hpcc", "hpcc-vai-sf")],
-        "9": [(v, 16) for v in ("swift", "swift-vai-sf")],
-    }
-    datacenters = {
-        "10": "hadoop",
-        "12": "hadoop",
-        "11": "websearch+storage",
-        "13": "websearch+storage",
-    }
-    fig_id = str(fig_id)
-    configs: List[AnyConfig] = [
-        _incast_cfg(v, n, scale) for v, n in incasts.get(fig_id, [])
-    ]
-    workload = datacenters.get(fig_id)
-    if workload is not None:
-        configs.extend(_dc_cfg(v, workload, scale) for v in DATACENTER_VARIANTS)
-    return configs
-
-
-def campaign_for_figures(
-    fig_ids: Sequence[str], scale: str = "scaled", backend: str = "packet"
-) -> List[AnyConfig]:
-    """Union of configs for a figure selection, duplicates included.
-
-    ``run_campaign`` deduplicates by content key, so figure pairs sharing
-    simulations (2/3 with 1, 12/13 with 10/11) cost nothing extra.  A
-    non-default ``backend`` is stamped onto every config so campaign keys
-    match what the figure functions will look up after
-    :func:`repro.experiments.config.set_default_backend`.
-    """
-    out: List[AnyConfig] = []
-    for fig_id in fig_ids:
-        out.extend(figure_configs(fig_id, scale))
-    if backend != "packet":
-        out = [with_backend(cfg, backend) for cfg in out]
-    return out

@@ -11,16 +11,17 @@ Both are deterministic for a given config (seeded RNGs everywhere) and cache
 their results process-wide (bounded LRU) so that figure pairs sharing data
 (10/12, 11/13) pay for each simulation once.
 
-Hardening (sweeps call hundreds of runs; one bad run must not sink them):
+Hardening (a campaign runs hundreds of these; one bad run must not hide):
 
 * :func:`set_default_budget` installs a process-wide :class:`RunBudget`
   watchdog; a run that breaches it raises :exc:`WatchdogExpired`.
 * A run whose flows do not all complete is recorded in an incomplete-run
   registry (:func:`drain_incomplete_runs`) so the CLI can exit non-zero
   with a clear message instead of silently rendering partial figures.
-* :func:`run_with_retry` / :func:`salvage_runs` give sweeps retry-with-
-  backoff and partial-result salvage (succeeded runs are returned together
-  with structured :class:`RunFailure` reports for the rest).
+
+Retry, quarantine and partial results are the campaign's
+(:func:`repro.experiments.parallel.run_campaign`), the one path every
+figure, extension and sweep takes to its results.
 
 Configs carrying a :class:`repro.experiments.config.FaultConfig` get the
 matching :mod:`repro.sim.faults` injectors installed and go-back-N loss
@@ -34,7 +35,7 @@ from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -668,46 +669,25 @@ _INCAST_CACHE = LRUCache(maxsize=64)
 _DC_CACHE = LRUCache(maxsize=32)
 
 
-def _run_cached(cache: LRUCache, run: Callable[[Any], Any], cfg: Any) -> Any:
-    """Memory LRU -> persistent store -> simulate, writing through both.
-
-    Both tiers key on ``cfg.cache_key()`` (the canonical content hash), so a
-    result computed under one spelling of a config hits under any equal
-    spelling, in this process or a later one.  The config is normalized to
-    the process-default backend first, so a figure's internally built
-    packet-default config keys (and runs) under ``--backend flow`` without
-    the figure code knowing backends exist.
-    """
-    cfg = apply_default_backend(cfg)
-    key = cfg.cache_key()
-    result = cache.get(key)
-    if result is not None:
-        return result
-    store = get_store()
-    if store is not None:
-        result = store.get(cfg)
-    if result is None:
-        result = run(cfg)
-        if store is not None:
-            store.put(cfg, result)
-    cache.put(key, result)
-    return result
+def _cache_for(cfg: Any) -> LRUCache:
+    return _INCAST_CACHE if isinstance(cfg, IncastConfig) else _DC_CACHE
 
 
 def peek_cached(cfg: Any) -> Optional[Any]:
     """The cached result for ``cfg`` if any tier holds it; never simulates.
 
-    A store hit is promoted into the memory LRU so later ``run_*_cached``
-    calls skip the disk read.
+    Both tiers key on ``cfg.cache_key()`` (the canonical content hash) of
+    the config normalized to the process-default backend, so a result
+    computed under one spelling of a config hits under any equal spelling,
+    in this process or a later one, and a figure's packet-default config
+    finds its ``--backend flow`` result.  A store hit is promoted into the
+    memory LRU so later calls skip the disk read.
     """
     cfg = apply_default_backend(cfg)
-    cache = _INCAST_CACHE if isinstance(cfg, IncastConfig) else _DC_CACHE
-    key = cfg.cache_key()
+    cache, key = _cache_for(cfg), cfg.cache_key()
     result = cache.get(key)
-    if result is not None:
-        return result
     store = get_store()
-    if store is not None:
+    if result is None and store is not None:
         result = store.get(cfg)
         if result is not None:
             cache.put(key, result)
@@ -715,105 +695,33 @@ def peek_cached(cfg: Any) -> Optional[Any]:
 
 
 def seed_result_caches(cfg: Any, result: Any) -> None:
-    """Inject an externally computed result (e.g. from a worker process).
-
-    The campaign runner fans simulations out to a process pool; the parent
-    seeds its own LRU and the store with the returned results so figure
-    rendering afterwards is pure cache hits.
-    """
+    """Write a fresh result (simulated here or in a campaign worker) through
+    both tiers, so the next campaign or ``run_*_cached`` call is a hit."""
     cfg = apply_default_backend(cfg)
-    cache = _INCAST_CACHE if isinstance(cfg, IncastConfig) else _DC_CACHE
-    cache.put(cfg.cache_key(), result)
+    _cache_for(cfg).put(cfg.cache_key(), result)
     store = get_store()
     if store is not None and cfg not in store:
         store.put(cfg, result)
 
 
+def _run_cached(run: Callable[[Any], Any], cfg: Any) -> Any:
+    """Memory LRU -> persistent store -> simulate, writing through both."""
+    result = peek_cached(cfg)
+    if result is None:
+        result = run(apply_default_backend(cfg))
+        seed_result_caches(cfg, result)
+    return result
+
+
 def run_incast_cached(cfg: IncastConfig) -> IncastResult:
-    return _run_cached(_INCAST_CACHE, run_incast, cfg)
+    return _run_cached(run_incast, cfg)
 
 
 def run_datacenter_cached(cfg: DatacenterConfig) -> DatacenterResult:
-    return _run_cached(_DC_CACHE, run_datacenter, cfg)
+    return _run_cached(run_datacenter, cfg)
 
 
 def clear_caches() -> None:
     """Drop cached results (benchmarks measuring cold runs call this)."""
     _INCAST_CACHE.clear()
     _DC_CACHE.clear()
-
-
-# ---------------------------------------------------------------------------
-# Retry and partial-result salvage (sweep hardening)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunFailure:
-    """One run that kept failing after every retry, as a structured report."""
-
-    key: Any
-    error: str
-    attempts: int
-
-
-def run_with_retry(
-    fn: Callable[..., Any],
-    *args: Any,
-    retries: int = 1,
-    backoff_s: float = 0.0,
-    sleep: Callable[[float], None] = time.sleep,
-    **kwargs: Any,
-) -> Any:
-    """Call ``fn`` with up to ``retries`` retries and exponential backoff.
-
-    The sleep after attempt *k* (1-based) is ``backoff_s * 2**(k-1)``;
-    ``sleep`` is injectable so tests never actually wait.  The final failure
-    propagates unchanged.
-    """
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            return fn(*args, **kwargs)
-        except Exception:
-            if attempt > retries:
-                raise
-            if backoff_s > 0.0:
-                sleep(backoff_s * 2.0 ** (attempt - 1))
-
-
-def salvage_runs(
-    keys: Iterable[Any],
-    fn: Callable[[Any], Any],
-    *,
-    retries: int = 1,
-    backoff_s: float = 0.0,
-    sleep: Callable[[float], None] = time.sleep,
-) -> Tuple[List[Tuple[Any, Any]], List[RunFailure]]:
-    """Run ``fn(key)`` for each key, salvaging what succeeds.
-
-    Returns ``(successes, failures)``: successes as ``(key, result)`` pairs
-    in input order, failures as :class:`RunFailure` reports.  A run that
-    raises is retried ``retries`` times before being written off — so one
-    pathological seed cannot sink a whole sweep.
-    """
-    successes: List[Tuple[Any, Any]] = []
-    failures: List[RunFailure] = []
-    for key in keys:
-        try:
-            successes.append(
-                (key, run_with_retry(fn, key, retries=retries,
-                                     backoff_s=backoff_s, sleep=sleep))
-            )
-        except Exception as exc:
-            failures.append(
-                RunFailure(
-                    key=key,
-                    error=f"{type(exc).__name__}: {exc}",
-                    attempts=retries + 1,
-                )
-            )
-    return successes, failures

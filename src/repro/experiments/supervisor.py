@@ -68,8 +68,14 @@ from ..obs import registry as obs_registry
 from ..obs import telemetry as obs_telemetry
 from ..obs import tracer as obs_tracer
 from ..sim.network import RunBudget
-from .config import IncastConfig, get_default_backend, set_default_backend
-from .parallel import AnyConfig, CampaignOutcome, CampaignStats, _run_config_timed
+from .config import IncastConfig, apply_default_backend, get_default_backend, set_default_backend
+from .parallel import (
+    AnyConfig,
+    CampaignOutcome,
+    CampaignStats,
+    _describe,
+    _run_config_timed,
+)
 from .runner import (
     get_default_budget,
     peek_cached,
@@ -96,12 +102,6 @@ STATUS_QUARANTINED = "quarantined"  # written off as poison; replayable report
 STATUS_LOST = "lost"  # no result, not poison (worker loss budget / interrupt)
 
 TERMINAL_STATUSES = (STATUS_OK, STATUS_RETRIED, STATUS_SALVAGED, STATUS_QUARANTINED)
-
-
-def _describe(cfg: Any) -> str:
-    """Progress label for a config (anything with cache_key() is runnable)."""
-    describe = getattr(cfg, "describe", None)
-    return describe() if callable(describe) else type(cfg).__name__
 
 
 def _analytics_suffix(live: Optional[Dict[str, Any]]) -> str:
@@ -634,6 +634,8 @@ def run_supervised(
     stats = CampaignStats(requested=len(configs), jobs=jobs)
     unique: Dict[str, AnyConfig] = {}
     for cfg in configs:
+        # Keyed as Results looks them up: on the backend the run will use.
+        cfg = apply_default_backend(cfg)
         unique.setdefault(cfg.cache_key(), cfg)
     stats.unique = len(unique)
 

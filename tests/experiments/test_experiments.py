@@ -175,12 +175,16 @@ class TestCli:
     def test_profile_line_names_the_calendar(self, capsys, monkeypatch):
         from repro.sim import calendar
 
-        assert cli_main(["--fig", "7", "--profile"]) == 0
+        # The campaign's line is the one [profile] line: reducing a figure
+        # simulates nothing.
+        argv = ["--fig", "8", "--backend", "flow", "--no-store", "--profile"]
+        assert cli_main(argv) == 0
         (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[profile]")]
+        assert line.startswith("[profile] campaign: events=")
         assert line.endswith("calendar=native" if calendar.NATIVE else ")")
         monkeypatch.setattr(calendar, "NATIVE", False)
         monkeypatch.setattr(calendar, "FALLBACK_REASON", "FileNotFoundError: no cc")
-        assert cli_main(["--fig", "7", "--profile"]) == 0
+        assert cli_main(argv) == 0
         assert "calendar=heapq (FileNotFoundError: no cc)" in capsys.readouterr().out
 
     def test_unknown_figure(self, capsys):

@@ -1,10 +1,10 @@
 """Cold start: ``import repro.experiments.cli`` loads no optional heavyweight.
 
-scipy, networkx and http.server each have exactly one user (the fig-4 ODE
-cross-check, the device-graph helper and its no-path error, the
-``--metrics-port`` server); they are imported there, so every CLI start,
-campaign worker and ledger child skips ~900 modules.  ``concurrent.futures``
-has no user at all since the supervisor became the only campaign executor.
+scipy and http.server each have exactly one user (the fig-4 ODE
+cross-check, the ``--metrics-port`` server); they are imported there, so
+every CLI start, campaign worker and ledger child skips ~900 modules.
+networkx (a test-only oracle for routing) and ``concurrent.futures`` have
+no user in ``src/`` at all.
 A module-level import sneaking back in fails this test, not a benchmark
 three PRs later.
 
@@ -34,20 +34,6 @@ from repro.core.fluid_model import FluidModelParams, integrate_numerically
 t, per_rtt, sampling = integrate_numerically(1e4, FluidModelParams(), n_points=5)
 assert t.shape == (5,) and per_rtt.shape == (5, 2) and sampling.shape == (5, 2)
 assert "scipy" in sys.modules
-
-from repro.sim.routing import build_device_graph, path_hop_count
-
-adjacency = {0: [1], 1: [0], 2: []}
-assert build_device_graph(adjacency).number_of_edges() == 1
-assert path_hop_count(adjacency, 0, 1) == 1
-import networkx
-
-try:
-    path_hop_count(adjacency, 0, 2)
-except networkx.NetworkXNoPath as exc:
-    assert "no path 0 -> 2" in str(exc)
-else:
-    raise AssertionError("unreachable node did not raise NetworkXNoPath")
 
 from repro.obs.exporter import MetricsServer
 

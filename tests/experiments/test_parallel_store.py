@@ -21,13 +21,9 @@ from repro.experiments.config import (
     scaled_incast,
     set_default_backend,
 )
-from repro.experiments.figures import ALL_FIGURES, fig8
-from repro.experiments.parallel import (
-    campaign_for_figures,
-    figure_configs,
-    run_campaign,
-    run_config,
-)
+from repro.experiments.extensions import ALL_EXTENSIONS
+from repro.experiments.figures import ALL_FIGURES
+from repro.experiments.parallel import Results, run_campaign, run_config
 from repro.experiments.store import ResultStore, set_store
 from repro.experiments.supervisor import (
     STATUS_OK,
@@ -225,32 +221,62 @@ def test_jobs_must_be_positive():
 
 
 # ---------------------------------------------------------------------------
-# Figure -> config registry
+# Figure and extension declarations
 # ---------------------------------------------------------------------------
 
-
-def test_every_figure_has_a_config_entry():
-    for fig_id in ALL_FIGURES:
-        configs = figure_configs(fig_id)
-        assert isinstance(configs, list)
-        for cfg in configs:
-            assert hasattr(cfg, "cache_key")
-    # Figures 4 (fluid model) and 7 (topology) run no simulations.
-    assert figure_configs("4") == [] and figure_configs("7") == []
-    # Paper scale swaps presets, not shapes.
-    assert len(figure_configs("10", "paper")) == len(figure_configs("10"))
+ENTRIES = {f"figure-{k}": v for k, v in ALL_FIGURES.items()}
+ENTRIES.update({f"extension-{k}": v for k, v in ALL_EXTENSIONS.items()})
 
 
-def test_campaign_prefetch_fully_covers_fig8():
-    run_campaign(figure_configs("8"), jobs=1)
+@pytest.fixture(scope="module")
+def canned_results():
+    """One small real result per config family, served for every config.
+
+    The declared fat-tree and fault runs take tens of seconds; what is
+    checked here is the wiring, not the numbers (the figure goldens check
+    those), so every campaign below hands back one of these.
+    """
+    return {
+        "IncastConfig": run_config(scaled_incast("hpcc", 4)),
+        "DatacenterConfig": run_config(scaled_datacenter("hpcc", duration_ns=ms(0.2))),
+    }
+
+
+@pytest.mark.parametrize("entry_id", sorted(ENTRIES))
+def test_entry_reduces_only_declared_configs(
+    entry_id, canned_results, monkeypatch
+):
+    """An entry's reduce reads only configs it declared, and the campaign
+    over its declaration leaves the reduce nothing to simulate."""
+    entry = ENTRIES[entry_id]
+    configs = entry.configs("scaled")
+    assert all(hasattr(cfg, "cache_key") for cfg in configs)
+    assert (configs == []) == (entry_id in ("figure-4", "figure-7"))
+    if entry_id.startswith("figure-"):  # paper scale swaps presets, not shapes
+        assert len(entry.configs("paper")) == len(configs)
+    monkeypatch.setattr(
+        "repro.experiments.parallel.run_config",
+        lambda cfg: canned_results[type(cfg).__name__],
+    )
+    outcome = run_campaign(configs, jobs=1)
+    assert outcome.stats.executed == outcome.stats.unique
+    runner.clear_caches()  # the reduce must read the outcome, not the caches
     before = engine.total_events_executed()
-    result = fig8(scale="scaled")
-    assert engine.total_events_executed() == before  # pure cache hits
-    assert set(result.tables) == {"hpcc", "hpcc-vai-sf"}
+    figure = entry.reduce("scaled", Results(outcome, configs))
+    assert engine.total_events_executed() == before
+    assert figure.tables
+
+
+def test_a_lookup_outside_the_declaration_raises():
+    outcome = run_campaign([CFG], jobs=1)
+    runs = Results(outcome, [CFG])
+    assert runs[CFG] is outcome.result_for(CFG)
+    with pytest.raises(LookupError, match="not among the declared configs"):
+        runs[scaled_incast("swift", 5)]
 
 
 def test_figure_pairs_share_simulations():
-    union = campaign_for_figures(["1", "2", "3"])
+    union = [cfg for fig in ("1", "2", "3") for cfg in ALL_FIGURES[fig].configs("scaled")]
     outcome = run_campaign(union, jobs=1)
     # figs 2 and 3 are subsets of fig 1's six incast runs
     assert outcome.stats.unique == 6

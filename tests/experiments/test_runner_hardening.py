@@ -1,12 +1,13 @@
 """Tests for the hardened experiment runner: LRU caches, watchdog budgets,
-retry with backoff, partial-result salvage, and the incomplete-run registry."""
+partial sweep results, the incomplete-run registry, and the CLI's exits."""
+
+from dataclasses import dataclass, replace
 
 import pytest
 
 from repro.experiments import (
     FaultConfig,
     LRUCache,
-    RunFailure,
     WatchdogExpired,
     clear_caches,
     drain_incomplete_runs,
@@ -14,13 +15,13 @@ from repro.experiments import (
     incast_seed_sweep,
     run_incast,
     run_incast_cached,
-    run_with_retry,
-    salvage_runs,
     set_default_budget,
     with_seed,
 )
 from repro.experiments.cli import main as cli_main
 from repro.experiments.config import IncastConfig
+from repro.experiments.figures import Entry, FigureResult
+from repro.experiments.store import config_key
 from repro.sim.network import RunBudget
 from repro.units import us
 
@@ -147,82 +148,16 @@ class TestIncompleteRunRegistry:
         assert drain_incomplete_runs() == []
 
 
-class TestRunWithRetry:
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            run_with_retry(lambda: None, retries=-1)
-
-    def test_success_after_failures_with_backoff(self):
-        calls, naps = [], []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise RuntimeError("transient")
-            return "ok"
-
-        out = run_with_retry(
-            flaky, retries=5, backoff_s=0.1, sleep=naps.append
-        )
-        assert out == "ok"
-        assert len(calls) == 3
-        assert naps == [0.1, 0.2]  # exponential backoff between attempts
-
-    def test_exhausted_retries_propagate(self):
-        def always_fails():
-            raise ValueError("permanent")
-
-        with pytest.raises(ValueError, match="permanent"):
-            run_with_retry(always_fails, retries=2, sleep=lambda s: None)
-
-    def test_kwargs_forwarded(self):
-        assert run_with_retry(lambda x, y=0: x + y, 1, y=2, retries=0) == 3
-
-
-class TestSalvageRuns:
-    def test_mixed_success_and_failure(self):
-        def run(key):
-            if key == "bad":
-                raise RuntimeError("boom")
-            return key.upper()
-
-        successes, failures = salvage_runs(
-            ["a", "bad", "b"], run, retries=1, sleep=lambda s: None
-        )
-        assert successes == [("a", "A"), ("b", "B")]
-        assert len(failures) == 1
-        f = failures[0]
-        assert isinstance(f, RunFailure)
-        assert f.key == "bad"
-        assert f.attempts == 2  # first try + one retry
-        assert "RuntimeError: boom" in f.error
-
-    def test_all_succeed(self):
-        successes, failures = salvage_runs([1, 2], lambda k: k * 10)
-        assert successes == [(1, 10), (2, 20)]
-        assert failures == []
-
-
 class TestSweepSalvage:
     def test_bad_seed_reported_others_aggregated(self):
-        """One always-raising seed is retried, reported, and excluded;
-        the sweep still returns aggregates over the surviving seeds."""
-        base = tiny_incast()
-        attempts = {"count": 0}
-
-        def run(cfg):
-            if cfg.seed == 13:
-                attempts["count"] += 1
-                raise RuntimeError("cursed seed")
-            return run_incast_cached(cfg)
-
-        outcome = incast_seed_sweep(base, [1, 13, 2], retries=2, run=run)
+        """A seed whose run always raises is quarantined and reported; the
+        sweep still returns aggregates over the surviving seeds."""
+        outcome = incast_seed_sweep(CursedSeedIncast(), [1, 13, 2])
         assert outcome.n_succeeded == 2
         assert outcome.n_failed == 1
-        assert attempts["count"] == 3  # first try + 2 retries
-        failure = outcome.failures[0]
-        assert failure.key == 13
-        assert "cursed seed" in failure.error
+        ((seed, error),) = outcome.failures
+        assert seed == 13
+        assert "ValueError: cursed seed" in error
         # Aggregates exist and cover the two good seeds.
         assert outcome["finish_spread_ns"].n == 2
 
@@ -231,6 +166,29 @@ class TestSweepSalvage:
         outcome = incast_seed_sweep(base, [1, 2])
         assert set(outcome) >= {"convergence_ns", "finish_spread_ns"}
         assert outcome.n_failed == 0
+
+
+@dataclass(frozen=True)
+class CursedSeedIncast:
+    """A sweepable config whose seed 13 always raises (a poison run)."""
+
+    seed: int = 1
+
+    def cache_key(self) -> str:
+        return config_key(self)
+
+    def describe(self) -> str:
+        return f"cursed-incast seed={self.seed}"
+
+    def run_self(self):
+        if self.seed == 13:
+            raise ValueError("cursed seed")
+        return run_incast(replace(tiny_incast(), seed=self.seed))
+
+
+def _fake(reduce, *configs) -> Entry:
+    """A test entry declaring ``configs`` and reducing with ``reduce``."""
+    return Entry(lambda scale: list(configs), reduce)
 
 
 class TestFaultyConfigsCacheAndRun:
@@ -252,14 +210,11 @@ class TestCliHardening:
         clear message, instead of silently rendering partial results."""
         from repro.experiments import figures
 
-        def fake_fig(scale="scaled"):
-            run_incast(tiny_incast(timeout_ns=us(10.0)))
-            return figures.FigureResult(
-                figure="99", title="fake", description="", lines=["x"]
-            )
-
-        monkeypatch.setitem(figures.ALL_FIGURES, "99", fake_fig)
-        rc = cli_main(["--fig", "99"])
+        cfg = tiny_incast(timeout_ns=us(10.0))
+        fake = _fake(lambda scale, runs: FigureResult("99", str(runs[cfg].all_completed)), cfg)
+        monkeypatch.setitem(figures.ALL_FIGURES, "99", fake)
+        clear_caches()
+        rc = cli_main(["--fig", "99", "--no-store"])
         captured = capsys.readouterr()
         assert rc == 1
         assert "incomplete" in captured.err
@@ -303,11 +258,11 @@ class TestCliHardening:
 
         calls = []
 
-        def doomed(scale="scaled"):
+        def doomed(scale, runs):
             calls.append(1)
             raise RuntimeError("no such figure data")
 
-        monkeypatch.setitem(figures.ALL_FIGURES, "99", doomed)
+        monkeypatch.setitem(figures.ALL_FIGURES, "99", _fake(doomed))
         rc = cli_main(["--fig", "99"])
         captured = capsys.readouterr()
         assert rc == 1
@@ -337,18 +292,18 @@ class TestCliHardening:
 
         calls = []
 
-        def fake_fig(scale="scaled"):
+        def fake_fig(scale, runs):
             calls.append("98")
             assert get_default_backend() == "flow" and probe.PROBE is not None
-            run_incast(tiny_incast())
+            assert runs[tiny_incast()].config.backend == "flow"
             return figures.FigureResult(figure="98", title="fake")
 
-        def doomed(scale="scaled"):
+        def doomed(scale, runs):
             calls.append("99")
             raise RuntimeError("no such figure data")
 
-        monkeypatch.setitem(figures.ALL_FIGURES, "98", fake_fig)
-        monkeypatch.setitem(figures.ALL_FIGURES, "99", doomed)
+        monkeypatch.setitem(figures.ALL_FIGURES, "98", _fake(fake_fig, tiny_incast()))
+        monkeypatch.setitem(figures.ALL_FIGURES, "99", _fake(doomed))
         outer_store = ResultStore(tmp_path / "outer")
         outer_budget = RunBudget(max_events=10**9)
         set_store(outer_store)
@@ -373,21 +328,25 @@ class TestCliHardening:
             clear_caches()
 
     def test_budget_flags_install_watchdog(self, capsys, monkeypatch):
-        """--budget-events propagates to the run and aborts it."""
+        """--budget-events propagates to the run and aborts it; the figure
+        that needed the run fails naming it, and nothing re-runs it."""
         from repro.experiments import figures
 
-        def fake_fig(scale="scaled"):
-            run_incast(tiny_incast())
-            return figures.FigureResult(
-                figure="99", title="fake", description="", lines=["x"]
-            )
-
-        monkeypatch.setitem(figures.ALL_FIGURES, "99", fake_fig)
+        cfg = tiny_incast()
+        fake = _fake(lambda scale, runs: runs[cfg], cfg)
+        monkeypatch.setitem(figures.ALL_FIGURES, "99", fake)
+        clear_caches()
         try:
-            rc = cli_main(["--fig", "99", "--budget-events", "500"])
+            rc = cli_main(
+                ["--fig", "99", "--no-store", "--budget-events", "500", "--max-attempts", "1"]
+            )
             captured = capsys.readouterr()
             assert rc == 1
-            assert "WatchdogExpired" in captured.err
+            assert "[supervisor] per-config statuses: 1 quarantined" in captured.out
+            assert (
+                f"figure 99 failed: LookupError: no result for {cfg.describe()}: "
+                "WatchdogExpired" in captured.err
+            )
         finally:
             set_default_budget(None)
             drain_incomplete_runs()

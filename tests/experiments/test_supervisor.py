@@ -29,7 +29,7 @@ from repro import probe
 from repro.check.differential import fct_digest
 from repro.experiments import runner
 from repro.experiments.config import scaled_incast
-from repro.experiments.parallel import run_config
+from repro.experiments.parallel import run_campaign, run_config
 from repro.experiments.store import ResultStore, config_key, set_store
 from repro.experiments.supervisor import (
     STATUS_LOST,
@@ -647,14 +647,15 @@ class TestInterrupts:
 
 
 # ---------------------------------------------------------------------------
-# salvage_runs edge cases (satellite)
+# Store edge cases under run_campaign
 # ---------------------------------------------------------------------------
 
 
 class TestSalvageEdgeCases:
     def test_empty_keys_is_a_clean_noop(self):
-        successes, failures = runner.salvage_runs([], lambda k: k)
-        assert successes == [] and failures == []
+        outcome = run_campaign([])
+        assert outcome.results == {} and outcome.failures == []
+        assert outcome.stats.unique == 0
 
     def test_vanished_store_blob_resimulates(self, tmp_path):
         cfg = scaled_incast("swift", 4)
@@ -663,23 +664,19 @@ class TestSalvageEdgeCases:
         first = runner.run_incast_cached(cfg)
         store.path_for(cfg).unlink()  # the blob vanishes out from under us
         runner.clear_caches()
-        successes, failures = runner.salvage_runs(
-            [cfg], runner.run_incast_cached
-        )
-        assert not failures
-        ((_, result),) = successes
-        assert fct_digest(result) == fct_digest(first)
+        outcome = run_campaign([cfg])
+        assert not outcome.failures
+        assert outcome.stats.executed == 1
+        assert fct_digest(outcome.results[cfg.cache_key()]) == fct_digest(first)
 
     def test_fingerprint_change_is_a_miss_not_a_failure(self, tmp_path):
         cfg = scaled_incast("swift", 4)
         old_store = ResultStore(tmp_path, fingerprint="aaaaaaaaaaaa")
         old_store.put(cfg, "stale physics from old code")
         set_store(ResultStore(tmp_path))  # current fingerprint namespace
-        successes, failures = runner.salvage_runs(
-            [cfg], runner.run_incast_cached
-        )
-        assert not failures
-        ((_, result),) = successes
+        outcome = run_campaign([cfg])
+        assert not outcome.failures
+        result = outcome.results[cfg.cache_key()]
         assert result != "stale physics from old code"
         assert result.flows  # a real, fresh simulation
 

@@ -103,3 +103,30 @@ class TestExtensions:
 
     def test_cli_unknown_ext(self):
         assert cli_main(["--ext", "nope"]) == 2
+
+    def test_cli_refuses_paper_scale_extensions(self, capsys, tmp_path):
+        """Extensions have scaled presets only: ``--scale paper`` is a usage
+        error before anything runs, not a silently scaled run."""
+        store = tmp_path / "store"
+        rc = cli_main(["--ext", "generality", "--scale", "paper", "--store", str(store)])
+        assert rc == 2
+        assert "scaled presets only" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_cli_ext_runs_its_configs_in_the_campaign(self, capsys):
+        """An extension's configs go through the CLI's campaign (here across
+        two workers) like a figure's; its reduce then simulates nothing."""
+        from repro.experiments import runner
+
+        runner.clear_caches()
+        try:
+            rc = cli_main(
+                ["--backend", "flow", "--no-store", "--ext", "generality", "--jobs", "2"]
+            )
+        finally:
+            runner.clear_caches()
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "[campaign] 8 config(s), 8 unique: 0 cached, 8 simulated (jobs=2" in out
+        assert "[supervisor] per-config statuses: 8 ok" in out
+        assert "ext-generality" in out

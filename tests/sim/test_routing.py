@@ -1,16 +1,23 @@
-"""Tests for BFS distances and ECMP next-hop computation."""
+"""Tests for BFS distances and ECMP next-hop computation.
+
+networkx is the independent oracle for the distances.
+"""
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.routing import (
-    bfs_distances,
-    build_device_graph,
-    ecmp_next_hops,
-    path_hop_count,
-)
+from repro.sim.network import Network
+from repro.sim.routing import bfs_distances, next_hops
+from repro.units import us
+
+
+def ecmp_next_hops(adjacency, destination):
+    """Every node's ECMP group toward ``destination`` (nodes with one)."""
+    dist = bfs_distances(adjacency, destination)
+    groups = {node: next_hops(adjacency, dist, node) for node in dist}
+    return {node: hops for node, hops in groups.items() if hops}
 
 
 def line_graph(n):
@@ -34,7 +41,7 @@ class TestBfs:
 
     def test_matches_networkx(self):
         adj = diamond()
-        g = build_device_graph(adj)
+        g = nx.Graph([(a, b) for a, peers in adj.items() for b in peers])
         for src in adj:
             ours = bfs_distances(adj, src)
             theirs = nx.shortest_path_length(g, src)
@@ -68,12 +75,17 @@ class TestEcmp:
 
 class TestPathHopCount:
     def test_simple(self):
-        assert path_hop_count(line_graph(4), 0, 3) == 3
+        net = Network()
+        h0, s1, s2, h3 = net.add_host(), net.add_switch(), net.add_switch(), net.add_host()
+        for a, b in ((h0, s1), (s1, s2), (s2, h3)):
+            net.connect(a, b, rate_bps=10e9, prop_delay_ns=us(1.0))
+        assert net.hop_count(h0.node_id, h3.node_id) == 3
 
     def test_no_path_raises(self):
-        adj = {0: [], 1: []}
-        with pytest.raises(nx.NetworkXNoPath):
-            path_hop_count(adj, 0, 1)
+        net = Network()
+        a, b = net.add_host(), net.add_host()
+        with pytest.raises(KeyError):
+            net.hop_count(a.node_id, b.node_id)
 
 
 class TestEcmpProperties:
