@@ -19,9 +19,10 @@ Two cooperating facilities:
   ``--jobs N`` campaigns, store-cold vs. store-warm, obs on vs. off.
 
 Only :mod:`invariants` is imported eagerly: it is stdlib-only, so the sim
-core can import it without cycles.  ``differential`` (which pulls in the
-experiments layer) and ``selftest`` (which builds networks) are imported on
-demand by the CLI and tests.
+core can import it without cycles.  ``differential`` and ``claims`` (the
+paper-claims scoreboard; both pull in the experiments layer) and
+``selftest`` (which builds networks) are imported on demand by the CLI and
+tests.
 """
 
 from . import invariants

@@ -659,8 +659,9 @@ def check_main(argv: List[str]) -> int:
     Verbs: ``run`` (a reference preset under the sanitizer), ``digest``
     (canonical flow-completion digest, repeatable for determinism gating),
     ``selftest`` (inject a known violation; must die), ``differential``
-    (fused/unfused x serial/parallel x store x obs equivalence matrix), and
-    ``chaos`` (fault-injected supervised campaign vs fault-free digests).
+    (fused/unfused x serial/parallel x store x obs equivalence matrix),
+    ``chaos`` (fault-injected supervised campaign vs fault-free digests), and
+    ``claims`` (the paper-claims scoreboard, :mod:`repro.check.claims`).
     """
     parser = argparse.ArgumentParser(
         prog="repro-experiments check",
@@ -792,7 +793,35 @@ def check_main(argv: List[str]) -> int:
             "backend-agnostic (default: packet)"
         ),
     )
+    cl = sub.add_parser(
+        "claims",
+        help=(
+            "run every paper claim's configs as one campaign and print the "
+            "scoreboard; exit 1 if any claim fails"
+        ),
+    )
+    cl.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes for the campaign (default: 1, in-process)",
+    )
     args = parser.parse_args(argv)
+    if args.verb == "claims":
+        if args.jobs < 1:
+            parser.error("--jobs must be >= 1")
+        from ..check import claims
+
+        try:
+            outcome = run_campaign(claims.campaign(claims.CLAIMS), jobs=args.jobs)
+        except CampaignIncomplete as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        print(f"[campaign] {outcome.stats.summary()}")
+        rows = claims.evaluate(claims.CLAIMS, outcome)
+        print(claims.render(rows))
+        return 0 if all(row.ok for row in rows) else 1
     # Imported here, not at module top: differential pulls in the whole
     # experiments stack and is only needed by this subcommand.
     from ..check import differential
@@ -956,6 +985,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 2
     if exts and args.scale != "scaled":
         print("error: extensions run the scaled presets only", file=sys.stderr)
+        return 2
+    if "failure-sweep" in exts and args.backend != "packet":
+        print(
+            f"error: --ext failure-sweep injects packet-level faults, which "
+            f"--backend {args.backend} cannot model",
+            file=sys.stderr,
+        )
         return 2
     backend, store, budget = get_default_backend(), get_store(), get_default_budget()
     registry_was_on = obs_registry.enabled()

@@ -6,7 +6,7 @@ Two preset families:
   incast at 100 Gbps; 320-host fat-tree at 50% load for 50 ms).  Running
   these in pure Python takes hours; they exist so the harness can be pointed
   at full scale on a big machine (``repro-experiments --scale paper``).
-* ``scaled_*`` — shape-preserving reductions used by the benchmark suite:
+* ``scaled_*`` — shape-preserving reductions used by the figures and claims:
   smaller incast degree and a 16-host fat-tree at 10/40 Gbps with flow sizes
   scaled by 0.1 (the BDP shrinks by roughly the same factor, so
   "long flow" stays long relative to the pipe).  EXPERIMENTS.md records the

@@ -113,7 +113,11 @@ def _incasts(variants: Sequence[str], *, large: bool = False) -> Callable[[str],
 def _incast_summary_rows(results: Sequence[IncastResult]) -> List[tuple]:
     rows = []
     for r in results:
-        conv = ns_to_us(r.convergence_ns) if r.convergence_ns is not None else None
+        conv = (
+            ns_to_us(r.convergence_ns - r.last_start_ns)
+            if r.convergence_ns is not None
+            else None
+        )
         rows.append(
             (
                 r.config.variant,

@@ -722,6 +722,6 @@ def run_datacenter_cached(cfg: DatacenterConfig) -> DatacenterResult:
 
 
 def clear_caches() -> None:
-    """Drop cached results (benchmarks measuring cold runs call this)."""
+    """Drop cached results (timing tests measuring cold runs call this)."""
     _INCAST_CACHE.clear()
     _DC_CACHE.clear()

@@ -69,7 +69,7 @@ from .calendar import Calendar, heappop, heappush
 _COMPACT_MIN_CANCELLED = 64
 
 #: Process-wide executed-event total, across all Simulator instances (the
-#: benchmark harness and ``--profile`` read this to derive events/second).
+#: the perf ledger and ``--profile`` read this to derive events/second).
 _TOTAL_EVENTS_EXECUTED = 0
 
 

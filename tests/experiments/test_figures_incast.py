@@ -6,9 +6,15 @@ process-wide cache, so they add little runtime.
 
 import pytest
 
-from repro.experiments.config import SCALED_LARGE_INCAST
+from repro.experiments import run_incast_cached, scaled_incast
+from repro.experiments.config import (
+    FIG1_HPCC_VARIANTS,
+    FIG1_SWIFT_VARIANTS,
+    SCALED_LARGE_INCAST,
+)
 from repro.experiments.figures import fig1, fig2, fig3, fig5, fig6, fig8, fig9
 from repro.experiments.reporting import render
+from repro.units import ns_to_us
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +72,15 @@ class TestFigureStructure:
             for name, rows in figures[fig_id].tables.items():
                 if name.endswith("summary"):
                     assert all(row[-1] for row in rows), (fig_id, name)
+
+    def test_convergence_column_counts_from_the_last_start(self, figures):
+        """The summary's convergence column is what its header says: time
+        past the last flow's start, not since t = 0."""
+        for prefix, variants in (("hpcc", FIG1_HPCC_VARIANTS), ("swift", FIG1_SWIFT_VARIANTS)):
+            for row, variant in zip(figures["1"].tables[f"{prefix}/summary"], variants):
+                r = run_incast_cached(scaled_incast(variant))
+                assert row[0] == variant
+                assert row[1] == round(ns_to_us(r.convergence_ns - r.last_start_ns), 1)
 
     def test_render_every_figure(self, figures):
         for fig_id, fig in figures.items():

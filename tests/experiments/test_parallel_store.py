@@ -242,6 +242,21 @@ def canned_results():
     }
 
 
+_DC = dict.fromkeys(("hpcc", "hpcc-vai-sf", "swift", "swift-vai-sf"))
+#: The tables (and, where the declaration fixes it, the row count) an entry
+#: renders; the figure goldens pin the rest.
+TABLES = {
+    "figure-2": dict.fromkeys(("hpcc", "hpcc-1gbps", "hpcc-prob")),
+    "figure-3": dict.fromkeys(("swift", "swift-1gbps", "swift-prob")),
+    "figure-8": dict.fromkeys(("hpcc", "hpcc-vai-sf")),
+    "figure-9": dict.fromkeys(("swift", "swift-vai-sf")),
+    **{f"figure-{fig}": _DC for fig in (10, 11, 12, 13)},
+    "extension-generality": {"families": 4},
+    "extension-seed-variance": {"variance": 4},
+    "extension-load-sweep": {"hpcc": 3, "hpcc-vai-sf": 3},
+}
+
+
 @pytest.mark.parametrize("entry_id", sorted(ENTRIES))
 def test_entry_reduces_only_declared_configs(
     entry_id, canned_results, monkeypatch
@@ -265,6 +280,11 @@ def test_entry_reduces_only_declared_configs(
     figure = entry.reduce("scaled", Results(outcome, configs))
     assert engine.total_events_executed() == before
     assert figure.tables
+    expected = TABLES.get(entry_id)
+    if expected is not None:
+        assert set(figure.tables) == set(expected)
+        for name, rows in expected.items():
+            assert rows is None or len(figure.tables[name]) == rows, name
 
 
 def test_a_lookup_outside_the_declaration_raises():

@@ -113,6 +113,16 @@ class TestExtensions:
         assert "scaled presets only" in capsys.readouterr().err
         assert not store.exists()
 
+    @pytest.mark.parametrize("backend", ["flow", "hybrid"])
+    def test_cli_refuses_failure_sweep_off_the_packet_backend(self, backend, capsys, tmp_path):
+        """The failure sweep's drop-rate configs carry packet-level faults
+        that no fluid backend models: a usage error before anything runs."""
+        store = tmp_path / "store"
+        rc = cli_main(["--ext", "failure-sweep", "--backend", backend, "--store", str(store)])
+        assert rc == 2
+        assert "packet-level faults" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_cli_ext_runs_its_configs_in_the_campaign(self, capsys):
         """An extension's configs go through the CLI's campaign (here across
         two workers) like a figure's; its reduce then simulates nothing."""

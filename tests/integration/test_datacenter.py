@@ -1,7 +1,8 @@
 """Datacenter-trace integration tests (Figs. 10-13 shape, scaled down).
 
-These use a short 2 ms run so the suite stays fast; the full shape
-comparison lives in the benchmark harness (6 ms+) and EXPERIMENTS.md.
+These use a short 2 ms run so the suite stays fast; the 6 ms claims
+(tails, medians, size buckets) are rows of ``repro.check.claims``, run by
+``repro-experiments check claims`` and shown in EXPERIMENTS.md.
 """
 
 import numpy as np

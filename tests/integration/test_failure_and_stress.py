@@ -132,6 +132,17 @@ class TestPathologicalFlows:
         assert net.run_until_flows_complete(timeout_ns=us(1000))
         assert net.nodes[dst].receivers[0].received == 12_345
 
+    def test_greedy_2mb_flow_through_host_switch_host(self):
+        """2,000 packets through the whole datapath, one event each way."""
+        topo = build_star(1)
+        net = topo.network
+        src, dst = topo.hosts[0].node_id, topo.hosts[1].node_id
+        env = CCEnv(line_rate_bps=gbps(100), base_rtt_ns=net.path_rtt_ns(src, dst))
+        f = Flow(0, src, dst, 2_000_000, 0.0)
+        net.add_flow(f, Greedy(env))
+        assert net.run_until_flows_complete(timeout_ns=us(10_000))
+        assert net.sim.events_executed > 10_000
+
     def test_huge_flow_under_every_paper_variant(self):
         for variant in ("hpcc", "swift", "hpcc-vai-sf", "swift-vai-sf"):
             topo = build_star(1)

@@ -263,8 +263,8 @@ class TestScheduleDelivery:
 class TestOneInstrumentationSeam:
     """The hot paths know ``probe.PROBE`` and no plane.
 
-    Bytecode guards (moved here from ``benchmarks/``, which keeps the
-    timing halves): a plane's name, or a profiler symbol in the fast loop,
+    Bytecode guards (the timing halves are in
+    ``tests/integration/test_speed_floors.py``): a plane's name, or a profiler symbol in the fast loop,
     showing up in ``co_names`` means a second hook crept back in beside the
     seam.  The C-side twin is in ``tests/sim/test_calendar.py``.
     """
