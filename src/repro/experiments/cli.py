@@ -28,7 +28,6 @@ from typing import Any, List, Optional
 
 from ..check import invariants as check_invariants
 from ..obs import analytics as obs_analytics
-from ..obs import exporter as obs_exporter
 from ..obs import flightrec as obs_flightrec
 from ..obs import live as obs_live
 from ..obs import profiler as obs_profiler
@@ -36,7 +35,7 @@ from ..obs import registry as obs_registry
 from ..obs import stitch as obs_stitch
 from ..obs import telemetry as obs_telemetry
 from ..obs import tracer as obs_tracer
-from ..obs.report import render_flows, render_layer_diff, render_report, render_why
+from ..obs.report import flightrec_runs, render_flows, render_layer_diff, render_report, render_why
 from ..sim import calendar as sim_calendar
 from ..sim import engine
 from ..sim.network import RunBudget
@@ -287,41 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "with --profile-phases: also write collapsed-stack flamegraph "
-            "text (one 'a;b;c <usec>' line per stack; feed to flamegraph.pl "
-            "or speedscope)"
-        ),
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help=(
-            "write an OpenMetrics text snapshot of the instrumentation "
-            "registry (counters/gauges/histograms + campaign gauges) at "
-            "the end of the invocation"
-        ),
-    )
-    parser.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help=(
-            "serve live OpenMetrics on http://127.0.0.1:PORT/metrics for "
-            "the duration of the invocation (0 picks a free port)"
+            "write the phase profile as collapsed-stack flamegraph text "
+            "(one 'a;b;c <usec>' line per stack; feed to flamegraph.pl or "
+            "speedscope); implies --profile-phases"
         ),
     )
     return parser
-
-
-def _read_json(path: str, what: str) -> Optional[dict]:
-    """Load a JSON file, printing a uniform error on failure."""
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read {what} {path}: {exc}", file=sys.stderr)
-        return None
 
 
 def obs_diff_main(args: "argparse.Namespace") -> int:
@@ -359,31 +329,6 @@ def obs_top_main(args: "argparse.Namespace") -> int:
     return 0
 
 
-def obs_export_main(args: "argparse.Namespace") -> int:
-    """``obs export``: render a telemetry manifest as OpenMetrics text."""
-    manifest = _read_json(args.manifest, "manifest")
-    if manifest is None:
-        return 2
-    families = obs_exporter.manifest_families(manifest)
-    text = obs_exporter.render(families)
-    # Self-check: refuse to emit output our own strict parser rejects.
-    try:
-        obs_exporter.parse_openmetrics(text)
-    except ValueError as exc:  # pragma: no cover - guards exporter bugs
-        print(f"error: generated exposition is invalid: {exc}", file=sys.stderr)
-        return 1
-    if args.out is not None:
-        Path(args.out).write_text(text)
-        summary = obs_exporter.export_section(families)
-        print(
-            f"[export] {summary['families']} families, "
-            f"{summary['samples']} samples -> {args.out}"
-        )
-    else:
-        print(text, end="")
-    return 0
-
-
 def obs_stitch_main(args: "argparse.Namespace") -> int:
     """``obs stitch``: merge a campaign journal + trace shards into one trace."""
     try:
@@ -403,16 +348,18 @@ def obs_stitch_main(args: "argparse.Namespace") -> int:
 
 
 def _read_manifest(path: str) -> Optional[Any]:
-    """Load + schema-warn a telemetry manifest, or None on read failure."""
-    manifest = _read_json(path, "manifest")
-    if manifest is None:
+    """Load, schema-warn and upgrade a telemetry manifest (None if unreadable)."""
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: cannot read manifest {path}: {exc}", file=sys.stderr)
         return None
     errors = obs_telemetry.validate_manifest(manifest)
     if errors:
         print(f"warning: {path} fails schema validation:", file=sys.stderr)
         for err in errors[:5]:
             print(f"  - {err}", file=sys.stderr)
-    return manifest
+    return obs_telemetry.upgrade(manifest)
 
 
 def obs_why_main(args: "argparse.Namespace") -> int:
@@ -422,8 +369,6 @@ def obs_why_main(args: "argparse.Namespace") -> int:
         return 2
     text = render_why(manifest, args.flow, run_index=args.run)
     if text is None:
-        from ..obs.report import flightrec_runs
-
         runs = flightrec_runs(manifest)
         if not runs:
             print(
@@ -466,7 +411,7 @@ def obs_flows_main(args: "argparse.Namespace") -> int:
 
 
 def obs_main(argv: List[str]) -> int:
-    """``repro-experiments obs`` (report, diff, top, export, stitch, why, flows)."""
+    """``repro-experiments obs`` (report, diff, top, stitch, why, flows)."""
     parser = argparse.ArgumentParser(
         prog="repro-experiments obs",
         description="Inspect observability artifacts from past invocations.",
@@ -540,24 +485,6 @@ def obs_main(argv: List[str]) -> int:
         metavar="N",
         help="exit after N frames even if the campaign is still running",
     )
-    exp = sub.add_parser(
-        "export",
-        help=(
-            "render a telemetry manifest's counters, campaign stats, and "
-            "supervision outcome as OpenMetrics (Prometheus) text"
-        ),
-    )
-    exp.add_argument(
-        "manifest",
-        metavar="MANIFEST",
-        help="telemetry manifest JSON file written by --telemetry",
-    )
-    exp.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the exposition to PATH instead of stdout",
-    )
     sti = sub.add_parser(
         "stitch",
         help=(
@@ -630,12 +557,12 @@ def obs_main(argv: List[str]) -> int:
         help="show the K worst flows (default: 10)",
     )
     args = parser.parse_args(argv)
+    if args.verb == "flows" and args.top_tail < 1:
+        parser.error("--top-tail must be >= 1")
     if args.verb == "diff":
         return obs_diff_main(args)
     if args.verb == "top":
         return obs_top_main(args)
-    if args.verb == "export":
-        return obs_export_main(args)
     if args.verb == "stitch":
         return obs_stitch_main(args)
     if args.verb == "why":
@@ -723,7 +650,7 @@ def check_main(argv: List[str]) -> int:
         type=int,
         default=2,
         metavar="N",
-        help="worker processes for the serial-vs-parallel leg (default: 2)",
+        help="worker processes for the serial-vs-parallel leg, at least 2 (default: 2)",
     )
     di.add_argument(
         "--backends",
@@ -822,6 +749,11 @@ def check_main(argv: List[str]) -> int:
         rows = claims.evaluate(claims.CLAIMS, outcome)
         print(claims.render(rows))
         return 0 if all(row.ok for row in rows) else 1
+    if args.verb == "differential" and args.jobs < 2:
+        # --jobs 1 would compare an in-process campaign with an in-process one.
+        parser.error(
+            "check differential compares against worker processes: --jobs must be >= 2"
+        )
     # Imported here, not at module top: differential pulls in the whole
     # experiments stack and is only needed by this subcommand.
     from ..check import differential
@@ -837,6 +769,8 @@ def check_main(argv: List[str]) -> int:
         print(f"{differential.fct_digest(result)}  {cfg.describe()}")
         return 0
     if args.verb == "digest":
+        if args.runs < 1:
+            parser.error("--runs must be >= 1")
         digests = []
         for i in range(args.runs):
             digest = differential.digest_preset(args.preset)
@@ -994,7 +928,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
     backend, store, budget = get_default_backend(), get_store(), get_default_budget()
-    registry_was_on = obs_registry.enabled()
     try:
         return _run(args, argv, figs, exts)
     finally:
@@ -1007,10 +940,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             (args.sanitize, check_invariants),
             (args.flightrec, obs_flightrec),
             (args.trace_out is not None, obs_tracer),
-            (args.profile_phases, obs_profiler),
+            (args.profile_phases or args.flame_out is not None, obs_profiler),
             (args.analytics, obs_analytics),
             (args.telemetry is not None, obs_telemetry),
-            (args.telemetry is not None or not registry_was_on, obs_registry),
+            (args.telemetry is not None, obs_registry),
         ):
             if ours:
                 plane.disable()
@@ -1067,22 +1000,8 @@ def _run(args: "argparse.Namespace", argv: List[str], figs: List[str], exts: Lis
     if args.flightrec:
         recorder = obs_flightrec.enable()
     profiler = None
-    if args.profile_phases:
+    if args.profile_phases or args.flame_out is not None:
         profiler = obs_profiler.enable()
-    metrics_server = None
-    metrics_port_bound: Optional[int] = None
-    if args.metrics_out is not None or args.metrics_port is not None:
-        if not obs_registry.enabled():
-            obs_registry.enable()
-        if args.metrics_port is not None:
-            metrics_server = obs_exporter.MetricsServer(
-                port=args.metrics_port, producer=obs_exporter.render_registry
-            )
-            metrics_port_bound = metrics_server.start()
-            print(
-                "[metrics] serving OpenMetrics on "
-                f"http://127.0.0.1:{metrics_port_bound}/metrics"
-            )
     progress = None
     if collector is not None or analytics_agg is not None:
         def progress(message: str) -> None:
@@ -1208,17 +1127,6 @@ def _run(args: "argparse.Namespace", argv: List[str], figs: List[str], exts: Lis
             f"[profile] phases ({profile_section['mode']}): "
             f"{rendered or 'none recorded'}"
         )
-    export_info = None
-    if args.metrics_out is not None or metrics_server is not None:
-        families = obs_exporter.registry_families()
-        if args.metrics_out is not None:
-            obs_exporter.write_snapshot(args.metrics_out, families)
-            print(f"[metrics] snapshot -> {args.metrics_out}")
-        export_info = obs_exporter.export_section(families)
-        export_info["metrics_out"] = args.metrics_out
-        export_info["metrics_port"] = metrics_port_bound
-    if metrics_server is not None:
-        metrics_server.stop()
     if analytics_agg is not None and collector is None:
         # No manifest to carry the section — print it so the numbers are
         # not silently dropped.
@@ -1270,7 +1178,6 @@ def _run(args: "argparse.Namespace", argv: List[str], figs: List[str], exts: Lis
                 analytics_agg.section() if analytics_agg is not None else None
             ),
             profile=profile_section,
-            export=export_info,
             flightrec=(recorder.section() if recorder is not None else None),
         )
         errors = obs_telemetry.validate_manifest(manifest)

@@ -928,28 +928,6 @@ def run_supervised(
                 stats.workers_lost += 1
                 reschedule_after_loss(task, f"worker pid {worker.proc.pid} died")
 
-    def update_campaign_gauges() -> None:
-        """Campaign-level gauges for the OpenMetrics exporter (None = off)."""
-        reg = obs_registry.get()
-        if reg is None:
-            return
-        elapsed = time.perf_counter() - start
-        rate = done_count / elapsed if elapsed > 0 else 0.0
-        reg.gauge("campaign.runs_ok").set(stats.executed)
-        reg.gauge("campaign.runs_retried").set(stats.retried)
-        reg.gauge("campaign.runs_salvaged").set(stats.salvaged)
-        reg.gauge("campaign.runs_quarantined").set(stats.quarantined)
-        reg.gauge("campaign.runs_lost").set(stats.lost)
-        reg.gauge("campaign.runs_cached").set(stats.cached)
-        reg.gauge("campaign.outstanding").set(outstanding)
-        reg.gauge("campaign.workers_alive").set(
-            sum(1 for w in workers if w.proc.is_alive())
-        )
-        reg.gauge("campaign.runs_per_s").set(round(rate, 3))
-        reg.gauge("campaign.eta_s").set(
-            round(outstanding / rate, 3) if rate > 0 else 0.0
-        )
-
     def begin_attempt(task: _Task, pid: int) -> None:
         pending.remove(task)
         task.attempts += 1
@@ -991,7 +969,6 @@ def run_supervised(
         )
     try:
         while outstanding > 0:
-            update_campaign_gauges()
             now = time.monotonic()
             # Tasks in backoff stay queued.
             eligible = [t for t in pending if t.not_before <= now]
@@ -1103,7 +1080,6 @@ def run_supervised(
                     pass
 
     stats.wall_s = time.perf_counter() - start
-    update_campaign_gauges()
     record("end", statuses=statuses, wall_s=round(stats.wall_s, 3))
     if journal is not None:
         journal.close()

@@ -1,8 +1,9 @@
 """repro.obs — the unified observability layer.
 
-Five cooperating facilities, each consulted through one module-level
-``None``-able global so that disabled instrumentation costs a single
-attribute read on hot paths (the ``Port.fault_hook`` idiom):
+Eight facilities.  The six that record are each switched through one
+module-level ``None``-able global, so disabled instrumentation costs a
+single attribute read on hot paths (the ``Port.fault_hook`` idiom); the
+last two, ``live`` and ``stitch``, only read a campaign's journal:
 
 * :mod:`repro.obs.registry` — named counters/gauges/histograms registered
   by the engine, port, host, PFC, fault, and congestion-control layers
@@ -20,18 +21,15 @@ attribute read on hot paths (the ``Port.fault_hook`` idiom):
 * :mod:`repro.obs.profiler` — opt-in hot-path phase profiler attributing
   simulator wall time to named phases (event loop, port serialize, CC
   decision, PFC, fluid relax) with collapsed-stack flamegraph export;
-* :mod:`repro.obs.exporter` — OpenMetrics/Prometheus text exposition of
-  the registry plus campaign gauges (file snapshot or stdlib HTTP
-  endpoint);
-* :mod:`repro.obs.live` — the ``obs top`` live campaign dashboard,
-  tailing a supervised campaign's journal read-only from any process;
-* :mod:`repro.obs.stitch` — ``obs stitch``, merging per-worker trace
-  shards and the campaign journal into one Perfetto timeline;
 * :mod:`repro.obs.flightrec` — the flow flight recorder: exact per-flow
   FCT decomposition (queueing / serialization / propagation / PFC pause /
   retransmission recovery / CC throttle), per-link utilization and
   queue-depth series for the packet backend, and the convergence timeline
-  behind ``obs why`` / ``obs flows``.
+  behind ``obs why`` / ``obs flows``;
+* :mod:`repro.obs.live` — the ``obs top`` live campaign dashboard,
+  tailing a supervised campaign's journal read-only from any process;
+* :mod:`repro.obs.stitch` — ``obs stitch``, merging per-worker trace
+  shards and the campaign journal into one Perfetto timeline.
 
 The registry, tracer, and telemetry layers are **passive**: enabling them
 never schedules events, draws random numbers, or perturbs simulation
@@ -45,7 +43,6 @@ it off and it must be enabled explicitly.
 
 from . import (
     analytics,
-    exporter,
     flightrec,
     live,
     profiler,
@@ -61,7 +58,6 @@ from .tracer import EventTracer
 
 __all__ = [
     "analytics",
-    "exporter",
     "flightrec",
     "live",
     "profiler",

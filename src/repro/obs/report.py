@@ -16,57 +16,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-#: Manifest sections introduced at each schema version.  The report
-#: renders a section only when the manifest's declared version includes
-#: it — explicit dispatch, not ``dict.get`` guessing, so a v1 manifest
-#: that happens to carry an ``analytics``-shaped key is never mistaken
-#: for a v2 one and a v4 section absent from an old manifest degrades
-#: with a note instead of a silent blank.
-SECTIONS_BY_VERSION: Dict[int, Tuple[str, ...]] = {
-    1: (
-        "argv",
-        "runs",
-        "phases",
-        "campaign",
-        "store",
-        "counters",
-        "trace",
-        "heartbeats",
-    ),
-    2: ("analytics",),
-    3: ("supervisor",),
-    4: ("profile", "export"),
-    5: ("flightrec",),
-}
-
-#: Versions render_report accepts (mirrors telemetry.KNOWN_SCHEMA_VERSIONS
-#: without importing it — report must render foreign manifests too).
-KNOWN_VERSIONS = tuple(sorted(SECTIONS_BY_VERSION))
-
-
-def manifest_version(manifest: Dict[str, Any]) -> int:
-    """The manifest's declared schema version (v1 when absent/bogus)."""
-    version = manifest.get("schema_version")
-    return version if isinstance(version, int) and not isinstance(version, bool) else 1
-
-
-def sections_for(version: int) -> FrozenSet[str]:
-    """Every section a manifest of ``version`` may carry (cumulative)."""
-    return frozenset(
-        name
-        for v, names in SECTIONS_BY_VERSION.items()
-        if v <= version
-        for name in names
-    )
-
-
-def manifest_section(manifest: Dict[str, Any], name: str) -> Optional[Any]:
-    """The section, or None if this manifest's version does not define it."""
-    if name not in sections_for(manifest_version(manifest)):
-        return None
-    return manifest.get(name)
+from .telemetry import SCHEMA_VERSION
 
 
 def _fmt_s(v: Any) -> str:
@@ -91,7 +43,11 @@ def _fmt_conv(conv_ns: Any) -> str:
 
 
 def render_report(manifests: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
-    """Render ``(label, manifest)`` pairs as text."""
+    """Render ``(label, manifest)`` pairs as text.
+
+    Each manifest is read as :func:`repro.obs.telemetry.upgrade` returns
+    it: every current section present, ``None`` where its version had none.
+    """
     # Local import: obs must stay importable from the simulator layers
     # without dragging in the experiments stack at module-import time.
     from ..experiments.reporting import format_table
@@ -100,16 +56,16 @@ def render_report(manifests: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
 
     rows = []
     for label, m in manifests:
-        store = manifest_section(m, "store") or {}
-        campaign = manifest_section(m, "campaign") or {}
+        store = m.get("store") or {}
+        campaign = m.get("campaign") or {}
         rows.append(
             (
                 label,
-                f"v{manifest_version(m)}",
+                f"v{m['schema_version']}",
                 _fmt_s(m.get("wall_s", 0.0)),
                 m.get("events_executed", 0),
                 _fmt_rate(m.get("events_per_s", 0.0)),
-                len(manifest_section(m, "runs") or ()),
+                len(m.get("runs") or ()),
                 campaign.get("cached", "-"),
                 campaign.get("executed", "-"),
                 campaign.get("jobs", "-"),
@@ -137,7 +93,7 @@ def render_report(manifests: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
 
     phases: Dict[str, Dict[str, float]] = {}
     for _, m in manifests:
-        for name, entry in (manifest_section(m, "phases") or {}).items():
+        for name, entry in (m.get("phases") or {}).items():
             agg = phases.setdefault(name, {"wall_s": 0.0, "count": 0})
             agg["wall_s"] += entry.get("wall_s", 0.0)
             agg["count"] += entry.get("count", 0)
@@ -156,7 +112,7 @@ def render_report(manifests: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
     runs = [
         (label, r)
         for label, m in manifests
-        for r in (manifest_section(m, "runs") or ())
+        for r in (m.get("runs") or ())
     ]
     if runs:
         out.append(f"\n-- runs ({len(runs)})")
@@ -180,7 +136,7 @@ def render_report(manifests: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
     # -- histograms (P² percentiles from the instrumentation registry) ----
     hist_rows = []
     for label, m in manifests:
-        histograms = (manifest_section(m, "counters") or {}).get("histograms") or {}
+        histograms = (m.get("counters") or {}).get("histograms") or {}
         for name in sorted(histograms):
             h = histograms[name]
             hist_rows.append(
@@ -207,7 +163,7 @@ def render_report(manifests: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
     analytics_rows = []
     missing_analytics = []
     for label, m in manifests:
-        section = manifest_section(m, "analytics")
+        section = m.get("analytics")
         if not section:
             missing_analytics.append((label, m.get("schema_version", "?")))
             continue
@@ -255,7 +211,7 @@ def render_report(manifests: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
     sup_rows = []
     quarantine_lines: List[str] = []
     for label, m in manifests:
-        section = manifest_section(m, "supervisor")
+        section = m.get("supervisor")
         if not section:
             continue
         counts = section.get("status_counts") or {}
@@ -300,7 +256,7 @@ def render_report(manifests: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
     # -- hot-path profile (schema v4) --------------------------------------
     profile_rows = []
     for label, m in manifests:
-        section = manifest_section(m, "profile")
+        section = m.get("profile")
         if not section:
             continue
         total_s = section.get("wall_s") or 0.0
@@ -328,28 +284,11 @@ def render_report(manifests: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
             )
         )
 
-    # -- metrics export (schema v4) ----------------------------------------
-    export_lines = []
-    for label, m in manifests:
-        section = manifest_section(m, "export")
-        if not section:
-            continue
-        dest = section.get("metrics_out") or (
-            f"port {section['metrics_port']}" if section.get("metrics_port") else "-"
-        )
-        export_lines.append(
-            f"  {label}: {section.get('families', 0)} families, "
-            f"{section.get('samples', 0)} samples -> {dest}"
-        )
-    if export_lines:
-        out.append(f"\n-- metrics export ({len(export_lines)} manifest(s))")
-        out.extend(export_lines)
-
     # -- fct decomposition (schema v5) -------------------------------------
     fr_rows = []
     decomp_rows = []
     for label, m in manifests:
-        section = manifest_section(m, "flightrec")
+        section = m.get("flightrec")
         if not section:
             continue
         for run in section.get("runs") or ():
@@ -428,13 +367,12 @@ def render_report(manifests: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
     # renders (every known section degrades gracefully), but sections the
     # future version introduced are silently invisible — shout so nobody
     # mistakes the partial render for the whole story.
-    max_known = max(KNOWN_VERSIONS)
     for label, m in manifests:
-        declared = manifest_version(m)
-        if declared > max_known:
+        declared = m["schema_version"]
+        if declared > SCHEMA_VERSION:
             out.append(
                 f"\n!! unknown schema version: {label} declares v{declared} but "
-                f"this build only understands up to v{max_known} — sections "
+                f"this build only understands up to v{SCHEMA_VERSION} — sections "
                 "introduced after that version are NOT shown; upgrade repro "
                 "to render them"
             )
@@ -442,10 +380,10 @@ def render_report(manifests: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
     # Truncated traces are worse than missing ones — they look complete in
     # the viewer while silently omitting the oldest events.  Shout.
     for label, m in manifests:
-        trace = manifest_section(m, "trace") or {}
+        trace = m.get("trace") or {}
         dropped = trace.get("dropped", 0)
         if not dropped:
-            counters = (manifest_section(m, "counters") or {}).get("counters") or {}
+            counters = (m.get("counters") or {}).get("counters") or {}
             dropped = counters.get("tracer.ring_dropped", 0)
         if dropped:
             emitted = trace.get("emitted", 0)
@@ -458,7 +396,7 @@ def render_report(manifests: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
             )
 
     failures = sum(
-        (manifest_section(m, "campaign") or {}).get("failures", 0)
+        (m.get("campaign") or {}).get("failures", 0)
         for _, m in manifests
     )
     incomplete = sum(
@@ -545,8 +483,7 @@ def render_layer_diff(path_a: str, path_b: str) -> str:
 
 def flightrec_runs(manifest: Dict[str, Any]) -> List[Dict[str, Any]]:
     """The manifest's flight-recorder run sections ([] when absent)."""
-    section = manifest_section(manifest, "flightrec") or {}
-    return list(section.get("runs") or ())
+    return list((manifest.get("flightrec") or {}).get("runs") or ())
 
 
 def _fmt_ms(ns: Any) -> str:

@@ -25,20 +25,29 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-#: Manifest schema revisions this codebase understands.  Version 2 added
-#: the ``analytics`` section (streaming convergence/tail estimates); version
-#: 3 added the ``supervisor`` section (per-config statuses, quarantines,
-#: worker kill/loss counts from the fault-tolerant campaign supervisor);
-#: version 4 added the ``profile`` section (hot-path phase attribution from
-#: ``obs/profiler.py``) and the ``export`` section (what the OpenMetrics
-#: exporter published); version 5 added the ``flightrec`` section (per-flow
-#: FCT decompositions, link utilization/queue series, and the convergence
-#: timeline from ``obs/flightrec.py``).  Older manifests remain valid;
-#: ``obs report`` dispatches sections by version (see
-#: ``report.SECTIONS_BY_VERSION``).
+#: Manifest schema revisions this codebase understands.  Older manifests
+#: remain valid, and every reader sees them through :func:`upgrade`.
 KNOWN_SCHEMA_VERSIONS = (1, 2, 3, 4, 5)
 SCHEMA_VERSION = 5
 MANIFEST_KIND = "repro-telemetry"
+
+#: The schema version that introduced each section of the current schema:
+#: ``analytics`` (streaming convergence/tail estimates) in v2,
+#: ``supervisor`` (per-config statuses, quarantines, worker kills/losses)
+#: in v3, ``profile`` (hot-path phase attribution) in v4, and
+#: ``flightrec`` (per-flow FCT decompositions, link series, convergence
+#: timeline) in v5.  v4 also added an ``export`` section, which the
+#: current schema no longer defines; old manifests that carry it still
+#: validate and nothing reads it.
+SECTION_SINCE: Dict[str, int] = {
+    **dict.fromkeys(
+        ("argv", "runs", "phases", "campaign", "store", "counters", "trace", "heartbeats"), 1
+    ),
+    "analytics": 2,
+    "supervisor": 3,
+    "profile": 4,
+    "flightrec": 5,
+}
 
 _SCHEMA_PATH = Path(__file__).with_name("telemetry_schema.json")
 
@@ -209,7 +218,6 @@ def build_manifest(
     trace: Optional[Any] = None,
     analytics: Optional[Dict[str, Any]] = None,
     profile: Optional[Dict[str, Any]] = None,
-    export: Optional[Dict[str, Any]] = None,
     flightrec: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble a schema-conformant manifest dict.
@@ -219,7 +227,6 @@ def build_manifest(
     :class:`repro.obs.tracer.EventTracer`, ``analytics`` an
     :meth:`repro.obs.analytics.AnalyticsAggregator.section` dict,
     ``profile`` a :meth:`repro.obs.profiler.PhaseProfiler.section` dict,
-    ``export`` a :func:`repro.obs.exporter.export_section` summary,
     ``flightrec`` a :meth:`repro.obs.flightrec.FlightRecorder.section` dict.
     """
     store = None
@@ -259,10 +266,28 @@ def build_manifest(
         "trace": trace_info,
         "analytics": analytics,
         "profile": profile,
-        "export": export,
         "flightrec": flightrec,
         "heartbeats": list(collector.heartbeats) if collector is not None else [],
     }
+
+
+def upgrade(manifest: Dict[str, Any]) -> Dict[str, Any]:
+    """Read a manifest of any schema version as the current schema.
+
+    Every section of :data:`SECTION_SINCE` is present in the result, and a
+    section that the manifest's declared version did not define is
+    ``None``: a v1 manifest carrying an ``analytics``-shaped key is not
+    mistaken for a v2 one.  ``schema_version`` keeps the declared version
+    (v1 when absent or not an integer), so a manifest newer than
+    :data:`SCHEMA_VERSION` still says so and its reader can flag it.
+    """
+    version = manifest.get("schema_version")
+    if not isinstance(version, int) or isinstance(version, bool):
+        version = 1
+    upgraded = dict(manifest, schema_version=version)
+    for name, since in SECTION_SINCE.items():
+        upgraded[name] = manifest.get(name) if since <= version else None
+    return upgraded
 
 
 def load_schema() -> Dict[str, Any]:

@@ -44,6 +44,23 @@ class TestCheckCli:
         assert len(digests) == 1
         assert all(len(d) == 64 for d in digests)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["digest", "--runs", "0"], "--runs must be >= 1"),
+            (["differential", "--jobs", "1"], "--jobs must be >= 2"),
+        ],
+    )
+    def test_counts_that_make_a_check_vacuous_are_refused(self, argv, message, capsys):
+        # Zero digests would print "determinism: ok"; --jobs 1 would compare
+        # an in-process campaign with an in-process one.
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["check", *argv])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "ok" not in captured.out
+
     def test_check_differential_matrix_via_cli(self, capsys):
         assert cli.main(["check", "differential", "--preset", "incast"]) == 0
         out = capsys.readouterr().out

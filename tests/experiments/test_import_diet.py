@@ -1,10 +1,9 @@
 """Cold start: ``import repro.experiments.cli`` loads no optional heavyweight.
 
-scipy and http.server each have exactly one user (the fig-4 ODE
-cross-check, the ``--metrics-port`` server); they are imported there, so
-every CLI start, campaign worker and ledger child skips ~900 modules.
-networkx (a test-only oracle for routing) and ``concurrent.futures`` have
-no user in ``src/`` at all.
+scipy has exactly one user (the fig-4 ODE cross-check) and is imported
+there, so every CLI start, campaign worker and ledger child skips ~900
+modules.  networkx (a test-only oracle for routing), ``http.server`` and
+``concurrent.futures`` have no user in ``src/`` at all.
 A module-level import sneaking back in fails this test, not a benchmark
 three PRs later.
 
@@ -28,25 +27,12 @@ forbidden = ("scipy", "networkx", "http.server", "concurrent.futures")
 loaded = [m for m in forbidden if m in sys.modules]
 assert not loaded, f"imported at CLI start: {loaded}"
 
-# The lazy users still work when called.
+# The lazy user still works when called.
 from repro.core.fluid_model import FluidModelParams, integrate_numerically
 
 t, per_rtt, sampling = integrate_numerically(1e4, FluidModelParams(), n_points=5)
 assert t.shape == (5,) and per_rtt.shape == (5, 2) and sampling.shape == (5, 2)
 assert "scipy" in sys.modules
-
-from repro.obs.exporter import MetricsServer
-
-server = MetricsServer()
-assert "http.server" not in sys.modules  # constructing is still free
-port = server.start()
-try:
-    import urllib.request
-
-    body = urllib.request.urlopen(f"http://127.0.0.1:{port}/metrics", timeout=5).read()
-    assert body.rstrip().endswith(b"# EOF")
-finally:
-    server.stop()
 """
 
 

@@ -8,19 +8,19 @@ import pytest
 from repro.experiments.cli import main, obs_main
 from repro.experiments.runner import clear_caches
 from repro.experiments.store import set_store
-from repro.obs.report import (
-    manifest_section,
-    manifest_version,
-    render_report,
-    sections_for,
-)
-from repro.obs.telemetry import validate_manifest
+from repro.obs import profiler
+from repro.obs.report import render_report
+from repro.obs.telemetry import SCHEMA_VERSION, upgrade, validate_manifest
 
 DATA = Path(__file__).parent / "data"
 
 
-def _load(name):
+def _raw(name):
     return json.loads((DATA / name).read_text())
+
+
+def _load(name):
+    return upgrade(_raw(name))
 
 
 class TestRenderReport:
@@ -30,13 +30,13 @@ class TestRenderReport:
         "manifest_campaign.json",  # v1, campaign + store + truncated trace
         "manifest_analytics.json",  # v2, live analytics
         "manifest_supervisor.json",  # v3, supervised campaign
-        "manifest_profile.json",  # v4, profiler + exporter sections
+        "manifest_profile.json",  # v4, profiler + a since-removed export section
         "manifest_flightrec.json",  # v5, flight-recorder FCT decomposition
     )
 
     def test_fixture_manifests_are_schema_valid(self):
         for name in self.FIXTURES:
-            assert validate_manifest(_load(name)) == [], name
+            assert validate_manifest(_raw(name)) == [], name
 
     def test_report_matches_golden(self):
         pairs = [(name, _load(name)) for name in self.FIXTURES]
@@ -45,29 +45,39 @@ class TestRenderReport:
         assert text + "\n" == golden
 
     def test_version_dispatch_is_cumulative(self):
-        assert (
-            sections_for(1) < sections_for(2) < sections_for(3)
-            < sections_for(4) < sections_for(5)
+        # A manifest carrying every section, read at each declared version.
+        full = dict.fromkeys(
+            ("argv", "runs", "phases", "campaign", "store", "counters", "trace",
+             "heartbeats", "analytics", "supervisor", "profile", "flightrec"),
+            {"present": True},
         )
-        assert "analytics" not in sections_for(1)
-        assert "supervisor" in sections_for(3)
-        assert {"profile", "export"} <= sections_for(4)
-        assert "flightrec" in sections_for(5)
+
+        def sections(version):
+            upgraded = upgrade(dict(full, schema_version=version))
+            return {name for name, value in upgraded.items() if value is not None}
+
+        assert sections(1) < sections(2) < sections(3) < sections(4) < sections(5)
+        assert "analytics" not in sections(1)
+        assert "supervisor" in sections(3)
+        assert "profile" in sections(4)
+        assert "flightrec" in sections(5)
         # Unknown future versions degrade to everything we know how to read.
-        assert sections_for(99) == sections_for(5)
+        assert sections(99) == sections(5)
 
     def test_manifest_version_defaults_and_rejects_junk(self):
-        assert manifest_version({"schema_version": 3}) == 3
-        assert manifest_version({}) == 1  # pre-versioned manifests are v1
-        assert manifest_version({"schema_version": True}) == 1
-        assert manifest_version({"schema_version": "4"}) == 1
+        assert upgrade({"schema_version": 3})["schema_version"] == 3
+        assert upgrade({})["schema_version"] == 1  # pre-versioned manifests are v1
+        assert upgrade({"schema_version": True})["schema_version"] == 1
+        assert upgrade({"schema_version": "4"})["schema_version"] == 1
+        assert upgrade({"schema_version": 99})["schema_version"] == 99 > SCHEMA_VERSION
 
     def test_sections_beyond_declared_version_are_ignored(self):
         # A v1 manifest carrying an analytics-shaped key must NOT render
-        # the analytics section: the declared version gates dispatch.
-        doc = _load("manifest_serial.json")
-        doc["analytics"] = _load("manifest_analytics.json")["analytics"]
-        assert manifest_section(doc, "analytics") is None
+        # the analytics section: the declared version gates the upgrade.
+        doc = _raw("manifest_serial.json")
+        doc["analytics"] = _raw("manifest_analytics.json")["analytics"]
+        doc = upgrade(doc)
+        assert doc["analytics"] is None
         text = render_report([("v1.json", doc)])
         assert "-- live analytics" not in text
         assert "no live-analytics section in v1.json" in text
@@ -77,7 +87,6 @@ class TestRenderReport:
             ("manifest_analytics.json", "-- live analytics"),
             ("manifest_supervisor.json", "-- supervision"),
             ("manifest_profile.json", "-- hot-path profile"),
-            ("manifest_profile.json", "-- metrics export"),
             ("manifest_flightrec.json", "-- fct decomposition"),
             ("manifest_flightrec.json", "-- slowest flows"),
         ):
@@ -86,9 +95,9 @@ class TestRenderReport:
     def test_future_schema_version_warns_loudly(self):
         # A manifest declaring a version newer than this build understands
         # must shout, not silently drop the sections it cannot dispatch.
-        doc = _load("manifest_flightrec.json")
+        doc = _raw("manifest_flightrec.json")
         doc["schema_version"] = 99
-        text = render_report([("future.json", doc)])
+        text = render_report([("future.json", upgrade(doc))])
         assert "!! unknown schema version" in text
         assert "future.json declares v99" in text
         assert "up to v5" in text
@@ -161,6 +170,23 @@ class TestObsCli:
         assert rc == 0  # still renders what it can
         assert "fails schema validation" in captured.err
 
+    def test_obs_report_reads_manifest_with_removed_export_section(self, capsys):
+        # manifest_profile.json (v4) still carries the export section that
+        # later builds no longer write or render.
+        rc = obs_main(["report", str(DATA / "manifest_profile.json")])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "-- hot-path profile" in captured.out
+        assert "export" not in captured.out
+        assert "fails schema validation" not in captured.err
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_obs_flows_refuses_an_empty_top_tail(self, top, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            obs_main(["flows", str(DATA / "manifest_flightrec.json"), "--top-tail", top])
+        assert exc_info.value.code == 2
+        assert "--top-tail must be >= 1" in capsys.readouterr().err
+
 
 class TestTelemetryEndToEnd:
     @pytest.fixture(autouse=True)
@@ -196,6 +222,8 @@ class TestTelemetryEndToEnd:
 
         manifest = json.loads(manifest_path.read_text())
         assert validate_manifest(manifest) == []
+        assert manifest["schema_version"] == SCHEMA_VERSION == 5
+        assert "export" not in manifest  # no longer written
         assert manifest["events_executed"] > 0
         assert len(manifest["runs"]) == 2
         assert {p for p in manifest["phases"]} == {"build", "simulate", "collect"}
@@ -206,3 +234,11 @@ class TestTelemetryEndToEnd:
         phases = {ev["ph"] for ev in trace["traceEvents"]}
         assert phases <= {"X", "i", "C"}
         assert {"X", "C"} <= phases
+
+    def test_flame_out_alone_turns_on_the_phase_profiler(self, tmp_path, capsys):
+        flame = tmp_path / "f.txt"
+        rc = main(["--fig", "8", "--no-store", "--flame-out", str(flame)])
+        assert rc == 0
+        assert "engine.loop" in flame.read_text()
+        assert "[profile] phases" in capsys.readouterr().out
+        assert profiler.get() is None  # main() turned it off again

@@ -11,7 +11,7 @@ Two guarantees, same mechanism as ``test_port_fusion.py``:
 from repro import obs
 from repro.experiments.config import scaled_incast
 from repro.experiments.runner import run_incast
-from repro.obs import analytics, exporter, flightrec, profiler
+from repro.obs import analytics, flightrec, profiler
 
 
 def _signature(result):
@@ -124,30 +124,23 @@ def test_profiler_output_byte_identical_both_modes():
 
 
 def test_full_observability_plane_output_byte_identical():
-    # Everything the PR adds, on at once: registry + tracer + telemetry
-    # (enable_all), phase profiler, and a live OpenMetrics HTTP endpoint
-    # serving the registry mid-run.  Still byte-identical — the whole plane
-    # is read-only with respect to simulation state.
-    import urllib.request
+    # Registry + tracer + telemetry (enable_all) and the phase profiler, on
+    # at once.  Still byte-identical — the whole plane is read-only with
+    # respect to simulation state.
+    from repro.obs import registry
 
     cfg = scaled_incast("swift", 8)
     bare = run_incast(cfg)
     obs.enable_all(trace_capacity=1_000_000)
-    server = exporter.MetricsServer(port=0)
-    port = server.start()
     try:
         with profiler.capture("phase"):
             instrumented = run_incast(cfg)
-        body = urllib.request.urlopen(
-            f"http://127.0.0.1:{port}/metrics", timeout=5
-        ).read().decode()
+        snapshot = registry.get().snapshot()
     finally:
-        server.stop()
         obs.disable_all()
     assert instrumented.all_completed
     assert _signature(bare) == _signature(instrumented)
-    families = exporter.parse_openmetrics(body)
-    assert "repro_engine_events_executed" in families
+    assert snapshot["counters"]["engine.events_executed"] > 0
     # Journal live-tailing is read-only by construction (it opens the
     # journal file, never the simulator); proven cross-process in
     # tests/obs/test_live.py.
