@@ -26,8 +26,8 @@ import time
 from pathlib import Path
 from typing import Any, List, Optional
 
+from .. import probe
 from ..check import invariants as check_invariants
-from ..obs import analytics as obs_analytics
 from ..obs import flightrec as obs_flightrec
 from ..obs import live as obs_live
 from ..obs import profiler as obs_profiler
@@ -204,18 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "collect run/campaign telemetry (phase timings, per-worker "
-            "heartbeats, cache stats) and write a schema-validated manifest "
+            "heartbeats, cache stats, each run's Jain / convergence / "
+            "slowdown summary) and write a schema-validated manifest "
             "(default PATH: telemetry.json)"
-        ),
-    )
-    parser.add_argument(
-        "--analytics",
-        action="store_true",
-        help=(
-            "attach a live streaming-analytics sampler to every run "
-            "(Jain fairness + online convergence detection + P2 FCT-slowdown "
-            "percentiles); summaries land in the telemetry manifest's "
-            "'analytics' section and in [campaign] heartbeats"
         ),
     )
     parser.add_argument(
@@ -928,25 +919,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
     backend, store, budget = get_default_backend(), get_store(), get_default_budget()
+    planes, collector = probe.attached(), obs_telemetry.get()
     try:
         return _run(args, argv, figs, exts)
     finally:
         # Leave the process as we found it for in-process callers (tests),
-        # whichever way _run left.
+        # whichever way _run left: what it attached goes, and what the
+        # caller had attached comes back.
         set_default_backend(backend)
         set_store(store)
         set_default_budget(budget)
-        for ours, plane in (
-            (args.sanitize, check_invariants),
-            (args.flightrec, obs_flightrec),
-            (args.trace_out is not None, obs_tracer),
-            (args.profile_phases or args.flame_out is not None, obs_profiler),
-            (args.analytics, obs_analytics),
-            (args.telemetry is not None, obs_telemetry),
-            (args.telemetry is not None, obs_registry),
-        ):
-            if ours:
-                plane.disable()
+        if args.profile_phases or args.flame_out is not None:
+            obs_profiler.disable()  # stops its clock; detaching alone does not
+        probe.restore(planes)
+        if collector is None:
+            obs_telemetry.disable()
+        else:
+            obs_telemetry.enable(collector)
 
 
 def _run(args: "argparse.Namespace", argv: List[str], figs: List[str], exts: List[str]) -> int:
@@ -987,9 +976,6 @@ def _run(args: "argparse.Namespace", argv: List[str], figs: List[str], exts: Lis
     if args.telemetry is not None:
         obs_registry.enable()
         collector = obs_telemetry.enable()
-    analytics_agg = None
-    if args.analytics:
-        analytics_agg = obs_analytics.enable(obs_analytics.AnalyticsConfig())
     tracer = None
     if args.trace_out is not None:
         tracer = obs_tracer.enable(capacity=args.trace_capacity)
@@ -1003,7 +989,7 @@ def _run(args: "argparse.Namespace", argv: List[str], figs: List[str], exts: Lis
     if args.profile_phases or args.flame_out is not None:
         profiler = obs_profiler.enable()
     progress = None
-    if collector is not None or analytics_agg is not None:
+    if collector is not None:
         def progress(message: str) -> None:
             print(f"[campaign] {message}", flush=True)
 
@@ -1127,21 +1113,6 @@ def _run(args: "argparse.Namespace", argv: List[str], figs: List[str], exts: Lis
             f"[profile] phases ({profile_section['mode']}): "
             f"{rendered or 'none recorded'}"
         )
-    if analytics_agg is not None and collector is None:
-        # No manifest to carry the section — print it so the numbers are
-        # not silently dropped.
-        for run in analytics_agg.section()["runs"]:
-            slowdown = run.get("slowdown") or {}
-            conv = run.get("convergence_ns")
-            conv_txt = f"{conv / 1e6:.3f}ms" if conv is not None else "never"
-            p999 = slowdown.get("p999_slowdown")
-            p999_txt = f"{p999:.2f}" if p999 is not None else "-"
-            print(
-                f"[analytics] {run['desc']}: jain={run['jain']:.3f} "
-                f"conv={conv_txt} p999-slowdown={p999_txt} "
-                f"({run['flows_completed']}/{run['flows']} flows, "
-                f"{run['samples']} samples)"
-            )
     if recorder is not None and collector is None:
         # No manifest to carry the section — print the decomposition
         # headlines so the recorder's work is not silently dropped.
@@ -1174,9 +1145,6 @@ def _run(args: "argparse.Namespace", argv: List[str], figs: List[str], exts: Lis
                 obs_registry.get().snapshot() if obs_registry.enabled() else None
             ),
             trace=tracer,
-            analytics=(
-                analytics_agg.section() if analytics_agg is not None else None
-            ),
             profile=profile_section,
             flightrec=(recorder.section() if recorder is not None else None),
         )

@@ -5,7 +5,7 @@ packet of every flow; the runners here drive the same workloads through
 :class:`repro.sim.fluid.FluidEngine` and return the *same result types*
 (:class:`~repro.experiments.runner.IncastResult`,
 :class:`~repro.experiments.runner.DatacenterResult`), so the metrics,
-figure, analytics, and reporting layers work unchanged.
+figure, and reporting layers work unchanged.
 
 CC awareness
 ------------

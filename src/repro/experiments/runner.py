@@ -41,16 +41,15 @@ import numpy as np
 
 from .. import probe
 from ..cc import CCEnv, make_cc, needs_red, uses_cnp
-from ..obs import analytics as obs_analytics
 from ..obs import flightrec as obs_flightrec
 from ..obs import profiler as obs_profiler
 from ..obs import telemetry as obs_telemetry
-from ..metrics.fairness import convergence_time_ns, jain_series
-from ..metrics.fct import FlowRecord, collect_records, ideal_fct_ns
+from ..metrics.fairness import convergence_time_ns, jain_index, jain_series
+from ..metrics.fct import FlowRecord, collect_records, ideal_fct_ns, summarize
 from ..metrics.queues import QueueStats, queue_stats
 from ..sim.faults import FaultPlan, LinkFlapInjector, PacketDropInjector
 from ..sim.flow import Flow
-from ..sim.monitor import GoodputMonitor, PeriodicSampler, QueueMonitor
+from ..sim.monitor import GoodputMonitor, QueueMonitor
 from ..sim.network import CompletionStatus, Network, RunBudget
 from ..sim.switch import Switch
 from ..topology.base import Topology
@@ -159,65 +158,6 @@ def _record_run(kind: str, desc: str, *, wall_s: float, events: int, completed: 
     tel = obs_telemetry.TELEMETRY
     if tel is not None:
         tel.record_run(kind, desc, wall_s=wall_s, events=events, completed=completed)
-
-
-def _attach_analyzer(
-    net: Network, flows: List[Flow], *, default_interval_ns: float
-) -> Tuple[Optional["obs_analytics.LiveAnalyzer"], Optional[PeriodicSampler]]:
-    """Start a live analytics sampler when the analytics layer is enabled.
-
-    Returns ``(analyzer, sampler)`` or ``(None, None)``.  The analyzer only
-    *reads* simulation state, so flow times and series stay byte-identical;
-    the sampler's own wakeups do add to ``events_executed`` (which is why
-    analytics, unlike the passive obs layers, is opt-in per process).
-    """
-    agg = obs_analytics.ANALYTICS
-    if agg is None:
-        return None, None
-    acfg = agg.config
-    interval = (
-        acfg.interval_ns if acfg.interval_ns is not None else default_interval_ns
-    )
-    tel = obs_telemetry.TELEMETRY
-
-    def delivered(flow: Flow) -> int:
-        receiver = net.nodes[flow.dst].receivers.get(flow.flow_id)
-        return receiver.received if receiver is not None else 0
-
-    analyzer = obs_analytics.LiveAnalyzer(
-        flows,
-        now_fn=net.sim.now,
-        delivered_fn=delivered,
-        ideal_ns_fn=lambda f: ideal_fct_ns(net, f.src, f.dst, f.size),
-        threshold=acfg.threshold,
-        sustain_samples=acfg.sustain_samples,
-        interval_ns=interval,
-        rate_tau_intervals=acfg.rate_tau_intervals,
-        heartbeat=tel.heartbeat if tel is not None else None,
-        heartbeat_every=acfg.heartbeat_every,
-    )
-    sampler = PeriodicSampler(net.sim, interval, analyzer.sample).start()
-    return analyzer, sampler
-
-
-def _finish_analyzer(
-    analyzer: Optional["obs_analytics.LiveAnalyzer"],
-    sampler: Optional[PeriodicSampler],
-    kind: str,
-    desc: str,
-) -> Optional[Dict[str, Any]]:
-    """Stop the sampler, record the summary, and emit the run heartbeat."""
-    if analyzer is None:
-        return None
-    sampler.stop()
-    summary = analyzer.finalize()
-    agg = obs_analytics.ANALYTICS
-    if agg is not None:
-        agg.record(kind, desc, summary)
-    tel = obs_telemetry.TELEMETRY
-    if tel is not None:
-        tel.heartbeat(f"{desc}: {analyzer.describe_live()}")
-    return summary
 
 
 def _check_status(desc: str, status: CompletionStatus) -> None:
@@ -342,10 +282,24 @@ class IncastResult:
     incomplete_flow_ids: Tuple[int, ...] = ()
     fault_drops: int = 0
     retransmitted_bytes: int = 0
-    #: Streaming-analytics summary (None unless analytics was enabled).
-    analytics: Optional[Dict[str, Any]] = None
     #: Flight-recorder run section (None unless the recorder was enabled).
     flightrec: Optional[Dict[str, Any]] = None
+
+    def summary(self) -> Dict[str, Any]:
+        """The run's Jain, convergence and flow counts, exact from its series.
+
+        One entry of the telemetry manifest's ``analytics`` section (and of
+        the campaign journal and progress line).  An incast result holds no
+        per-flow ideal FCT, so ``slowdown`` is ``None``.
+        """
+        return {
+            "samples": len(self.jain_times_ns),
+            "flows": len(self.flows),
+            "flows_completed": sum(1 for f in self.flows if f.completed),
+            "jain": float(self.jain_values[-1]) if len(self.jain_values) else 1.0,
+            "convergence_ns": self.convergence_ns,
+            "slowdown": None,
+        }
 
     def start_finish_pairs(self) -> List[Tuple[float, float]]:
         """(start, finish) per flow in start order — Figs. 2/3/8/9 data."""
@@ -431,9 +385,6 @@ def _run_incast_packet(cfg: IncastConfig) -> IncastResult:
             net.sim, topo.bottleneck_ports, cfg.sample_interval_ns, aggregate="sum"
         ).start()
         gmon = GoodputMonitor(net.sim, flows, net.nodes, cfg.goodput_interval_ns).start()
-        analyzer, asampler = _attach_analyzer(
-            net, flows, default_interval_ns=cfg.goodput_interval_ns
-        )
 
     with _phase("simulate"):
         status = net.run_until_flows_complete(
@@ -441,7 +392,6 @@ def _run_incast_packet(cfg: IncastConfig) -> IncastResult:
         )
     qmon.stop()
     gmon.stop()
-    live = _finish_analyzer(analyzer, asampler, "incast", cfg.describe())
     _check_status(cfg.describe(), status)
 
     with _phase("collect"):
@@ -474,7 +424,6 @@ def _run_incast_packet(cfg: IncastConfig) -> IncastResult:
         incomplete_flow_ids=status.incomplete_flows,
         fault_drops=net.total_fault_drops(),
         retransmitted_bytes=net.total_retransmitted_bytes(),
-        analytics=live,
         flightrec=frun,
     )
     net.close()
@@ -500,14 +449,28 @@ class DatacenterResult:
     incomplete_flow_ids: Tuple[int, ...] = ()
     fault_drops: int = 0
     retransmitted_bytes: int = 0
-    #: Streaming-analytics summary (None unless analytics was enabled).
-    analytics: Optional[Dict[str, Any]] = None
     #: Flight-recorder run section (None unless the recorder was enabled).
     flightrec: Optional[Dict[str, Any]] = None
 
     @property
     def completion_fraction(self) -> float:
         return self.n_completed / self.n_offered if self.n_offered else 0.0
+
+    def summary(self) -> Dict[str, Any]:
+        """The run's slowdown percentiles and flow counts, exact from its records.
+
+        A trace run has no Jain series, so ``convergence_ns`` is ``None`` and
+        ``jain`` is Jain's index of each completed flow's normalised
+        throughput, ideal FCT over achieved FCT.
+        """
+        return {
+            "samples": 0,
+            "flows": self.n_offered,
+            "flows_completed": self.n_completed,
+            "jain": jain_index(np.array([1.0 / r.slowdown for r in self.records])),
+            "convergence_ns": None,
+            "slowdown": summarize(self.records),
+        }
 
 
 def run_datacenter(cfg: DatacenterConfig) -> DatacenterResult:
@@ -561,20 +524,11 @@ def _run_datacenter_packet(cfg: DatacenterConfig) -> DatacenterResult:
             flow.use_cnp = uses_cnp(cfg.variant)
             net.add_flow(flow, cc)
             flows.append(flow)
-        agg = obs_analytics.ANALYTICS
-        analyzer, asampler = _attach_analyzer(
-            net,
-            flows,
-            default_interval_ns=(
-                agg.config.fallback_interval_ns if agg is not None else 0.0
-            ),
-        )
 
     with _phase("simulate"):
         status = net.run_until_flows_complete(
             timeout_ns=cfg.duration_ns + cfg.drain_timeout_ns, budget=_DEFAULT_BUDGET
         )
-    live = _finish_analyzer(analyzer, asampler, "datacenter", cfg.describe())
     # Unlike the incast, a drain timeout with a few stragglers is a valid
     # outcome here (completion_fraction reports it), so only the watchdog is
     # an error; the status still rides on the result for diagnosis.
@@ -586,12 +540,8 @@ def _run_datacenter_packet(cfg: DatacenterConfig) -> DatacenterResult:
         )
     with _phase("collect"):
         records = collect_records(net, flows)
-        # No Jain series here — the analytics detector's instant (when it
-        # ran) is the only convergence signal the timeline can carry.
-        frun = _finish_flightrec(
-            net,
-            convergence_ns=live.get("convergence_ns") if live else None,
-        )
+        # No Jain series here, so the timeline carries no convergence instant.
+        frun = _finish_flightrec(net)
     _record_run(
         "datacenter",
         cfg.describe(),
@@ -610,7 +560,6 @@ def _run_datacenter_packet(cfg: DatacenterConfig) -> DatacenterResult:
         incomplete_flow_ids=status.incomplete_flows,
         fault_drops=net.total_fault_drops(),
         retransmitted_bytes=net.total_retransmitted_bytes(),
-        analytics=live,
         flightrec=frun,
     )
     net.close()

@@ -9,8 +9,8 @@ decides where an attempt runs:
 
 * ``jobs == 1``: in the calling process.  Nothing is forked, so the tracer,
   phase profiler, sanitizer and ``total_events_executed()`` see the run,
-  and the runner's own in-process telemetry / analytics / flight-recorder
-  records are the only ones (the campaign adds no second copy).  There is
+  and the runner's own in-process telemetry / flight-recorder records are
+  the only ones (the campaign adds no second copy).  There is
   no heartbeat and no stall kill: nothing outside the process is watching.
 * ``jobs >= 2``: in worker processes this module owns, which lets the
   campaign survive what an in-process attempt cannot:
@@ -62,7 +62,6 @@ from typing import Any, Callable, Dict, IO, List, Optional, Sequence, Tuple
 
 from .. import probe
 from ..check import invariants as check_invariants
-from ..obs import analytics as obs_analytics
 from ..obs import flightrec as obs_flightrec
 from ..obs import registry as obs_registry
 from ..obs import telemetry as obs_telemetry
@@ -104,16 +103,16 @@ STATUS_LOST = "lost"  # no result, not poison (worker loss budget / interrupt)
 TERMINAL_STATUSES = (STATUS_OK, STATUS_RETRIED, STATUS_SALVAGED, STATUS_QUARANTINED)
 
 
-def _analytics_suffix(live: Optional[Dict[str, Any]]) -> str:
-    """Compact live-analytics fields for a campaign heartbeat line."""
-    if not live:
+def _summary_suffix(summary: Optional[Dict[str, Any]]) -> str:
+    """Compact run-summary fields for a campaign progress line."""
+    if not summary:
         return ""
-    conv = live.get("convergence_ns")
+    conv = summary.get("convergence_ns")
     parts = [
-        f"jain={live.get('jain', float('nan')):.3f}",
+        f"jain={summary.get('jain', float('nan')):.3f}",
         f"conv={conv / 1e6:.3f}ms" if conv is not None else "conv=-",
     ]
-    slowdown = live.get("slowdown") or {}
+    slowdown = summary.get("slowdown") or {}
     p999 = slowdown.get("p999_slowdown")
     if p999 is not None:
         parts.append(f"p999-slowdown={p999:.2f}")
@@ -360,7 +359,7 @@ def _attach_worker_planes(
     profiler moves it onto the profiled run loop).  What goes home: a
     sanitizer violation (raised here, an ``err`` like any other failure),
     the recorder's finalized run section (on the result object; the parent
-    re-records it, as it does the analytics summary) and the tracer ring,
+    re-records it) and the tracer ring,
     drained into each ``ok`` reply as that run's shard for ``obs stitch``.
     """
     probe.detach_all()
@@ -377,7 +376,6 @@ def _worker_main(
     inherited: Sequence[connection.Connection],
     budget: Optional[RunBudget],
     default_backend: str,
-    analytics_config: Any,
     sanitize: bool,
     chaos: Any,
     heartbeat_interval_s: float,
@@ -393,7 +391,7 @@ def _worker_main(
 
     The per-process switches are re-installed from the parent's first: the
     watchdog budget, the default backend (so unstamped configs simulate on
-    the backend their key was computed for), live analytics and the planes
+    the backend their key was computed for) and the planes
     (:func:`_attach_worker_planes`).
 
     The heartbeat thread starts *after* chaos injection so an injected
@@ -409,8 +407,6 @@ def _worker_main(
         end.close()
     set_default_budget(budget)
     set_default_backend(default_backend)
-    if analytics_config is not None:
-        obs_analytics.enable(analytics_config)
     _attach_worker_planes(sanitize, flightrec, trace_capacity)
     send_lock = threading.Lock()
 
@@ -579,7 +575,6 @@ class _Worker:
 def _spawn_worker(
     budget: Optional[RunBudget], sup: SupervisorConfig, siblings: Sequence[_Worker]
 ) -> _Worker:
-    parent_agg = obs_analytics.ANALYTICS
     parent_conn, child_conn = Pipe(duplex=True)
     proc = Process(
         target=_worker_main,
@@ -588,7 +583,6 @@ def _spawn_worker(
             [parent_conn] + [w.conn for w in siblings],
             budget,
             get_default_backend(),
-            parent_agg.config if parent_agg is not None else None,
             check_invariants.enabled(),
             sup.chaos,
             sup.heartbeat_interval_s,
@@ -783,7 +777,11 @@ def run_supervised(
 
     def handle_success(task: _Task, envelope: Any, shard: Any = None) -> None:
         """Adopt one attempt's result; for a worker's, also re-record what
-        the runner recorded in that (now unreachable) process."""
+        the runner recorded in that (now unreachable) process.
+
+        The run's exact summary (``result.summary()``) is computed only for
+        a consumer: the journal's ``done`` record, the progress line and
+        the telemetry manifest's ``analytics`` section."""
         nonlocal outstanding, done_count
         result = envelope.result
         seed_result_caches(task.cfg, result)
@@ -798,13 +796,19 @@ def run_supervised(
         else:
             status = STATUS_OK
         statuses[task.key] = status
-        live = getattr(result, "analytics", None)
+        tel = obs_telemetry.TELEMETRY
+        summarize = getattr(result, "summary", None)
+        summary = None
+        if summarize is not None and (
+            journal is not None or progress is not None or tel is not None
+        ):
+            summary = summarize()
         done_extra: Dict[str, Any] = {}
-        if isinstance(live, dict):
-            slowdown = live.get("slowdown") or {}
+        if summary is not None:
+            slowdown = summary["slowdown"] or {}
             done_extra["analytics"] = {
-                "jain": live.get("jain"),
-                "convergence_ns": live.get("convergence_ns"),
+                "jain": summary["jain"],
+                "convergence_ns": summary["convergence_ns"],
                 "p50_slowdown": slowdown.get("p50_slowdown"),
                 "p99_slowdown": slowdown.get("p99_slowdown"),
             }
@@ -822,16 +826,14 @@ def run_supervised(
         write_shard(task, envelope, shard)
         outstanding -= 1
         done_count += 1
+        kind = "incast" if isinstance(task.cfg, IncastConfig) else "datacenter"
+        if tel is not None and summary is not None:
+            tel.record_summary(kind, _describe(task.cfg), summary)
         if not in_process:
-            kind = "incast" if isinstance(task.cfg, IncastConfig) else "datacenter"
-            agg = obs_analytics.ANALYTICS
-            if agg is not None and live is not None:
-                agg.record(kind, _describe(task.cfg), live)
             frun = getattr(result, "flightrec", None)
             rec = obs_flightrec.get()
             if rec is not None and frun is not None:
                 rec.adopt_run(frun)
-            tel = obs_telemetry.TELEMETRY
             if tel is not None:
                 run_status = getattr(result, "status", None)
                 tel.record_run(
@@ -847,7 +849,7 @@ def run_supervised(
             progress,
             f"[{done_count}/{total_to_run}] {_describe(task.cfg)} done in "
             f"{envelope.wall_s:.2f}s ({envelope.events} events, "
-            f"pid {envelope.pid}){suffix}" + _analytics_suffix(live),
+            f"pid {envelope.pid}){suffix}" + _summary_suffix(summary),
         )
 
     def handle_error(task: _Task, error_type: str, message: str) -> None:

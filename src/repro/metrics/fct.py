@@ -27,9 +27,8 @@ from ..sim.flow import Flow
 from ..sim.network import Network
 from ..sim.packet import ACK_BYTES, HEADER_BYTES
 
-#: Percentiles every FCT-slowdown summary reports, exact (here) or streamed
-#: (:mod:`repro.obs.analytics`) — the paper's median and tail figures
-#: (50/99/99.9).  Keys via :func:`percentile_key`.
+#: Percentiles every FCT-slowdown summary reports — the paper's median and
+#: tail figures (50/99/99.9).  Keys via :func:`percentile_key`.
 SLOWDOWN_PERCENTILES = (50.0, 99.0, 99.9)
 
 
@@ -156,12 +155,10 @@ def tail_slowdown_above(
 
 
 def summarize(records: Sequence[FlowRecord]) -> dict:
-    """Overall summary statistics used by reports and tests.
+    """Overall slowdown statistics of one run's records.
 
-    Percentile keys come from ``SLOWDOWN_PERCENTILES`` above, which
-    :mod:`repro.obs.analytics` shares, so this exact NumPy path and the
-    streaming P² path report under identical names —
-    the cross-validation tests and the regression gate compare them 1:1.
+    A datacenter result's ``summary()`` carries this dict, so the telemetry
+    manifest, the campaign journal and ``obs top`` read these keys.
     """
     if not records:
         return {"count": 0}

@@ -51,7 +51,7 @@ On top of the decomposition the recorder keeps, per run:
 * per-link utilization and an event-driven queue-depth time-series for the
   packet backend (parity with ``fluid.py``'s ``track_link_utilization``);
 * per-flow rate trajectories (bytes acked over time) merged with the
-  analytics convergence instant into a **convergence timeline**;
+  run's Jain convergence instant into a **convergence timeline**;
 * optional Perfetto hop spans and series counters through the existing
   tracer, stamped in virtual time so ``obs stitch`` rescales them together
   with every other shard event.
@@ -287,8 +287,7 @@ class FlightRecorder:
 
     The ``on_*`` methods are probe events, raised only while this recorder
     is attached.  One recorder instance accumulates finalized run sections
-    across a campaign (mirroring ``AnalyticsAggregator``); per-run working
-    state resets in ``begin_run``.
+    across a campaign; per-run working state resets in ``begin_run``.
     """
 
     def __init__(self) -> None:
@@ -559,8 +558,8 @@ class FlightRecorder:
         """Freeze the current run into a manifest-shaped section entry.
 
         ``ideal_ns_fn`` (flow -> ideal FCT ns) enriches decompositions with
-        slowdowns; ``convergence_ns`` is the analytics detector's instant,
-        merged into the timeline.  The entry is appended to :attr:`runs`
+        slowdowns; ``convergence_ns`` is the run's Jain convergence instant
+        (``None`` for a trace run), merged into the timeline.  The entry is appended to :attr:`runs`
         and per-run working state is reset.
         """
         if extent_ns is not None and extent_ns > self.extent_ns:
@@ -673,7 +672,7 @@ class FlightRecorder:
 
         Campaign workers are separate processes; their recorder dies with
         them, so the finalized section rides home on the result object and
-        the parent re-records it here (the live-analytics pattern).
+        the parent re-records it here.
         """
         self.runs.append(section)
 

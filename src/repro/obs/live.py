@@ -34,7 +34,7 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from .analytics import P2Quantile
+from .registry import P2Quantile
 
 #: A worker whose last heartbeat is older than this many seconds renders
 #: as ``stale`` (the supervisor's own kill deadline is usually longer).
@@ -304,7 +304,8 @@ def _fmt_age(age: Optional[float]) -> str:
 
 
 def _fmt_opt(v: Optional[float], fmt: str = "{:.2f}") -> str:
-    return fmt.format(v) if isinstance(v, (int, float)) else "-"
+    # NaN is an estimator that saw nothing (an incast has no slowdown).
+    return fmt.format(v) if isinstance(v, (int, float)) and v == v else "-"
 
 
 def render_top(

@@ -47,7 +47,6 @@ _PHASE_CLASS = {
     "PeriodicSampler": "monitor.sample",
     "QueueMonitor": "monitor.sample",
     "GoodputMonitor": "monitor.sample",
-    "LiveAnalyzer": "monitor.sample",
     "FlowMonitor": "monitor.sample",
 }
 

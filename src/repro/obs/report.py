@@ -159,7 +159,7 @@ def render_report(manifests: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
             )
         )
 
-    # -- live analytics (schema v2) ----------------------------------------
+    # -- per-run summaries (schema v2) -------------------------------------
     analytics_rows = []
     missing_analytics = []
     for label, m in manifests:
@@ -204,7 +204,7 @@ def render_report(manifests: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
         labels = ", ".join(label for label, _ in missing_analytics)
         out.append(
             f"\n(note: no live-analytics section in {labels} — pre-v2 manifest "
-            "or analytics disabled; re-run with --analytics to collect it)"
+            "or analytics disabled; re-run with --telemetry to collect it)"
         )
 
     # -- supervision (schema v3) -------------------------------------------

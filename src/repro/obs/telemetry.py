@@ -32,7 +32,7 @@ SCHEMA_VERSION = 5
 MANIFEST_KIND = "repro-telemetry"
 
 #: The schema version that introduced each section of the current schema:
-#: ``analytics`` (streaming convergence/tail estimates) in v2,
+#: ``analytics`` (per-run Jain, convergence and slowdown summaries) in v2,
 #: ``supervisor`` (per-config statuses, quarantines, worker kills/losses)
 #: in v3, ``profile`` (hot-path phase attribution) in v4, and
 #: ``flightrec`` (per-flow FCT decompositions, link series, convergence
@@ -48,6 +48,9 @@ SECTION_SINCE: Dict[str, int] = {
     "profile": 4,
     "flightrec": 5,
 }
+
+#: Version of the ``analytics`` section, which evolves apart from the schema.
+ANALYTICS_SECTION_VERSION = 1
 
 _SCHEMA_PATH = Path(__file__).with_name("telemetry_schema.json")
 
@@ -67,6 +70,7 @@ class TelemetryCollector:
         self.heartbeats: List[str] = []
         self.campaign: Optional[Dict[str, Any]] = None
         self.supervisor: Optional[Dict[str, Any]] = None
+        self.summaries: List[Dict[str, Any]] = []
         self._heartbeat_sink = heartbeat_sink
 
     # -- phases ------------------------------------------------------------
@@ -107,6 +111,11 @@ class TelemetryCollector:
                 "pid": pid,
             }
         )
+
+    def record_summary(self, kind: str, desc: str, summary: Dict[str, Any]) -> None:
+        """One run's exact summary (a result's ``summary()``) for the
+        manifest's ``analytics`` section."""
+        self.summaries.append({"kind": kind, "desc": desc, **summary})
 
     def record_campaign(
         self,
@@ -216,7 +225,6 @@ def build_manifest(
     store_stats: Optional[Any] = None,
     counters: Optional[Dict[str, Any]] = None,
     trace: Optional[Any] = None,
-    analytics: Optional[Dict[str, Any]] = None,
     profile: Optional[Dict[str, Any]] = None,
     flightrec: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
@@ -224,8 +232,7 @@ def build_manifest(
 
     ``store_stats`` is a :class:`repro.experiments.store.StoreStats` (duck-
     typed), ``counters`` a :meth:`Registry.snapshot` dict, ``trace`` an
-    :class:`repro.obs.tracer.EventTracer`, ``analytics`` an
-    :meth:`repro.obs.analytics.AnalyticsAggregator.section` dict,
+    :class:`repro.obs.tracer.EventTracer`,
     ``profile`` a :meth:`repro.obs.profiler.PhaseProfiler.section` dict,
     ``flightrec`` a :meth:`repro.obs.flightrec.FlightRecorder.section` dict.
     """
@@ -246,6 +253,13 @@ def build_manifest(
             "capacity": trace.capacity,
         }
     runs = list(collector.runs) if collector is not None else []
+    analytics = None
+    if collector is not None:
+        analytics = {
+            "section_version": ANALYTICS_SECTION_VERSION,
+            "config": {},
+            "runs": list(collector.summaries),
+        }
     phases = {
         name: {"wall_s": entry["wall_s"], "count": int(entry["count"])}
         for name, entry in (collector.phases.items() if collector else ())

@@ -129,10 +129,21 @@ def _rebuild() -> None:
     PROBE = Probe(planes) if planes else None
 
 
+def attached() -> Dict[str, Any]:
+    """The plane in each slot now, to hand back to :func:`restore`."""
+    return dict(_attached)
+
+
+def restore(planes: Dict[str, Any]) -> None:
+    """Attach exactly ``planes`` (an :func:`attached` snapshot), nothing else."""
+    _attached.clear()
+    _attached.update(planes)
+    _rebuild()
+
+
 def detach_all() -> None:
     """Back to a bare process (a forked campaign worker starts here)."""
-    _attached.clear()
-    _rebuild()
+    restore({})
 
 
 class Slot:

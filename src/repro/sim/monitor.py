@@ -25,17 +25,14 @@ class PeriodicSampler:
     run-until-empty loop never spins an extra wakeup (the regression
     ``tests/sim/test_monitor_stop.py`` guards).
 
-    Both monitors below subclass this; external samplers (the live
-    analytics ticker in :mod:`repro.obs.analytics`) compose with it by
-    passing any zero-argument callable as ``fn``.
+    Both monitors below subclass this and override ``_sample``.
     """
 
-    def __init__(self, sim: Simulator, interval_ns: float, fn=None):
+    def __init__(self, sim: Simulator, interval_ns: float):
         if interval_ns <= 0:
             raise ValueError("sampling interval must be positive")
         self.sim = sim
         self.interval_ns = interval_ns
-        self._fn = fn if fn is not None else self._sample
         self._stopped = False
         self._event = None  # the pending self-rescheduled sample event
 
@@ -52,7 +49,7 @@ class PeriodicSampler:
     def _tick(self) -> None:
         if self._stopped:
             return
-        self._fn()
+        self._sample()
         self._event = self.sim.schedule(self.interval_ns, self._tick)
 
     def _sample(self) -> None:  # pragma: no cover - subclasses override

@@ -127,7 +127,6 @@ class TestDefaultBackend:
         cfg = _small_incast()
         result = run_incast_cached(cfg)
         assert result.config.backend == "flow"
-        assert result.analytics is None  # fluid path never attaches analytics
         # The cache hit keys under the *flow* spelling.
         again = run_incast_cached(with_backend(cfg, "flow"))
         assert again is result

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.check.differential import fct_digest
 from repro.experiments.cli import main, obs_main
-from repro.experiments.runner import clear_caches
-from repro.experiments.store import set_store
-from repro.obs import profiler
+from repro.experiments.figures import ALL_FIGURES
+from repro.experiments.runner import clear_caches, run_incast
+from repro.experiments.store import ResultStore, set_store
+from repro.obs import profiler, registry, telemetry
 from repro.obs.report import render_report
 from repro.obs.telemetry import SCHEMA_VERSION, upgrade, validate_manifest
 
@@ -121,7 +123,7 @@ class TestRenderReport:
         text = render_report([("old.json", _load("manifest_serial.json"))])
         assert "live analytics" not in text
         assert "no live-analytics section in old.json" in text
-        assert "--analytics" in text
+        assert "re-run with --telemetry" in text
 
     def test_analytics_sections_rendered(self):
         text = render_report([("m", _load("manifest_analytics.json"))])
@@ -242,3 +244,56 @@ class TestTelemetryEndToEnd:
         assert "engine.loop" in flame.read_text()
         assert "[profile] phases" in capsys.readouterr().out
         assert profiler.get() is None  # main() turned it off again
+
+    def test_flow_backend_telemetry_writes_the_analytics_section(self, tmp_path):
+        manifest_path = tmp_path / "t.json"
+        rc = main(
+            ["--fig", "8", "--backend", "flow", "--no-store",
+             "--telemetry", str(manifest_path)]
+        )
+        assert rc == 0
+        manifest = json.loads(manifest_path.read_text())
+        assert validate_manifest(manifest) == []
+        runs = manifest["analytics"]["runs"]
+        assert len(runs) == 2
+        assert all(r["convergence_ns"] is not None for r in runs)
+
+    def test_main_puts_back_the_planes_a_caller_had_attached(self, tmp_path):
+        ours_registry, ours_collector = registry.enable(), telemetry.enable()
+        try:
+            rc = main(
+                ["--fig", "8", "--backend", "flow", "--no-store",
+                 "--telemetry", str(tmp_path / "t.json")]
+            )
+            assert rc == 0
+            assert registry.get() is ours_registry
+            assert telemetry.TELEMETRY is ours_collector
+        finally:
+            registry.disable()
+            telemetry.disable()
+
+    def test_every_summary_consumer_leaves_the_stored_result_bare(self, tmp_path, capsys):
+        # The journal, the progress line and the manifest all get each
+        # run's summary; the stored packet result is still the bare run's.
+        store, journal = tmp_path / "store", tmp_path / "j.jsonl"
+        manifest_path = tmp_path / "t.json"
+        rc = main(
+            ["--fig", "8", "--store", str(store), "--journal", str(journal),
+             "--telemetry", str(manifest_path), "--sanitize", "--flightrec",
+             "--trace-out", str(tmp_path / "trace.json"), "--profile-phases"]
+        )
+        assert rc == 0
+        assert "jain=" in capsys.readouterr().out  # the [campaign] suffix
+        done = [
+            rec for rec in map(json.loads, journal.read_text().splitlines())
+            if rec["event"] == "done"
+        ]
+        assert len(done) == 2 and all("analytics" in rec for rec in done)
+        summaries = json.loads(manifest_path.read_text())["analytics"]["runs"]
+        clear_caches()
+        set_store(None)
+        for cfg, summary in zip(ALL_FIGURES["8"].configs("scaled"), summaries):
+            stored, bare = ResultStore(store).get(cfg), run_incast(cfg)
+            assert stored.events_executed == bare.events_executed
+            assert fct_digest(stored) == fct_digest(bare)
+            assert summary["convergence_ns"] == bare.convergence_ns

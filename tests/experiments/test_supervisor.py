@@ -30,7 +30,7 @@ from repro.check.differential import fct_digest
 from repro.experiments import runner
 from repro.experiments.config import scaled_incast
 from repro.experiments.parallel import run_campaign, run_config
-from repro.experiments.store import ResultStore, config_key, set_store
+from repro.experiments.store import ResultStore, code_fingerprint, config_key, set_store
 from repro.experiments.supervisor import (
     STATUS_LOST,
     STATUS_OK,
@@ -446,6 +446,11 @@ class TestResume:
             proc.wait(timeout=30)
 
         state = load_journal(journal_path)
+        assert state.fingerprint == code_fingerprint(), (
+            "the source tree changed while this test ran (the killed "
+            "supervisor hashed different files than this process), so the "
+            "resume below cannot hit the store; re-run on an unchanged tree"
+        )
         finished = [k for k, s in state.statuses.items() if s == "ok"]
         assert finished, "journal lost the completed config"
         assert len(finished) < len(configs), "campaign finished before the kill"
@@ -687,24 +692,23 @@ class TestSalvageEdgeCases:
 
 
 @dataclass(frozen=True)
-class _AnalyticsResult:
-    """Result double exposing the live-analytics attribute workers ship."""
+class _SummaryResult:
+    """Result double exposing the ``summary()`` the real result types have."""
 
     value: str
-    analytics: dict
+
+    def summary(self):
+        return {
+            "jain": 0.97,
+            "convergence_ns": 1_000.0,
+            "slowdown": {"p50_slowdown": 1.2, "p99_slowdown": 3.4},
+        }
 
 
 @dataclass(frozen=True)
 class AnalyticsCfg(_FakeCfg):
     def run_self(self):
-        return _AnalyticsResult(
-            value=self.tag,
-            analytics={
-                "jain": 0.97,
-                "convergence_ns": 1_000.0,
-                "slowdown": {"p50_slowdown": 1.2, "p99_slowdown": 3.4},
-            },
-        )
+        return _SummaryResult(value=self.tag)
 
 
 def _journal_records(path):

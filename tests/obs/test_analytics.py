@@ -1,18 +1,8 @@
-"""Streaming analytics vs. exact post-hoc metrics.
+"""The telemetry manifest's ``analytics`` section: each run's exact summary.
 
-The live estimators in :mod:`repro.obs.analytics` must agree with the
-exact NumPy implementations in :mod:`repro.metrics` within the tolerances
-documented in DESIGN.md §10:
-
-* P² quantiles: exact below 5 samples; mid-quantiles within a few percent
-  after a few hundred samples; extreme tails (p99.9) within ~25% relative
-  on heavy-tailed input at moderate sample counts.
-* Streaming Jain index: identical formula, so equal to float rounding.
-* Online convergence detector: identical dwell semantics on the same
-  series; on a live run the stamp is quantised to the sampling interval.
-* End-to-end on seeded runs: streaming slowdown percentiles track the
-  exact per-flow records, and the streaming convergence stamp lands within
-  a few sampling intervals of the exact post-hoc value.
+A result's ``summary()`` is read off the result itself, so its Jain index,
+convergence instant and slowdown percentiles are the numbers the figures
+use, not estimates of them.
 """
 
 import json
@@ -21,417 +11,56 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.metrics.fairness import convergence_time_ns, jain_index
+from repro.experiments.config import scaled_datacenter, scaled_incast, with_backend
+from repro.experiments.runner import run_datacenter, run_incast
 from repro.metrics.fct import summarize
-from repro.obs import analytics
-from repro.obs.analytics import (
-    AnalyticsConfig,
-    ConvergenceDetector,
-    FlowRateEstimator,
-    LiveAnalyzer,
-    P2Quantile,
-    StreamingSlowdown,
-    jain_of,
-    percentile_key,
-)
+from repro.units import ms
 
-# ---------------------------------------------------------------------------
-# P² streaming quantiles
-# ---------------------------------------------------------------------------
 
-
-def test_percentile_key():
-    assert percentile_key(50.0) == "p50"
-    assert percentile_key(95.0) == "p95"
-    assert percentile_key(99.0) == "p99"
-    assert percentile_key(99.9) == "p999"
-
-
-def test_p2_rejects_bad_quantile():
-    for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            P2Quantile(bad)
-
-
-def test_p2_empty_is_nan():
-    assert np.isnan(P2Quantile(0.5).value())
-
-
-def test_p2_exact_below_five_samples():
-    # The buffered small-sample path must match numpy's linear method bit
-    # for bit, including a single sample and extreme quantiles.
-    rng = np.random.default_rng(7)
-    for n in (1, 2, 3, 4):
-        data = rng.uniform(0, 100, size=n)
-        for p in (0.01, 0.25, 0.5, 0.9, 0.999):
-            est = P2Quantile(p)
-            for x in data:
-                est.observe(float(x))
-            exact = float(np.percentile(data, p * 100, method="linear"))
-            assert est.value() == pytest.approx(exact, rel=1e-12)
-
-
-@pytest.mark.parametrize(
-    "make,label",
-    [
-        (lambda rng, n: rng.uniform(0.0, 1.0, n), "uniform"),
-        (lambda rng, n: rng.exponential(1.0, n), "exponential"),
-        (lambda rng, n: rng.lognormal(0.0, 1.0, n), "lognormal"),
-    ],
-)
-def test_p2_mid_quantiles_within_documented_tolerance(make, label):
-    # Documented bound: mid-quantiles within ~2% after a few hundred
-    # samples on smooth distributions (we allow 5% across seeds).
-    for seed in (1, 2, 3):
-        rng = np.random.default_rng(seed)
-        data = make(rng, 5000)
-        for p in (0.5, 0.9):
-            est = P2Quantile(p)
-            for x in data:
-                est.observe(float(x))
-            exact = float(np.percentile(data, p * 100))
-            assert est.value() == pytest.approx(exact, rel=0.05), (label, p, seed)
-
-
-def test_p2_extreme_tail_within_documented_tolerance():
-    # Documented bound: p99.9 on a heavy tail can be off by ~25% relative
-    # at a few thousand samples, and must stay at or below the running max.
-    for seed in (1, 2, 3):
-        rng = np.random.default_rng(seed)
-        data = rng.lognormal(0.0, 1.5, 5000)
-        est = P2Quantile(0.999)
-        for x in data:
-            est.observe(float(x))
-        exact = float(np.percentile(data, 99.9))
-        assert est.value() == pytest.approx(exact, rel=0.25), seed
-        assert est.value() <= data.max() + 1e-9
-
-
-def test_p2_small_sample_extreme_quantile_tracks_near_max():
-    # p99.9 of a few dozen samples: the desired rank sits between the two
-    # top markers, so the estimate must stay in the top of the data range
-    # rather than collapse to the premature middle marker.
-    rng = np.random.default_rng(11)
-    data = rng.uniform(0.0, 100.0, 40)
-    est = P2Quantile(0.999)
-    for x in data:
-        est.observe(float(x))
-    exact = float(np.percentile(data, 99.9))
-    assert est.value() == pytest.approx(exact, rel=0.10)
-
-
-def test_p2_constant_input():
-    est = P2Quantile(0.99)
-    for _ in range(100):
-        est.observe(3.5)
-    assert est.value() == pytest.approx(3.5)
-
-
-# ---------------------------------------------------------------------------
-# Flow-rate EWMA
-# ---------------------------------------------------------------------------
-
-
-def test_rate_estimator_rejects_bad_tau():
-    with pytest.raises(ValueError):
-        FlowRateEstimator(0.0)
-
-
-def test_rate_estimator_converges_to_constant_rate():
-    # 1000 bytes per microsecond = 8 Gbps; after many taus the EWMA must
-    # sit on the true rate.
-    est = FlowRateEstimator(tau_ns=2_000.0)
-    delivered = 0
-    for tick in range(50):
-        t = tick * 1_000.0
-        rate = est.update(t, delivered)
-        delivered += 1000
-    assert rate == pytest.approx(8e9, rel=1e-3)
-
-
-def test_rate_estimator_decays_on_stall():
-    est = FlowRateEstimator(tau_ns=2_000.0)
-    delivered = 0
-    for tick in range(50):
-        est.update(tick * 1_000.0, delivered)
-        delivered += 1000
-    busy = est.rate_bps
-    for tick in range(50, 80):
-        stalled = est.update(tick * 1_000.0, delivered)
-    assert stalled < busy * 1e-3
-
-
-def test_rate_estimator_ignores_time_going_backwards():
-    est = FlowRateEstimator(tau_ns=1_000.0)
-    est.update(1_000.0, 500)
-    before = est.update(2_000.0, 1_000)
-    assert est.update(1_500.0, 2_000) == before
-
-
-# ---------------------------------------------------------------------------
-# Jain index + convergence detector vs. exact implementations
-# ---------------------------------------------------------------------------
-
-
-def test_jain_of_matches_numpy_jain_index():
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 5, 33):
-        rates = rng.uniform(0.0, 10.0, n)
-        rates[rng.uniform(size=n) < 0.3] = 0.0  # inactive flows
-        assert jain_of(rates.tolist()) == pytest.approx(
-            jain_index(rates), rel=1e-12
-        )
-    assert jain_of([]) == 1.0
-    assert jain_of([0.0, 0.0]) == 1.0
-
-
-@pytest.mark.parametrize("sustain", [1, 2, 3, 5])
-@pytest.mark.parametrize("after_ns", [0.0, 40_000.0])
-def test_convergence_detector_matches_exact_on_synthetic_series(
-    sustain, after_ns
-):
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        times = np.arange(100, dtype=float) * 1_000.0
-        index = np.clip(rng.normal(0.85, 0.12, 100), 0.0, 1.0)
-        exact = convergence_time_ns(
-            times, index, threshold=0.9, after_ns=after_ns,
-            sustain_samples=sustain,
-        )
-        det = ConvergenceDetector(
-            threshold=0.9, after_ns=after_ns, sustain_samples=sustain
-        )
-        for t, v in zip(times, index):
-            det.observe(t, v)
-        assert det.convergence_ns == exact
-
-
-def test_convergence_detector_never_converges():
-    det = ConvergenceDetector(threshold=0.95, sustain_samples=3)
-    for t in range(10):
-        det.observe(float(t), 0.5)
-    assert det.convergence_ns is None
-
-
-def test_convergence_detector_latches_first_stamp():
-    det = ConvergenceDetector(threshold=0.9, sustain_samples=2)
-    for t, v in [(0.0, 0.95), (1.0, 0.95), (2.0, 0.1), (3.0, 0.99), (4.0, 0.99)]:
-        det.observe(t, v)
-    assert det.convergence_ns == 0.0
-
-
-def test_convergence_detector_rejects_bad_sustain():
-    with pytest.raises(ValueError):
-        ConvergenceDetector(sustain_samples=0)
-
-
-# ---------------------------------------------------------------------------
-# Streaming slowdown summary
-# ---------------------------------------------------------------------------
-
-
-def test_streaming_slowdown_empty_summary():
-    s = StreamingSlowdown().summary()
-    assert s == {
-        "count": 0,
-        "p50_slowdown": None,
-        "p99_slowdown": None,
-        "p999_slowdown": None,
-        "max_slowdown": None,
-    }
-
-
-def test_streaming_slowdown_tracks_max_and_percentiles():
-    sd = StreamingSlowdown()
-    values = [1.0, 2.0, 4.0, 8.0]
-    for v in values:
-        sd.observe(v)
-    s = sd.summary()
-    assert s["count"] == 4
-    assert s["max_slowdown"] == 8.0
-    assert s["p50_slowdown"] == pytest.approx(np.percentile(values, 50))
-    assert s["p999_slowdown"] == pytest.approx(np.percentile(values, 99.9))
-
-
-# ---------------------------------------------------------------------------
-# LiveAnalyzer over synthetic flows
-# ---------------------------------------------------------------------------
-
-
-class _FakeFlow:
-    def __init__(self, flow_id, start, finish=None, fct=None):
-        self.flow_id = flow_id
-        self.start_time = start
-        self.finish_time = finish
-        self.fct = fct
-
-
-def test_live_analyzer_finalize_sweeps_missed_completions():
-    # The run stops between sampler ticks: flows finish after the last
-    # sample, and finalize() must still fold them into the slowdown stats.
-    flows = [_FakeFlow(i, start=0.0) for i in range(4)]
-    clock = {"t": 0.0}
-    an = LiveAnalyzer(
-        flows,
-        now_fn=lambda: clock["t"],
-        delivered_fn=lambda f: int(clock["t"]),
-        ideal_ns_fn=lambda f: 100.0,
-        interval_ns=1_000.0,
-    )
-    clock["t"] = 1_000.0
-    an.sample()
-    assert an.active_flows == 4
-    for f in flows:
-        f.finish_time = 1_500.0
-        f.fct = 1_500.0
-    summary = an.finalize()
-    assert summary["flows_completed"] == 4
-    assert summary["slowdown"]["count"] == 4
-    assert summary["slowdown"]["max_slowdown"] == pytest.approx(15.0)
-
-
-def test_live_analyzer_respects_activity_window():
-    flows = [
-        _FakeFlow(0, start=0.0, finish=500.0, fct=500.0),
-        _FakeFlow(1, start=0.0),
-        _FakeFlow(2, start=10_000.0),  # not yet started
-    ]
-    clock = {"t": 1_000.0}
-    an = LiveAnalyzer(
-        flows,
-        now_fn=lambda: clock["t"],
-        delivered_fn=lambda f: 1_000,
-        interval_ns=1_000.0,
-    )
-    an.sample()
-    # Flow 0 finished before t, flow 2 has not started: only flow 1 active.
-    assert an.active_flows == 1
-    assert an.summary()["flows_completed"] == 1
-    assert "slowdown" not in an.summary()  # no ideal_ns_fn
-
-
-def test_live_analyzer_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        LiveAnalyzer([], now_fn=lambda: 0.0, delivered_fn=lambda f: 0,
-                     interval_ns=0.0)
-
-
-# ---------------------------------------------------------------------------
-# Aggregator / process-wide switch
-# ---------------------------------------------------------------------------
-
-
-def test_analytics_disabled_by_default():
-    assert analytics.ANALYTICS is None
-    assert not analytics.enabled()
-
-
-def test_capture_restores_previous_state():
-    assert analytics.ANALYTICS is None
-    with analytics.capture() as agg:
-        assert analytics.ANALYTICS is agg
-        agg.record("incast", "demo", {"samples": 1})
-        section = agg.section()
-    assert analytics.ANALYTICS is None
-    assert section["section_version"] == analytics.ANALYTICS_SECTION_VERSION
-    assert section["runs"][0]["desc"] == "demo"
-    assert section["config"] == AnalyticsConfig().to_dict()
-
-
-# ---------------------------------------------------------------------------
-# End-to-end cross-validation on seeded runs
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("variant", ["hpcc-vai-sf", "swift"])
-def test_streaming_convergence_tracks_exact_on_incast(variant):
-    from repro.experiments.config import scaled_incast
-    from repro.experiments.runner import run_incast
-
-    # A tiny rate tau makes the EWMA equal the per-interval rate, so the
-    # streaming Jain series is directly comparable to the post-hoc
-    # interval-rate series (the default tau=2 intervals smooths transient
-    # fairness dips away, which is the point of the live view but would
-    # make this a test of the smoothing, not of the detector).
-    cfg = scaled_incast(variant, 8)
-    with analytics.capture(AnalyticsConfig(rate_tau_intervals=0.05)):
-        result = run_incast(cfg)
-    live = result.analytics
-    assert live is not None
-    assert result.all_completed
-    assert live["flows"] == len(result.flows)
-    assert live["flows_completed"] == len(result.flows)
-    # The sampler sees every completion (finalize sweeps the rest), so the
-    # streaming slowdown count is exact.
-    assert live["slowdown"]["count"] == len(result.flows)
-    # Streaming convergence within a few sampling intervals of the exact
-    # post-hoc stamp (the runner samples at the goodput cadence).
+@pytest.mark.parametrize("backend", ["packet", "flow"])
+def test_incast_summary_is_the_results_exact_series(backend):
+    cfg = with_backend(scaled_incast("hpcc-vai-sf", 16), backend)
+    result = run_incast(cfg)
+    summary = result.summary()
     assert result.convergence_ns is not None
-    assert live["convergence_ns"] is not None
-    tolerance_ns = 3 * cfg.goodput_interval_ns
-    assert abs(live["convergence_ns"] - result.convergence_ns) <= tolerance_ns
-    # Incast senders are symmetric (identical ideal FCT), so the exact
-    # per-flow slowdowns can be reconstructed from the exact running max.
-    fcts = np.array([f.fct for f in result.flows])
-    ideal = fcts.max() / live["slowdown"]["max_slowdown"]
-    exact = fcts / ideal
-    for p in (50.0, 99.0, 99.9):
-        streamed = live["slowdown"][f"{percentile_key(p)}_slowdown"]
-        assert streamed == pytest.approx(
-            float(np.percentile(exact, p)), rel=0.25
-        ), p
+    assert summary["convergence_ns"] == result.convergence_ns
+    assert summary["jain"] == float(result.jain_values[-1])
+    assert summary["samples"] == len(result.jain_times_ns)
+    assert summary["flows"] == summary["flows_completed"] == 16
+    assert summary["slowdown"] is None  # an incast holds no ideal FCTs
 
 
-def test_streaming_slowdown_tracks_exact_records_on_datacenter():
-    from repro.experiments.config import scaled_datacenter
-    from repro.experiments.runner import run_datacenter
-    from repro.units import ms
-
-    cfg = scaled_datacenter("hpcc", "hadoop", duration_ns=ms(0.5))
-    with analytics.capture():
-        result = run_datacenter(cfg)
-    live = result.analytics
-    assert live is not None
-    exact = summarize(result.records)
-    assert live["slowdown"]["count"] == exact["count"] > 0
-    assert live["slowdown"]["max_slowdown"] == pytest.approx(
-        exact["max_slowdown"], rel=1e-9
-    )
-    # Documented bounds (DESIGN.md §10): at a few hundred samples of a
-    # spiky mixture (most flows near slowdown 1, a long sparse tail) the
-    # P² median can be ~15% off; the tails stay within ~25%.
-    assert live["slowdown"]["p50_slowdown"] == pytest.approx(
-        exact["p50_slowdown"], rel=0.20
-    )
-    assert live["slowdown"]["p99_slowdown"] == pytest.approx(
-        exact["p99_slowdown"], rel=0.25
-    )
-    assert live["slowdown"]["p999_slowdown"] == pytest.approx(
-        exact["p999_slowdown"], rel=0.25
+def test_datacenter_summary_is_the_records_exact_slowdowns():
+    result = run_datacenter(scaled_datacenter("hpcc", "hadoop", duration_ns=ms(0.5)))
+    summary = result.summary()
+    assert summary["slowdown"] == summarize(result.records)
+    assert summary["slowdown"]["count"] > 0
+    assert summary["flows"] == result.n_offered
+    assert summary["flows_completed"] == result.n_completed
+    assert summary["convergence_ns"] is None
+    normalised = np.array([1.0 / r.slowdown for r in result.records])
+    assert summary["jain"] == pytest.approx(
+        normalised.sum() ** 2 / (len(normalised) * (normalised**2).sum())
     )
 
 
 def test_analytics_section_validates_against_manifest_schema():
     jsonschema = pytest.importorskip("jsonschema")
-    from repro.experiments.config import scaled_incast
-    from repro.experiments.runner import run_incast
     from repro.obs import telemetry
 
-    with analytics.capture() as agg:
-        telemetry.enable()
-        try:
-            run_incast(scaled_incast("hpcc-vai-sf", 8))
-            manifest = telemetry.build_manifest(
-                telemetry.TELEMETRY,
-                wall_s=0.1,
-                events_executed=1,
-                argv=["test"],
-                analytics=agg.section(),
-            )
-        finally:
-            telemetry.disable()
+    incast = run_incast(scaled_incast("hpcc-vai-sf", 8))
+    trace = run_datacenter(scaled_datacenter("hpcc", "hadoop", duration_ns=ms(0.5)))
+    with telemetry.collecting() as collector:
+        collector.record_summary("incast", "i", incast.summary())
+        collector.record_summary("datacenter", "d", trace.summary())
+        manifest = telemetry.build_manifest(
+            collector, wall_s=0.1, events_executed=1, argv=["test"]
+        )
+    manifest = json.loads(json.dumps(manifest))  # disk round-trip
     schema = json.loads(
         (Path(telemetry.__file__).parent / "telemetry_schema.json").read_text()
     )
     jsonschema.Draft202012Validator(schema).validate(manifest)
-    assert manifest["analytics"]["runs"][0]["kind"] == "incast"
+    section = manifest["analytics"]
+    assert section["section_version"] == telemetry.ANALYTICS_SECTION_VERSION
+    assert [r["kind"] for r in section["runs"]] == ["incast", "datacenter"]

@@ -106,6 +106,16 @@ class TestLiveState:
         assert state.jain_min == 0.95
         assert state.slowdown_p50.value() is not None
 
+    def test_incast_runs_leave_the_slowdown_estimates_blank(self):
+        # An incast summary carries no slowdown; the row says so with '-'.
+        state = self._folded(
+            _line("done", 1.0, key="a", status="ok", pid=1,
+                  analytics={"jain": 1.0, "convergence_ns": 195_000.0,
+                             "p50_slowdown": None, "p99_slowdown": None}),
+        )
+        frame = live.render_top(state, now=2.0)
+        assert "jain p50=1.000 min=1.000   p99-slowdown p50=- p95=-" in frame
+
 
 class TestRenderTop:
     def test_frame_contains_liveness_and_counts(self):

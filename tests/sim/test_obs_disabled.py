@@ -11,7 +11,7 @@ Two guarantees, same mechanism as ``test_port_fusion.py``:
 from repro import obs
 from repro.experiments.config import scaled_incast
 from repro.experiments.runner import run_incast
-from repro.obs import analytics, flightrec, profiler
+from repro.obs import flightrec, profiler
 
 
 def _signature(result):
@@ -45,43 +45,10 @@ def test_enabled_instrumentation_output_byte_identical():
         assert _signature(bare) == _signature(instrumented)
 
 
-def test_enable_all_leaves_analytics_off():
-    # Analytics is the one *active* obs member (its sampler schedules
-    # events), so the blanket switch must not turn it on — that is what
-    # keeps the enable_all byte-identity above honest, events count
-    # included.
-    assert analytics.ANALYTICS is None
-    obs.enable_all()
-    try:
-        assert analytics.ANALYTICS is None
-    finally:
-        obs.disable_all()
-
-
-def test_analytics_enabled_run_identical_except_sampler_events():
-    # With analytics on: recording is read-only, so flow times, series,
-    # and the convergence point are byte-identical; only the sampler's own
-    # wakeups add to events_executed.
-    cfg = scaled_incast("hpcc-vai-sf", 8)
-    bare = run_incast(cfg)
-    with analytics.capture():
-        live_run = run_incast(cfg)
-    assert live_run.all_completed
-    bare_sig, live_sig = _signature(bare), _signature(live_run)
-    assert bare_sig[:-1] == live_sig[:-1]  # everything but events_executed
-    assert live_run.events_executed > bare.events_executed
-    summary = live_run.analytics
-    assert summary is not None
-    assert summary["samples"] > 0
-    assert summary["flows_completed"] == len(live_run.flows)
-    assert summary["slowdown"]["count"] == len(live_run.flows)
-    assert bare.analytics is None
-
-
 def test_flightrec_enabled_run_byte_identical():
     # The flight recorder is fully passive — it stamps packets and reads
-    # timestamps but schedules nothing and draws no RNG — so unlike
-    # analytics even events_executed must not move.  It stays out of
+    # timestamps but schedules nothing and draws no RNG — so even
+    # events_executed must not move.  It stays out of
     # enable_all (per-run lifecycle, retains per-flow payloads), hence
     # the explicit capture here.
     cfg = scaled_incast("hpcc-vai-sf", 8)
