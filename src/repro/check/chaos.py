@@ -40,14 +40,8 @@ from ..experiments import runner as exp_runner
 from ..experiments.config import scaled_incast, with_backend
 from ..experiments.parallel import AnyConfig, run_campaign, run_config
 from ..experiments.store import ResultStore, config_key
-from ..experiments.supervisor import (
-    STATUS_OK,
-    STATUS_QUARANTINED,
-    STATUS_RETRIED,
-    STATUS_SALVAGED,
-    RetryPolicy,
-    SupervisorConfig,
-)
+from ..experiments.supervisor import RetryPolicy, SupervisorConfig
+from ..obs.journal import STATUS_OK, STATUS_QUARANTINED, STATUS_RETRIED, STATUS_SALVAGED
 from .differential import _isolated_caches, fct_digest
 
 __all__ = [

@@ -35,6 +35,7 @@ from ..obs import registry as obs_registry
 from ..obs import stitch as obs_stitch
 from ..obs import telemetry as obs_telemetry
 from ..obs import tracer as obs_tracer
+from ..obs.journal import load_journal
 from ..obs.report import flightrec_runs, render_flows, render_layer_diff, render_report, render_why
 from ..sim import calendar as sim_calendar
 from ..sim import engine
@@ -46,12 +47,7 @@ from .parallel import EMPTY_OUTCOME, Results, run_campaign, run_config
 from .reporting import render
 from .runner import drain_incomplete_runs, get_default_budget, set_default_budget
 from .store import ResultStore, get_store, set_store
-from .supervisor import (
-    CampaignIncomplete,
-    RetryPolicy,
-    SupervisorConfig,
-    load_journal,
-)
+from .supervisor import CampaignIncomplete, RetryPolicy, SupervisorConfig
 
 #: Default on-disk result store location (relative to the working directory).
 DEFAULT_STORE_DIR = ".repro-store"
@@ -329,11 +325,13 @@ def obs_stitch_main(args: "argparse.Namespace") -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    skipped = summary.get("lines_skipped")
     print(
         f"[stitch] {summary['workers']} worker track(s), "
         f"{summary['shards_embedded']} shard(s) embedded "
         f"({summary['shards_missing']} missing) -> {args.out} "
         "(open in Perfetto)"
+        + (f"; {skipped} corrupt journal line(s) skipped" if skipped else "")
     )
     return 0
 

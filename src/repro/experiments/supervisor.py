@@ -37,9 +37,10 @@ Both modes share the rest:
   :class:`QuarantineReport` with the canonical config text, so the run is
   replayable in isolation.  The rest of the sweep proceeds.
 * **Crashes of the supervisor itself** — every state transition is
-  appended to a :class:`CampaignJournal` (one fsync'd JSON line each), so
-  ``--resume`` on the journal of an interrupted campaign re-runs only
-  what never finished, deduping completed work against the result store.
+  appended to a :class:`~repro.obs.journal.CampaignJournal` (one fsync'd
+  JSON line each), so ``--resume`` on the journal of an interrupted
+  campaign re-runs only what never finished, deduping completed work
+  against the result store.
 
 Determinism: supervision never touches simulation inputs.  A config's
 result is a pure function of the config, so a campaign that limps home
@@ -58,7 +59,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import Pipe, Process, connection
 from pathlib import Path
-from typing import Any, Callable, Dict, IO, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import probe
 from ..check import invariants as check_invariants
@@ -66,6 +67,16 @@ from ..obs import flightrec as obs_flightrec
 from ..obs import registry as obs_registry
 from ..obs import telemetry as obs_telemetry
 from ..obs import tracer as obs_tracer
+from ..obs.journal import (
+    JOURNAL_VERSION,
+    STATUS_LOST,
+    STATUS_OK,
+    STATUS_QUARANTINED,
+    STATUS_RETRIED,
+    STATUS_SALVAGED,
+    CampaignJournal,
+    JournalState,
+)
 from ..sim.network import RunBudget
 from .config import IncastConfig, apply_default_backend, get_default_backend, set_default_backend
 from .parallel import (
@@ -84,24 +95,11 @@ from .runner import (
 from .store import canonical_config_repr, code_fingerprint
 
 __all__ = [
-    "CampaignJournal",
-    "JournalState",
     "QuarantineReport",
     "RetryPolicy",
     "SupervisorConfig",
-    "load_journal",
     "run_supervised",
 ]
-
-# Final per-config statuses (CampaignOutcome.statuses values).
-STATUS_OK = "ok"
-STATUS_RETRIED = "retried"  # succeeded after >= 1 failed attempt
-STATUS_SALVAGED = "salvaged"  # succeeded after >= 1 worker kill/loss
-STATUS_QUARANTINED = "quarantined"  # written off as poison; replayable report
-STATUS_LOST = "lost"  # no result, not poison (worker loss budget / interrupt)
-
-TERMINAL_STATUSES = (STATUS_OK, STATUS_RETRIED, STATUS_SALVAGED, STATUS_QUARANTINED)
-
 
 def _summary_suffix(summary: Optional[Dict[str, Any]]) -> str:
     """Compact run-summary fields for a campaign progress line."""
@@ -207,138 +205,6 @@ class QuarantineReport:
             "attempts": self.attempts,
             "config_repr": self.config_repr,
         }
-
-
-# ---------------------------------------------------------------------------
-# Journal
-# ---------------------------------------------------------------------------
-
-
-JOURNAL_VERSION = 1
-
-
-class CampaignJournal:
-    """Append-only, crash-safe record of a campaign's state transitions.
-
-    One JSON object per line; every append is flushed and fsync'd before
-    returning, so the journal on disk is never behind the campaign's
-    actual state by more than the line being written.  A torn final line
-    (the writer died mid-append) is expected and tolerated by
-    :func:`load_journal`.
-    """
-
-    def __init__(self, path: Path, fsync: bool = True) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fsync = fsync
-        self._fh: Optional[IO[str]] = open(self.path, "a", encoding="utf-8")
-
-    def append(self, event: str, _sync: Optional[bool] = None, **fields: Any) -> None:
-        """Append one record.  ``_sync=False`` flushes without fsync — used
-        for high-rate advisory records (worker heartbeats) that a live
-        tailer wants promptly but whose loss in a crash costs nothing.
-
-        Every record carries ``ts`` (wall-clock epoch seconds) for display
-        by ``obs top``/``obs stitch``; supervision logic itself never reads
-        it back — liveness math stays on ``time.monotonic()``.
-        """
-        if self._fh is None:
-            return
-        record = {"event": event, "ts": round(time.time(), 3), **fields}
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
-        if self._fsync if _sync is None else _sync:
-            os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "CampaignJournal":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-@dataclass
-class JournalState:
-    """What a journal says happened, replayed in order."""
-
-    path: Path
-    version: int = JOURNAL_VERSION
-    fingerprint: Optional[str] = None
-    statuses: Dict[str, str] = field(default_factory=dict)  # terminal only
-    attempts: Dict[str, int] = field(default_factory=dict)
-    quarantines: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    interrupted: bool = False
-    completed: bool = False
-    torn_lines: int = 0
-
-    def terminal(self, key: str) -> Optional[str]:
-        """The carried-over status for ``key``, if it need not re-run.
-
-        ``lost`` is deliberately *not* terminal on resume: the loss was
-        most likely the crash being resumed from, so the config gets a
-        fresh attempt budget.  Quarantine carries over — poison stays
-        poison until the code fingerprint changes.
-        """
-        status = self.statuses.get(key)
-        return status if status in TERMINAL_STATUSES else None
-
-
-def load_journal(path: Path) -> JournalState:
-    """Replay a campaign journal into resumable state.
-
-    Unknown events are skipped (forward compatibility); a torn final line
-    is counted, not fatal.  Raises ``FileNotFoundError`` for a missing
-    journal — resuming from nothing is an operator error worth surfacing.
-    """
-    path = Path(path)
-    state = JournalState(path=path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                state.torn_lines += 1
-                continue
-            raise ValueError(f"{path}: corrupt journal line {i + 1}") from None
-        event = record.get("event")
-        key = record.get("key")
-        if event == "campaign":
-            state.version = record.get("version", JOURNAL_VERSION)
-            state.fingerprint = record.get("fingerprint")
-            state.interrupted = False
-            state.completed = False
-        elif event == "attempt":
-            state.attempts[key] = record.get("attempt", state.attempts.get(key, 0) + 1)
-        elif event == "done":
-            state.statuses[key] = record.get("status", STATUS_OK)
-        elif event == "quarantine":
-            state.statuses[key] = STATUS_QUARANTINED
-            state.quarantines[key] = {
-                k: record.get(k)
-                for k in ("desc", "error", "classification", "attempts", "config_repr")
-            }
-        elif event == "lost":
-            state.statuses[key] = STATUS_LOST
-        elif event == "interrupted":
-            state.interrupted = True
-            # Work that was in flight or queued at interrupt time is lost
-            # (not terminal: a resume schedules it again).
-            for k in list(record.get("in_flight") or ()) + list(
-                record.get("pending") or ()
-            ):
-                state.statuses.setdefault(k, STATUS_LOST)
-        elif event == "end":
-            state.completed = True
-    return state
 
 
 # ---------------------------------------------------------------------------

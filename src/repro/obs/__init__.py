@@ -1,9 +1,10 @@
 """repro.obs — the unified observability layer.
 
-Seven facilities.  The five that record are each switched through one
+Eight facilities.  The five that record are each switched through one
 module-level ``None``-able global, so disabled instrumentation costs a
 single attribute read on hot paths (the ``Port.fault_hook`` idiom); the
-last two, ``live`` and ``stitch``, only read a campaign's journal:
+last three, ``journal``, ``live`` and ``stitch``, own and read a
+campaign's journal:
 
 * :mod:`repro.obs.registry` — named counters/gauges/histograms registered
   by the engine, port, host, PFC, fault, and congestion-control layers
@@ -24,10 +25,14 @@ last two, ``live`` and ``stitch``, only read a campaign's journal:
   retransmission recovery / CC throttle), per-link utilization and
   queue-depth series for the packet backend, and the convergence timeline
   behind ``obs why`` / ``obs flows``;
+* :mod:`repro.obs.journal` — the campaign journal's one writer, one
+  incremental reader and one fold (:class:`~.journal.JournalState`), which
+  ``--resume``, ``obs top`` and ``obs stitch`` all read, so a journal that
+  a resume appended to reads the same to each;
 * :mod:`repro.obs.live` — the ``obs top`` live campaign dashboard,
-  tailing a supervised campaign's journal read-only from any process;
-* :mod:`repro.obs.stitch` — ``obs stitch``, merging per-worker trace
-  shards and the campaign journal into one Perfetto timeline.
+  rendering that fold read-only from any process;
+* :mod:`repro.obs.stitch` — ``obs stitch``, drawing the fold's attempt
+  spans and the per-worker trace shards as one Perfetto timeline.
 
 Every facility is **passive**: enabling one never schedules events, draws
 random numbers, or perturbs simulation state, so instrumented runs are
@@ -37,6 +42,7 @@ byte-identical to bare ones, event counts included
 
 from . import (
     flightrec,
+    journal,
     live,
     profiler,
     registry,
@@ -51,6 +57,7 @@ from .tracer import EventTracer
 
 __all__ = [
     "flightrec",
+    "journal",
     "live",
     "profiler",
     "registry",

@@ -4,21 +4,25 @@ A supervised campaign with ``trace_shard_dir`` set leaves behind (a) the
 journal — wall-clock spans of every attempt on every worker — and (b) one
 Chrome-trace shard per successful run, drained from each worker's tracer
 ring.  ``obs stitch`` merges them into a single Perfetto-loadable
-``trace_event`` JSON:
+``trace_event`` JSON, drawn from the journal's one fold
+(:class:`~repro.obs.journal.JournalState`):
 
-* **pid 0** is the campaign track: one span for the whole campaign plus
-  instants for quarantines, losses, and interruption;
+* **pid 0** is the campaign track: one span per campaign segment (a
+  ``--resume`` appended to the journal adds one) plus instants for
+  quarantines, losses, and interruption;
 * **one pid per worker process** (named ``worker <pid>``), whose ``runs``
-  lane (tid 0) carries an ``X`` span per attempt — ``desc [status]`` —
-  built purely from journal timestamps, so even runs without shards (or
-  killed mid-flight) appear on the timeline;
+  lane (tid 0) carries an ``X`` span per attempt — ``desc [status]``,
+  where status is the ``done`` status or ``fail``, ``killed``, ``died``,
+  ``lost`` or ``interrupted`` — so even runs without shards (or killed
+  mid-flight) appear on the timeline;
 * **shard events nest under their run span**: each shard's virtual-time
   events are linearly rescaled into the run's wall-clock window (virtual
   nanoseconds and wall seconds share no clock; rank order inside the run
   is what matters) and placed on tids offset by :data:`SHARD_TID_BASE`.
 
 Everything is read-only over the journal + shard files; a missing or
-corrupt shard degrades to the journal-only span for that run.
+corrupt shard degrades to the journal-only span for that run, and corrupt
+journal lines are skipped and counted (``otherData.lines_skipped``).
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
+
+from .journal import Span, load_journal
 
 #: Shard event lanes start here (lane 0 is the per-worker "runs" lane).
 SHARD_TID_BASE = 1
@@ -44,23 +50,6 @@ def _meta(pid: int, name: str, value: str, tid: int = 0) -> dict:
     }
 
 
-def load_journal_records(journal_path: Any) -> List[Dict[str, Any]]:
-    """All parseable records, in order (torn/corrupt lines skipped)."""
-    records: List[Dict[str, Any]] = []
-    with open(journal_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(rec, dict) and isinstance(rec.get("ts"), (int, float)):
-                records.append(rec)
-    return records
-
-
 def stitch_journal(
     journal_path: Any,
     *,
@@ -70,159 +59,78 @@ def stitch_journal(
 
     ``shard_root``, when given, re-roots relative shard paths (CI moves
     artifacts around); absolute paths in the journal are used as-is.
+    Events keep journal order: a worker's track where the worker first
+    appears, a run span where its attempt ends, a shard where it was
+    recorded, and one campaign span per segment last.
     """
-    records = load_journal_records(journal_path)
-    if not records:
+    state = load_journal(journal_path, strict=False)
+    t0 = state.first_ts
+    if t0 is None:
         raise ValueError(f"{journal_path}: no parseable journal records")
-    t0 = records[0]["ts"]
 
     def us(ts: float) -> float:
         return (ts - t0) * 1e6
+
+    def window(start: float, end: float) -> Tuple[float, float]:
+        return us(start), max(0.0, us(end) - us(start))
+
+    def span_event(name: str, cat: str, pid: int, start: float, end: float) -> dict:
+        ts, dur = window(start, end)
+        return {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur,
+                "pid": pid, "tid": 0}
+
+    def timed(span: Optional[Span]) -> bool:
+        return span is not None and None not in (span.start_ts, span.end_ts)
+
+    # (journal position, rank at one position, events), sorted below
+    placed: List[Tuple[int, int, List[dict]]] = [
+        (w.seq, 0, [_meta(pid, "process_name", f"worker {pid}"),
+                    _meta(pid, "thread_name", "runs")])
+        for pid, w in state.workers.items()
+    ]
+    for span in filter(timed, state.spans):
+        run = span_event(f"{span.desc} [{span.status}]", "run", span.pid,
+                         span.start_ts, span.end_ts)
+        run["args"] = {"key": span.key, "attempt": span.attempt, "status": span.status}
+        placed.append((span.seq, 1, [run]))
+    placed += [
+        (seq, 2, [{"name": name, "cat": "campaign", "ph": "i", "s": "g",
+                   "ts": us(ts), "pid": CAMPAIGN_PID, "tid": 0}])
+        for seq, ts, name in state.marks if ts is not None
+    ]
+    shard_count = shards_missing = 0
+    for seq, span, path in state.shards:
+        shard = _load_shard(path, shard_root)
+        if shard is None:
+            shards_missing += 1
+        elif timed(span):
+            start_us, dur_us = window(span.start_ts, span.end_ts)
+            raw = [ev for ev in shard["traceEvents"] if isinstance(ev, dict)]
+            placed.append((seq, 3, rescale_events(
+                raw, pid=span.pid, start_us=start_us, dur_us=dur_us)))
+            shard_count += 1
 
     events: List[dict] = [
         _meta(CAMPAIGN_PID, "process_name", "campaign"),
         _meta(CAMPAIGN_PID, "thread_name", "phases"),
     ]
-    worker_pids: List[int] = []
-    campaign_start: Optional[float] = None
-    campaign_end: Optional[float] = None
-    #: key -> (pid, start_ts, desc, attempt) for attempts in flight
-    open_attempts: Dict[str, Tuple[int, float, str, int]] = {}
-    #: key -> (pid, start_us, dur_us) of the most recent closed span
-    closed_spans: Dict[str, Tuple[int, float, float]] = {}
-    shard_count = 0
-    shards_missing = 0
+    for _, _, evs in sorted(placed, key=lambda p: p[:2]):
+        events.extend(evs)
+    for seg in state.segments:
+        end_ts = seg.end_ts if seg.end_ts is not None else seg.last_ts
+        if seg.start_ts is not None and end_ts is not None:
+            events.append(span_event("campaign", "campaign", CAMPAIGN_PID,
+                                     seg.start_ts, end_ts))
 
-    def ensure_worker(pid: Any) -> Optional[int]:
-        if not isinstance(pid, int):
-            return None
-        if pid not in worker_pids:
-            worker_pids.append(pid)
-            events.append(_meta(pid, "process_name", f"worker {pid}"))
-            events.append(_meta(pid, "thread_name", "runs"))
-        return pid
-
-    def close_span(key: str, end_ts: float, status: str) -> None:
-        opened = open_attempts.pop(key, None)
-        if opened is None:
-            return
-        pid, start_ts, desc, attempt = opened
-        start_us = us(start_ts)
-        dur_us = max(0.0, us(end_ts) - start_us)
-        closed_spans[key] = (pid, start_us, dur_us)
-        events.append(
-            {
-                "name": f"{desc} [{status}]",
-                "cat": "run",
-                "ph": "X",
-                "ts": start_us,
-                "dur": dur_us,
-                "pid": pid,
-                "tid": 0,
-                "args": {"key": key, "attempt": attempt, "status": status},
-            }
-        )
-
-    for rec in records:
-        event = rec.get("event")
-        ts = rec["ts"]
-        key = rec.get("key")
-        if event == "campaign":
-            campaign_start = ts
-        elif event == "attempt":
-            pid = ensure_worker(rec.get("pid"))
-            if pid is not None and key:
-                open_attempts[key] = (
-                    pid,
-                    ts,
-                    rec.get("desc") or key,
-                    rec.get("attempt", 0),
-                )
-        elif event == "hb":
-            ensure_worker(rec.get("pid"))
-        elif event == "done":
-            if key and not rec.get("cached"):
-                close_span(key, ts, rec.get("status", "ok"))
-        elif event == "fail":
-            if key:
-                close_span(key, ts, "fail")
-        elif event == "reschedule":
-            if key:
-                close_span(key, ts, "killed")
-        elif event == "lost":
-            if key:
-                close_span(key, ts, "lost")
-            events.append(
-                {
-                    "name": f"lost {key}",
-                    "cat": "campaign",
-                    "ph": "i",
-                    "s": "g",
-                    "ts": us(ts),
-                    "pid": CAMPAIGN_PID,
-                    "tid": 0,
-                }
-            )
-        elif event == "quarantine":
-            events.append(
-                {
-                    "name": f"quarantine {rec.get('desc') or key}",
-                    "cat": "campaign",
-                    "ph": "i",
-                    "s": "g",
-                    "ts": us(ts),
-                    "pid": CAMPAIGN_PID,
-                    "tid": 0,
-                }
-            )
-        elif event == "interrupted":
-            events.append(
-                {
-                    "name": "interrupted",
-                    "cat": "campaign",
-                    "ph": "i",
-                    "s": "g",
-                    "ts": us(ts),
-                    "pid": CAMPAIGN_PID,
-                    "tid": 0,
-                }
-            )
-            campaign_end = ts
-        elif event == "end":
-            campaign_end = ts
-        elif event == "trace_shard":
-            span = closed_spans.get(key or "")
-            shard = _load_shard(rec.get("path"), shard_root)
-            if shard is None:
-                shards_missing += 1
-            elif span is not None:
-                events.extend(_embed_shard(shard, span))
-                shard_count += 1
-
-    if campaign_start is not None:
-        end_ts = campaign_end if campaign_end is not None else records[-1]["ts"]
-        events.append(
-            {
-                "name": "campaign",
-                "cat": "campaign",
-                "ph": "X",
-                "ts": us(campaign_start),
-                "dur": max(0.0, us(end_ts) - us(campaign_start)),
-                "pid": CAMPAIGN_PID,
-                "tid": 0,
-            }
-        )
-
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "journal": str(journal_path),
-            "workers": len(worker_pids),
-            "shards_embedded": shard_count,
-            "shards_missing": shards_missing,
-        },
+    other: Dict[str, Any] = {
+        "journal": str(journal_path),
+        "workers": len(state.workers),
+        "shards_embedded": shard_count,
+        "shards_missing": shards_missing,
     }
+    if state.skipped_lines:
+        other["lines_skipped"] = state.skipped_lines
+    return {"traceEvents": events, "displayTimeUnit": "ms", "otherData": other}
 
 
 def _load_shard(path: Any, shard_root: Optional[Any]) -> Optional[Dict[str, Any]]:
@@ -290,15 +198,6 @@ def rescale_events(
     for tid in sorted(seen_tids):
         out.append(_meta(pid, "thread_name", f"sim lane {tid - SHARD_TID_BASE}", tid))
     return out
-
-
-def _embed_shard(
-    shard: Dict[str, Any], span: Tuple[int, float, float]
-) -> List[dict]:
-    """Rescale one run's virtual-time shard into its wall-clock span."""
-    pid, start_us, dur_us = span
-    raw = [ev for ev in shard["traceEvents"] if isinstance(ev, dict)]
-    return rescale_events(raw, pid=pid, start_us=start_us, dur_us=dur_us)
 
 
 def write_stitched(

@@ -25,15 +25,10 @@ from repro.experiments.extensions import ALL_EXTENSIONS
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.parallel import Results, run_campaign, run_config
 from repro.experiments.store import ResultStore, set_store
-from repro.experiments.supervisor import (
-    STATUS_OK,
-    STATUS_QUARANTINED,
-    CampaignIncomplete,
-    RetryPolicy,
-    SupervisorConfig,
-)
+from repro.experiments.supervisor import CampaignIncomplete, RetryPolicy, SupervisorConfig
 from repro.experiments.sweeps import incast_seed_sweep
 from repro.obs import tracer as obs_tracer
+from repro.obs.journal import STATUS_OK, STATUS_QUARANTINED
 from repro.sim import engine
 from repro.sim.network import RunBudget
 from repro.units import ms

@@ -32,21 +32,23 @@ from repro.experiments.config import scaled_incast
 from repro.experiments.parallel import run_campaign, run_config
 from repro.experiments.store import ResultStore, code_fingerprint, config_key, set_store
 from repro.experiments.supervisor import (
+    CampaignIncomplete,
+    RetryPolicy,
+    SupervisorConfig,
+    _attach_worker_planes,
+    run_supervised,
+)
+from repro.obs import profiler, registry, tracer
+from repro.obs.journal import (
     STATUS_LOST,
     STATUS_OK,
     STATUS_QUARANTINED,
     STATUS_RETRIED,
     STATUS_SALVAGED,
-    CampaignIncomplete,
     CampaignJournal,
     JournalState,
-    RetryPolicy,
-    SupervisorConfig,
-    _attach_worker_planes,
     load_journal,
-    run_supervised,
 )
-from repro.obs import profiler, registry, tracer
 
 
 @pytest.fixture(autouse=True)
@@ -204,7 +206,7 @@ class TestJournal:
             fh.write('{"event": "done", "key": "k2", "sta')  # torn write
         state = load_journal(path)
         assert state.statuses == {"k1": "ok"}
-        assert state.torn_lines == 1
+        assert state.skipped_lines == 1
 
     def test_corrupt_middle_line_raises(self, tmp_path):
         path = tmp_path / "j.jsonl"

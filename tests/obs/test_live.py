@@ -1,9 +1,12 @@
-"""Tests for the ``obs top`` live campaign dashboard (repro.obs.live)."""
+"""Tests for the ``obs top`` live campaign dashboard (repro.obs.live) and
+the journal reader and fold it renders (repro.obs.journal)."""
 
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+from repro.obs import journal as obs_journal
 from repro.obs import live
 
 
@@ -16,10 +19,12 @@ def _write(path, *lines):
 
 
 class TestJournalTailer:
+    """The incremental reader, as ``obs top`` tails with it."""
+
     def test_incremental_polls_return_only_new_records(self, tmp_path):
         journal = tmp_path / "j.jsonl"
         _write(journal, _line("campaign", 1.0, jobs=2))
-        tailer = live.JournalTailer(journal)
+        tailer = obs_journal.JournalReader(journal)
         assert [r["event"] for r in tailer.poll()] == ["campaign"]
         assert tailer.poll() == []
         with open(journal, "a") as fh:
@@ -30,7 +35,7 @@ class TestJournalTailer:
         journal = tmp_path / "j.jsonl"
         full = _line("attempt", 1.0, key="k", pid=7)
         journal.write_text(full[:10])  # writer mid-append
-        tailer = live.JournalTailer(journal)
+        tailer = obs_journal.JournalReader(journal)
         assert tailer.poll() == []
         with open(journal, "a") as fh:
             fh.write(full[10:])
@@ -40,28 +45,32 @@ class TestJournalTailer:
     def test_shrunken_file_restarts_from_top(self, tmp_path):
         journal = tmp_path / "j.jsonl"
         _write(journal, _line("campaign", 1.0), _line("attempt", 2.0, key="a", pid=1))
-        tailer = live.JournalTailer(journal)
+        tailer = obs_journal.JournalReader(journal)
         assert len(tailer.poll()) == 2
         _write(journal, _line("campaign", 9.0))  # journal replaced
         records = tailer.poll()
         assert len(records) == 1 and records[0]["ts"] == 9.0
+        # The fold starts over too: the old records are not counted twice.
+        assert tailer.state.counts == {"campaign": 1}
 
     def test_corrupt_middle_lines_skipped(self, tmp_path):
         journal = tmp_path / "j.jsonl"
         journal.write_text(_line("campaign", 1.0) + "{garbage\n" + _line("end", 2.0))
-        assert [r["event"] for r in live.JournalTailer(journal).poll()] == [
-            "campaign",
-            "end",
-        ]
+        reader = obs_journal.JournalReader(journal)
+        assert [r["event"] for r in reader.poll()] == ["campaign", "end"]
+        assert reader.state.skipped_lines == 1
 
     def test_missing_file_returns_nothing(self, tmp_path):
-        assert live.JournalTailer(tmp_path / "absent.jsonl").poll() == []
+        assert obs_journal.JournalReader(tmp_path / "absent.jsonl").poll() == []
 
 
 class TestLiveState:
+    """The journal fold, as ``obs top`` renders it."""
+
     def _folded(self, *records):
-        state = live.LiveState()
-        state.apply_all([json.loads(line) for line in records])
+        state = obs_journal.JournalState(path=Path("j.jsonl"))
+        for line in records:
+            state.apply(json.loads(line))
         return state
 
     def test_counts_and_worker_lifecycle(self):
@@ -77,22 +86,22 @@ class TestLiveState:
             _line("quarantine", 3.0, key="c", desc="run-c", attempts=3),
         )
         # Both the simulated and the store-served run finished "ok".
-        assert state.counts["ok"] == 2
+        assert state.current_statuses() == {"a": "ok", "b": "ok", "c": "quarantined"}
         assert state.cached == 1 and state.executed == 1
-        assert state.failures == 1 and state.reschedules == 1
-        assert state.counts["quarantined"] == 1
-        assert state.attempts == 2 and state.heartbeats == 1
-        assert state.store_hit_pct() == 50.0
+        assert state.counts["fail"] == 1 and state.counts["reschedule"] == 1
+        assert state.counts["attempt"] == 2 and state.counts["hb"] == 1
         assert state.workers[10].state == "idle"
         assert state.workers[11].state == "running"
-        assert state.terminal_total == 3
+        frame = live.render_top(state, now=3.0)
+        assert "runs: 3/3 done  ok 2  retried 0  salvaged 0  quarantined 1" in frame
+        assert "cached 1 (store 50%)" in frame
 
     def test_end_marks_workers_done(self):
         state = self._folded(
             _line("attempt", 1.0, key="a", attempt=1, pid=5, desc="d"),
             _line("end", 2.0, statuses={}),
         )
-        assert state.ended
+        assert state.completed
         assert state.workers[5].state == "done"
 
     def test_streaming_estimates_fed_from_done_analytics(self):
@@ -102,9 +111,10 @@ class TestLiveState:
             _line("done", 2.0, key="b", status="ok", pid=1,
                   analytics={"jain": 0.95, "p99_slowdown": 14.0}),
         )
-        assert state.analytics_runs == 2
-        assert state.jain_min == 0.95
-        assert state.slowdown_p50.value() is not None
+        assert list(state.summaries) == ["a", "b"]
+        frame = live.render_top(state, now=3.0)
+        assert "streaming tail estimates (2 run(s), P2)" in frame
+        assert "min=0.950" in frame and "p99-slowdown p50=- " not in frame
 
     def test_incast_runs_leave_the_slowdown_estimates_blank(self):
         # An incast summary carries no slowdown; the row says so with '-'.
@@ -119,25 +129,21 @@ class TestLiveState:
 
 class TestRenderTop:
     def test_frame_contains_liveness_and_counts(self):
-        state = live.LiveState()
-        state.journal_label = "camp.jsonl"
-        state.apply_all(
-            [
-                json.loads(_line("campaign", 100.0, jobs=2, unique=2)),
-                json.loads(_line("attempt", 100.1, key="a", attempt=1, pid=9, desc="run-a")),
-                json.loads(_line("hb", 100.2, key="a", pid=9, desc="run-a")),
-            ]
-        )
+        state = obs_journal.JournalState(path=Path("camp.jsonl"))
+        for line in (
+            _line("campaign", 100.0, jobs=2, unique=2),
+            _line("attempt", 100.1, key="a", attempt=1, pid=9, desc="run-a"),
+            _line("hb", 100.2, key="a", pid=9, desc="run-a"),
+        ):
+            state.apply(json.loads(line))
         frame = live.render_top(state, now=101.0)
         assert "camp.jsonl [live]" in frame
         assert "-- workers (1)" in frame
         assert "running" in frame and "0.8s" in frame
 
     def test_stale_worker_flagged(self):
-        state = live.LiveState()
-        state.apply_all(
-            [json.loads(_line("hb", 100.0, key="a", pid=9, desc="run-a"))]
-        )
+        state = obs_journal.JournalState(path=Path("j.jsonl"))
+        state.apply(json.loads(_line("hb", 100.0, key="a", pid=9, desc="run-a")))
         fresh = live.render_top(state, now=101.0, stale_after_s=5.0)
         stale = live.render_top(state, now=200.0, stale_after_s=5.0)
         assert "running" in fresh and "stale" not in fresh
@@ -147,10 +153,8 @@ class TestRenderTop:
         # The dashboard host's clock steps *behind* the journal timestamps:
         # ages clamp to zero and the worker stays 'running', never negative
         # or spuriously stale.
-        state = live.LiveState()
-        state.apply_all(
-            [json.loads(_line("hb", 1000.0, key="a", pid=3, desc="run-a"))]
-        )
+        state = obs_journal.JournalState(path=Path("j.jsonl"))
+        state.apply(json.loads(_line("hb", 1000.0, key="a", pid=3, desc="run-a")))
         frame = live.render_top(state, now=500.0, stale_after_s=5.0)
         assert "0.0s" in frame
         assert "-0" not in frame and "stale" not in frame
@@ -167,7 +171,7 @@ class TestWatch:
         )
         frames = []
         state = live.watch(journal, once=True, write=frames.append)
-        assert state.ended
+        assert state.completed
         text = "".join(frames)
         assert "[ENDED]" in text and "ok 1" in text
 
@@ -178,7 +182,7 @@ class TestWatch:
         state = live.watch(
             journal, once=False, interval_s=0.01, clear=False, write=frames.append
         )
-        assert state.ended and frames
+        assert state.completed and frames
 
 
 class TestCrossProcessTop:
